@@ -22,13 +22,11 @@ from .game import (
     baseline_uniform,
     baseline_weighted,
     client_best_response,
-    client_utility,
     inverse_price,
     kkt_participation,
     payment_threshold,
     price_closed_form,
     server_solve,
-    server_solve_m_search,
     total_spend,
     verify_equilibrium,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "baseline_weighted",
     "bound_gradient",
     "client_best_response",
-    "client_utility",
     "convergence_gap_bound",
     "derive_beta",
     "gen_synthetic",
@@ -68,7 +65,6 @@ __all__ = [
     "price_closed_form",
     "sample_participants",
     "server_solve",
-    "server_solve_m_search",
     "subsample",
     "test_accuracy",
     "total_spend",

@@ -2,43 +2,58 @@
 
 These stand in for the expected final loss throughout the game: the server
 prices participation against the gap bound, never against actual training.
-Per-client terms are summed with compensated (Neumaier) summation in index
-order so results are bit-for-bit deterministic across runs.
+Per-client terms are computed on arrays (``ClientColumns``) and summed with
+``math.fsum``, which rounds the exact sum once, so every sum is the same
+whatever the order or length of its terms.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ClientProfile, GameConstants, ParticipationVector
+import numpy as np
+
+from .core import ClientColumns, GameConstants, ParticipationVector
 
 
-def neumaier_sum(values) -> float:
-    """Compensated summation in iteration order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+def power(x, y):
+    """x**y elementwise, rounded as Python's ``**`` rounds it on floats.
+
+    ``np.float_power`` calls the C library's ``pow``, as Python does; numpy's
+    ``**`` multiplies for squares and uses SIMD code for other exponents, and
+    either can differ from ``pow`` in the last bit.
+    """
+    return np.float_power(x, y)
 
 
-def _check_positive(q: ParticipationVector) -> None:
-    for n, qn in enumerate(q.q):
-        if qn <= 0.0:
-            raise ValueError(f"client {n}: participation probability must be positive, got {qn}")
+def positive_levels(q: ParticipationVector) -> np.ndarray:
+    """The levels of q as an array, after checking that each is positive."""
+    levels = q.as_array()
+    bad = np.flatnonzero(~(levels > 0.0))
+    if bad.size:
+        n = int(bad[0])
+        raise ValueError(f"client {n}: participation probability must be positive, got {levels[n]}")
+    return levels
+
+
+def penalty_of(levels: np.ndarray, cols: ClientColumns) -> float:
+    """sum_n (1 - q_n) a_n^2 G_n^2 / q_n over positive levels."""
+    return math.fsum((1.0 - levels) * power(cols.a, 2) * power(cols.G, 2) / levels)
+
+
+def gap_bound_of(levels: np.ndarray, cols: ClientColumns, constants: GameConstants) -> float:
+    """(1/R) (alpha * penalty + beta) over positive levels."""
+    return (constants.alpha * penalty_of(levels, cols) + constants.beta) / constants.rounds
+
+
+def bound_terms(cols: ClientColumns, constants: GameConstants) -> np.ndarray:
+    """(alpha/R) a_n^2 G_n^2 per client: each one's coefficient in the gap bound."""
+    return constants.alpha / constants.rounds * power(cols.a, 2) * power(cols.G, 2)
 
 
 def participation_penalty(q: ParticipationVector, profiles: list) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, the data-weighted participation deficit."""
-    _check_positive(q)
-    return neumaier_sum(
-        (1.0 - qn) * p.weight**2 * p.grad_bound**2 / qn for qn, p in zip(q.q, profiles)
-    )
+    return penalty_of(positive_levels(q), ClientColumns.of(profiles))
 
 
 def variance_bound(
@@ -60,7 +75,7 @@ def convergence_gap_bound(
 
     Returns (1/R) * (alpha * sum_n (1 - q_n) a_n^2 G_n^2 / q_n + beta).
     """
-    return (constants.alpha * participation_penalty(q, profiles) + constants.beta) / constants.rounds
+    return gap_bound_of(positive_levels(q), ClientColumns.of(profiles), constants)
 
 
 def bound_gradient(
@@ -71,13 +86,7 @@ def bound_gradient(
     Strictly negative in every component: more participation always tightens
     the bound.
     """
-    _check_positive(q)
+    levels = positive_levels(q)
+    cols = ClientColumns.of(profiles)
     scale = constants.alpha / constants.rounds
-    return [
-        -scale * p.weight**2 * p.grad_bound**2 / qn**2 for qn, p in zip(q.q, profiles)
-    ]
-
-
-def bound_term(profile: ClientProfile, constants: GameConstants) -> float:
-    """(alpha/R) a_n^2 G_n^2, the client's coefficient in the gap bound."""
-    return constants.alpha / constants.rounds * profile.weight**2 * profile.grad_bound**2
+    return (-scale * power(cols.a, 2) * power(cols.G, 2) / power(levels, 2)).tolist()

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 
 from .bound import participation_penalty
 from .core import FederatedDataset, ParticipationVector
-from .fltrain import TrainConfig, aggregate, global_loss, loss_and_grad
+from .fltrain import TrainConfig, aggregate, global_loss, learning_rate_schedule, loss_and_grad
 
 GRAD_BOUND_FLOOR = 1e-6
 
@@ -26,9 +26,10 @@ def estimate_grad_bounds(
 ) -> list:
     """Per-client bound on the stochastic gradient norm from a full-participation pilot.
 
-    Runs ``pilot_rounds`` rounds with every client active, records each local
-    minibatch gradient norm along the update trajectory, and reports the
-    maximum per client (or an optional quantile, for robustness to outliers).
+    Runs ``pilot_rounds`` rounds with every client active, under cfg's
+    learning-rate schedule, records each local minibatch gradient norm along
+    the update trajectory, and reports the maximum per client (or an
+    optional quantile, for robustness to outliers).
     """
     if pilot_rounds < 1:
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
@@ -47,8 +48,9 @@ def estimate_grad_bounds(
     q_full = ParticipationVector([1.0] * n_clients)
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     norms: list = [[] for _ in range(n_clients)]
+    learning_rate = learning_rate_schedule(cfg, dataset)
     for r in range(pilot_rounds):
-        lr = cfg.eta0 * cfg.decay**r
+        lr = learning_rate(r)
         updates = {}
         for n in range(n_clients):
             x, y = dataset.shards[n]

@@ -7,6 +7,7 @@ downstream numerics never have to re-check inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -37,6 +38,10 @@ class ClientProfile:
     q_max: float = 1.0
 
     def __post_init__(self):
+        for name in ("datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PopulationError(f"client {self.index}: {name} must be finite, got {value}")
         if self.datasize <= 0:
             raise PopulationError(f"client {self.index}: datasize must be positive, got {self.datasize}")
         if not 0.0 < self.weight <= 1.0:
@@ -157,6 +162,15 @@ class GameConstants:
         return cls(**d)
 
 
+def _float_array(values) -> np.ndarray:
+    """Any iterable of numbers as a 1-D float array."""
+    if not isinstance(values, np.ndarray):
+        return np.fromiter(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence of numbers, got shape {values.shape}")
+    return values.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ParticipationVector:
     """Per-client participation probabilities."""
@@ -164,10 +178,12 @@ class ParticipationVector:
     q: tuple
 
     def __init__(self, q):
-        object.__setattr__(self, "q", tuple(float(v) for v in q))
-        for n, v in enumerate(self.q):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"client {n}: participation probability {v} outside [0, 1]")
+        levels = _float_array(q)
+        outside = np.flatnonzero(~((levels >= 0.0) & (levels <= 1.0)))
+        if outside.size:
+            n = int(outside[0])
+            raise ValueError(f"client {n}: participation probability {levels[n]} outside [0, 1]")
+        object.__setattr__(self, "q", tuple(levels.tolist()))
 
     def __len__(self) -> int:
         return len(self.q)
@@ -191,7 +207,7 @@ class PricingVector:
     p: tuple
 
     def __init__(self, p):
-        object.__setattr__(self, "p", tuple(float(v) for v in p))
+        object.__setattr__(self, "p", tuple(_float_array(p).tolist()))
 
     def __len__(self) -> int:
         return len(self.p)
@@ -302,6 +318,32 @@ class FederatedDataset:
         return x, y
 
 
+@dataclass(frozen=True, eq=False)
+class ClientColumns:
+    """A population as columns: one float array per ``ClientProfile`` field,
+    in list order.
+
+    The game and the bound compute on these columns; ``of`` is the one
+    place that walks a list of profiles.
+    """
+
+    d: np.ndarray        # datasize
+    a: np.ndarray        # weight
+    G: np.ndarray        # grad_bound
+    c: np.ndarray        # cost_coeff
+    v: np.ndarray        # intrinsic_pref
+    q_max: np.ndarray
+
+    @classmethod
+    def of(cls, profiles) -> "ClientColumns":
+        rows = np.array(
+            [(p.datasize, p.weight, p.grad_bound, p.cost_coeff, p.intrinsic_pref, p.q_max)
+             for p in profiles],
+            dtype=float,
+        ).reshape(-1, 6)
+        return cls(*np.ascontiguousarray(rows.T))
+
+
 def make_population(
     datasizes,
     grad_bounds,
@@ -327,8 +369,8 @@ def make_population(
         if len(values) != n:
             raise PopulationError(f"{name} has length {len(values)}, expected {n}")
     for i, d in enumerate(lists["datasizes"]):
-        if d <= 0:
-            raise PopulationError(f"client {i}: datasize must be positive, got {d}")
+        if not (math.isfinite(d) and d > 0):
+            raise PopulationError(f"client {i}: datasize must be positive and finite, got {d}")
     total = float(sum(lists["datasizes"]))
     return [
         ClientProfile(

@@ -300,6 +300,8 @@ def _load_runs(run_dir: str) -> dict:
     runs: dict = {}
     for path in sorted(glob.glob(os.path.join(run_dir, "metrics_*_seed*.csv"))):
         m = _METRICS_NAME.search(os.path.basename(path))
+        if m is None:
+            continue  # the glob also matches names like metrics_x_seedfoo.csv
         scheme, seed = m.group(1), int(m.group(2))
         runs.setdefault(scheme, {})[seed] = read_metrics_csv(path)
     if not runs:

@@ -192,11 +192,18 @@ def estimate_smoothness(dataset: FederatedDataset, l2: float) -> float:
     return l2 + max_norm_sq / 4.0
 
 
-def _learning_rate(cfg: TrainConfig, dataset: FederatedDataset, round_index: int) -> float:
+def learning_rate_schedule(cfg: TrainConfig, dataset: FederatedDataset):
+    """The learning rate of cfg's schedule as a function of the round index.
+
+    The theoretical schedule's smoothness estimate is computed here, once
+    per run, not once per round.
+    """
     if cfg.lr_schedule == "exponential":
-        return cfg.eta0 * cfg.decay**round_index
+        return lambda round_index: cfg.eta0 * cfg.decay**round_index
     mu = cfg.l2 if cfg.l2 > 0.0 else 1e-4
-    return theoretical_lr(round_index, estimate_smoothness(dataset, cfg.l2), mu, max(cfg.local_steps, 1))
+    smoothness = estimate_smoothness(dataset, cfg.l2)
+    local_steps = max(cfg.local_steps, 1)
+    return lambda round_index: theoretical_lr(round_index, smoothness, mu, local_steps)
 
 
 def train(
@@ -232,9 +239,10 @@ def train(
     states = []
     sim_time = 0.0
     has_test = len(dataset.test_labels) > 0
+    learning_rate = learning_rate_schedule(cfg, dataset)
     for r in range(cfg.rounds):
         participants = sample_participants(q, rng)
-        lr = _learning_rate(cfg, dataset, r)
+        lr = learning_rate(r)
         updates = {}
         for n in participants:
             updates[n] = local_sgd(

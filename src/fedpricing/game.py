@@ -3,10 +3,14 @@
 Stage II: each client picks the participation level maximizing its own profit
 given its posted price. Stage I: the server picks prices minimizing the
 convergence-gap bound subject to its payment budget, anticipating the clients'
-best responses. The primary solver bisects the budget constraint's dual
-variable over the KKT system (spend is monotone in the dual, so bisection is
-robust and deterministic); a grid search over the total-cost control variable
-M = sum c_n q_n^2 is kept as an independent cross-check solver.
+best responses. The solver bisects the budget constraint's dual variable over
+the KKT system (spend is monotone in the dual, so bisection is robust and
+deterministic).
+
+Each solver call reads its population once into columns (``_Clients``) and
+runs both stages on whole arrays, so a Stage-II pass or a spend evaluation is
+a fixed number of numpy operations over N clients rather than N Python calls.
+The public per-client functions are one-client calls into the same kernels.
 
 Clients with intrinsic preference above the payment threshold 1/(3*lambda)
 receive negative prices: they pay the server.
@@ -15,13 +19,13 @@ receive negative prices: they pay the server.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .bound import bound_term, convergence_gap_bound, neumaier_sum, participation_penalty
+from .bound import bound_terms, gap_bound_of, power
 from .core import (
+    ClientColumns,
     ClientProfile,
     EquilibriumResult,
     GameConstants,
@@ -30,6 +34,7 @@ from .core import (
 )
 
 _INTERIOR_EPS = 1e-9
+_RESPONSE_WIDTH = 1e-12     # each client's Stage-II bisection stops at this interval width
 
 
 class InfeasibleBudgetError(ValueError):
@@ -53,58 +58,91 @@ class SolverOptions:
     """Numerical knobs for the equilibrium solvers."""
 
     lambda_tol: float = 1e-10     # relative width of the dual bisection interval
-    m_step: float = 5e-3          # grid step for the M-search, as a fraction of the M range
     max_iter: int = 200
     budget_tol: float = 1e-8      # |spend - B| <= budget_tol * max(1, B)
-    m_refine_passes: int = 2      # extra M-grid passes, each shrinking the step 100x
 
     def __post_init__(self):
-        if self.lambda_tol <= 0 or self.m_step <= 0 or self.budget_tol <= 0:
+        if self.lambda_tol <= 0 or self.budget_tol <= 0:
             raise ValueError("solver tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
-def client_utility(
-    q_n: float,
-    p_n: float,
-    profile: ClientProfile,
-    constants: GameConstants,
-    profiles: list,
-    q_others: ParticipationVector,
-    value_offset: float = 0.0,
-) -> float:
-    """Client profit at participation q_n given price p_n and the others' levels.
+@dataclass(frozen=True, eq=False)
+class _Clients:
+    """A population under one set of game constants, as columns.
 
-    Payment income minus quadratic cost, plus the intrinsic valuation of the
-    gap bound with q_n substituted into the client's own summand.
-    ``value_offset`` carries the q-independent part of the intrinsic value.
-    Returns -inf when the bound diverges (some level is zero) and the client
-    has positive intrinsic preference.
+    The derived columns are computed once per solver call, in the same
+    operation order as the per-client formulas they stand for.
     """
-    if not 0.0 <= q_n <= profile.q_max:
-        raise ValueError(f"q_n={q_n} outside [0, {profile.q_max}]")
-    base = p_n * q_n - profile.cost_coeff * q_n**2 + value_offset
-    v = profile.intrinsic_pref
-    if v == 0.0:
-        return base
-    levels = list(q_others.q)
-    levels[profile.index] = q_n
-    if any(qm == 0.0 for qm in levels):
-        return -math.inf
-    penalty = neumaier_sum(
-        (1.0 - qm) * p.weight**2 * p.grad_bound**2 / qm for qm, p in zip(levels, profiles)
-    )
-    return base - v * constants.alpha / constants.rounds * penalty
+
+    cols: ClientColumns
+    vk: np.ndarray         # v (alpha/R) a^2 G^2, the weight of the gap bound in the client's profit
+    kkt_num: np.ndarray    # alpha a^2 G^2
+    kkt_den: np.ndarray    # 4 R c
+    floor: float
+
+    @classmethod
+    def read(cls, profiles: list, constants: GameConstants) -> "_Clients":
+        cols = ClientColumns.of(profiles)
+        return cls(
+            cols=cols,
+            vk=cols.v * bound_terms(cols, constants),
+            kkt_num=constants.alpha * power(cols.a, 2) * power(cols.G, 2),
+            kkt_den=4.0 * constants.rounds * cols.c,
+            floor=constants.q_floor,
+        )
 
 
-def _foc_residual(q: float, p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
-    # P + v*(alpha/R)*a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
-    return (
-        p_n
-        + profile.intrinsic_pref * bound_term(profile, constants) / q**2
-        - 2.0 * profile.cost_coeff * q
-    )
+# ---------------------------------------------------------------- stage II
+
+
+def _foc(q, prices, vk, c2):
+    # P + v (alpha/R) a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
+    return prices + vk / power(q, 2) - c2 * q
+
+
+def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
+    """Every client's maximizer of P q - c q^2 - v k (1 - q) / q on [0, q_max],
+    with k = (alpha/R) a^2 G^2.
+
+    With v = 0 the first-order condition P = 2 c q is solved in closed form.
+    Otherwise the residual P + v k / q^2 - 2 c q falls in q: a client whose
+    residual is still nonnegative at the cap takes the cap; one whose
+    residual is already nonpositive at q_floor * 1e-3 takes that point, the
+    best admissible one since the objective diverges at zero; the rest
+    bisect the residual on [q_floor * 1e-3, q_max]. Each client stops when
+    its own interval is 1e-12 wide, so its answer does not depend on who else
+    is in the population.
+    """
+    c, v, cap = cl.cols.c, cl.cols.v, cl.cols.q_max
+    q = np.empty(len(c))
+    free = v == 0.0
+    root = prices[free] / (2.0 * c[free])
+    q[free] = np.where(root <= 0.0, 0.0, np.minimum(root, cap[free]))
+
+    idx = np.flatnonzero(~free)
+    p, vk, c2, hi = prices[idx], cl.vk[idx], 2.0 * c[idx], cap[idx]
+    q_lo = cl.floor * 1e-3
+    lo = np.full(idx.size, q_lo)
+    at_cap = _foc(hi, p, vk, c2) >= 0.0
+    at_low = ~at_cap & (_foc(lo, p, vk, c2) <= 0.0)
+    q[idx[at_cap]] = hi[at_cap]
+    q[idx[at_low]] = q_lo
+    open_ = ~(at_cap | at_low)
+    idx, p, vk, c2, lo, hi = (x[open_] for x in (idx, p, vk, c2, lo, hi))
+    while True:
+        done = ~(hi - lo > _RESPONSE_WIDTH)
+        if done.any():
+            q[idx[done]] = 0.5 * (lo[done] + hi[done])
+            open_ = ~done
+            idx, p, vk, c2, lo, hi = (x[open_] for x in (idx, p, vk, c2, lo, hi))
+        if not idx.size:
+            return q
+        mid = 0.5 * (lo + hi)
+        up = _foc(mid, p, vk, c2) > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
 
 
 def client_best_response(p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
@@ -114,30 +152,42 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
     first-order-condition residual (the closed-form cubic root is avoided for
     numerical robustness). Monotone non-decreasing in the price.
     """
-    c = profile.cost_coeff
-    v = profile.intrinsic_pref
-    q_max = profile.q_max
-    if v == 0.0:
-        # FOC degenerates to P = 2 c q.
-        root = p_n / (2.0 * c)
-        if root <= 0.0:
-            return 0.0
-        return min(root, q_max)
-    q_lo = constants.q_floor * 1e-3
-    if _foc_residual(q_max, p_n, profile, constants) >= 0.0:
-        return q_max
-    if _foc_residual(q_lo, p_n, profile, constants) <= 0.0:
-        # Maximizer sits below the bracket; the objective diverges at zero,
-        # so the floor of the search interval is the best admissible point.
-        return q_lo
-    lo, hi = q_lo, q_max
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _foc_residual(mid, p_n, profile, constants) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    prices = np.array([p_n], dtype=float)
+    return float(_best_responses(prices, _Clients.read([profile], constants))[0])
+
+
+# ---------------------------------------------------------------- stage I
+
+
+def _inverse_prices(levels: np.ndarray, cl: _Clients) -> np.ndarray:
+    # P(q) = 2 c q - v (alpha/R) a^2 G^2 / q^2.
+    return 2.0 * cl.cols.c * levels - cl.vk / power(levels, 2)
+
+
+def _spend(levels: np.ndarray, cl: _Clients) -> float:
+    return math.fsum(_inverse_prices(levels, cl) * levels)
+
+
+def _kkt_levels(lam: float, cl: _Clients) -> np.ndarray:
+    # q^3 = alpha a^2 G^2 (1/lam - v) / (4 R c), clipped to the box; clients
+    # with 1/lam <= v are pinned to the floor.
+    inv = 1.0 / lam
+    v = cl.cols.v
+    q = power(cl.kkt_num * np.maximum(inv - v, 0.0) / cl.kkt_den, 1.0 / 3.0)
+    q = np.minimum(np.maximum(q, cl.floor), cl.cols.q_max)
+    return np.where(inv <= v, cl.floor, q)
+
+
+def _cap_lambda(cl: _Clients) -> float:
+    # Largest dual value at which every unclipped stationary level still
+    # reaches its cap: 1/lambda = (4R/alpha) c q_max^3/(a^2 G^2) + v per client.
+    return 1.0 / float(np.max(cl.kkt_den * power(cl.cols.q_max, 3) / cl.kkt_num + cl.cols.v))
+
+
+def _check_floor(cl: _Clients) -> None:
+    min_cap = float(np.min(cl.cols.q_max))
+    if cl.floor >= min_cap:
+        raise ValueError(f"q_floor={cl.floor} must lie below the smallest cap {min_cap}")
 
 
 def inverse_price(q_n: float, profile: ClientProfile, constants: GameConstants) -> float:
@@ -147,10 +197,8 @@ def inverse_price(q_n: float, profile: ClientProfile, constants: GameConstants) 
     """
     if q_n < constants.q_floor:
         raise ValueError(f"q_n={q_n} below the participation floor {constants.q_floor}")
-    return (
-        2.0 * profile.cost_coeff * q_n
-        - profile.intrinsic_pref * bound_term(profile, constants) / q_n**2
-    )
+    levels = np.array([q_n], dtype=float)
+    return float(_inverse_prices(levels, _Clients.read([profile], constants))[0])
 
 
 def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstants) -> float:
@@ -162,18 +210,7 @@ def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstan
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    inv = 1.0 / lam
-    v = profile.intrinsic_pref
-    if inv <= v:
-        return constants.q_floor
-    q = (
-        constants.alpha
-        * profile.weight**2
-        * profile.grad_bound**2
-        * (inv - v)
-        / (4.0 * constants.rounds * profile.cost_coeff)
-    ) ** (1.0 / 3.0)
-    return min(max(q, constants.q_floor), profile.q_max)
+    return float(_kkt_levels(lam, _Clients.read([profile], constants))[0])
 
 
 def total_spend(q: ParticipationVector, profiles: list, constants: GameConstants) -> float:
@@ -182,12 +219,14 @@ def total_spend(q: ParticipationVector, profiles: list, constants: GameConstants
     sum_n (2 c_n q_n^2 - (alpha/R) v_n a_n^2 G_n^2 / q_n); negative summands
     are clients paying the server.
     """
-    for n, qn in enumerate(q.q):
-        if qn < constants.q_floor:
-            raise ValueError(f"client {n}: q={qn} below the participation floor {constants.q_floor}")
-    return neumaier_sum(
-        inverse_price(qn, p, constants) * qn for qn, p in zip(q.q, profiles)
-    )
+    levels = q.as_array()
+    below = np.flatnonzero(levels < constants.q_floor)
+    if below.size:
+        n = int(below[0])
+        raise ValueError(
+            f"client {n}: q={levels[n]} below the participation floor {constants.q_floor}"
+        )
+    return _spend(levels, _Clients.read(profiles, constants))
 
 
 def payment_threshold(lambda_star: float) -> float:
@@ -224,50 +263,27 @@ def price_closed_form(lambda_star: float, profile: ClientProfile, constants: Gam
     return coeff * (gap ** (1.0 / 3.0) - 2.0 * v / gap ** (2.0 / 3.0))
 
 
-def _check_floor(profiles: list, constants: GameConstants) -> None:
-    min_cap = min(p.q_max for p in profiles)
-    if constants.q_floor >= min_cap:
-        raise ValueError(
-            f"q_floor={constants.q_floor} must lie below the smallest cap {min_cap}"
-        )
-
-
 def _finish(
-    q: ParticipationVector,
+    levels: np.ndarray,
     lam: float,
-    profiles: list,
+    cl: _Clients,
     constants: GameConstants,
     diagnostics: dict,
 ) -> EquilibriumResult:
-    prices = [inverse_price(qn, p, constants) for qn, p in zip(q.q, profiles)]
-    payments = tuple(pr * qn for pr, qn in zip(prices, q.q))
-    interior = tuple(
-        constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS
-        for qn, p in zip(q.q, profiles)
-    )
+    prices = _inverse_prices(levels, cl)
+    payments = prices * levels
+    interior = (cl.floor + _INTERIOR_EPS < levels) & (levels < cl.cols.q_max - _INTERIOR_EPS)
     return EquilibriumResult(
-        q_star=q,
+        q_star=ParticipationVector(levels),
         p_star=PricingVector(prices),
         lambda_star=lam,
         v_threshold=payment_threshold(lam),
-        spend=total_spend(q, profiles, constants),
-        bound_value=convergence_gap_bound(q, profiles, constants),
-        payments=payments,
-        interior=interior,
+        spend=math.fsum(payments),
+        bound_value=gap_bound_of(levels, cl.cols, constants),
+        payments=tuple(payments.tolist()),
+        interior=tuple(interior.tolist()),
         diagnostics=diagnostics,
     )
-
-
-def _cap_lambda(profiles: list, constants: GameConstants) -> float:
-    # Largest dual value at which every unclipped stationary level still
-    # reaches its cap: 1/lambda = (4R/alpha) c q_max^3/(a^2 G^2) + v per client.
-    inv = max(
-        4.0 * constants.rounds * p.cost_coeff * p.q_max**3
-        / (constants.alpha * p.weight**2 * p.grad_bound**2)
-        + p.intrinsic_pref
-        for p in profiles
-    )
-    return 1.0 / inv
 
 
 def server_solve(
@@ -285,29 +301,28 @@ def server_solve(
     opts = opts or SolverOptions()
     if len(profiles) < 1:
         raise ValueError("population must contain at least one client")
-    _check_floor(profiles, constants)
-    floor_vec = ParticipationVector([constants.q_floor] * len(profiles))
-    min_budget = total_spend(floor_vec, profiles, constants)
+    cl = _Clients.read(profiles, constants)
+    _check_floor(cl)
+    min_budget = _spend(np.full(len(profiles), cl.floor), cl)
     tol = opts.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
 
-    cap_vec = ParticipationVector([p.q_max for p in profiles])
-    cap_spend = total_spend(cap_vec, profiles, constants)
-    lam_cap = _cap_lambda(profiles, constants)
+    caps = cl.cols.q_max
+    cap_spend = _spend(caps, cl)
+    lam_cap = _cap_lambda(cl)
     if cap_spend <= budget + tol:
         return _finish(
-            cap_vec,
+            caps,
             lam_cap,
-            profiles,
+            cl,
             constants,
             {"solver": "lambda_bisection", "caps_binding": True, "iterations": 0,
              "budget_residual": max(0.0, cap_spend - budget)},
         )
 
     def spend_at(lam: float) -> float:
-        q = ParticipationVector([kkt_participation(lam, p, constants) for p in profiles])
-        return total_spend(q, profiles, constants)
+        return _spend(_kkt_levels(lam, cl), cl)
 
     lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
     lam_hi = lam_cap
@@ -329,205 +344,41 @@ def server_solve(
             lam_hi = mid
         iterations += 1
     lam = 0.5 * (lam_lo + lam_hi)
-    q = ParticipationVector([kkt_participation(lam, p, constants) for p in profiles])
-    result = _finish(
+    q = _kkt_levels(lam, cl)
+    return _finish(
         q,
         lam,
-        profiles,
+        cl,
         constants,
         {"solver": "lambda_bisection", "caps_binding": False, "iterations": iterations,
-         "budget_residual": abs(total_spend(q, profiles, constants) - budget)},
-    )
-    return result
-
-
-def _solve_fixed_m(
-    m_target: float,
-    profiles: list,
-    constants: GameConstants,
-    budget: float,
-    opts: SolverOptions,
-) -> ParticipationVector | None:
-    """Minimize the gap bound at fixed total cost mass M = sum c_n q_n^2.
-
-    Nested dual bisection: the inner loop matches the cost-mass equality via
-    its multiplier, the outer loop tightens the budget inequality. Returns
-    None when no level vector at this M satisfies the budget.
-    """
-    k = np.array([bound_term(p, constants) for p in profiles])
-    c = np.array([p.cost_coeff for p in profiles])
-    v = np.array([p.intrinsic_pref for p in profiles])
-    caps = np.array([p.q_max for p in profiles])
-    floor = constants.q_floor
-
-    def levels(t: float, lam_b: float) -> np.ndarray:
-        # Stationarity of the subproblem Lagrangian: q^3 = k (1 - lam_b v) / (t c)
-        # with t = 2 nu + 4 lam_b > 0; nonpositive numerators pin the client.
-        num = k * (1.0 - lam_b * v)
-        q = np.where(num > 0.0, np.cbrt(np.maximum(num, 0.0) / (t * c)), floor)
-        return np.clip(q, floor, caps)
-
-    def mass(t: float, lam_b: float) -> float:
-        q = levels(t, lam_b)
-        return float(np.sum(c * q**2))
-
-    cap_mass = float(np.sum(c * caps**2))
-    floor_mass = float(np.sum(c * floor**2))
-    if not floor_mass - 1e-12 <= m_target <= cap_mass + 1e-12:
-        return None
-
-    def match_mass(lam_b: float) -> np.ndarray:
-        # mass is decreasing in t; the bracket follows from the clip bounds:
-        # every level is pinned at the floor once t >= max num/(c floor^3) and
-        # at its cap once t <= min num/(c caps^3) over active clients.
-        num = k * (1.0 - lam_b * v)
-        active = num > 0.0
-        if not np.any(active):
-            return levels(1.0, lam_b)  # all pinned; t is irrelevant
-        t_lo = float(np.min(num[active] / (c[active] * caps[active] ** 3)))
-        t_hi = float(np.max(num[active] / (c[active] * floor**3)))
-        if mass(t_lo, lam_b) <= m_target:
-            return levels(t_lo, lam_b)
-        if mass(t_hi, lam_b) >= m_target:
-            return levels(t_hi, lam_b)
-        # Root-find on log t so the bracket's many orders of magnitude
-        # do not starve the solver of resolution.
-        log_t = brentq(
-            lambda lt: mass(math.exp(lt), lam_b) - m_target,
-            math.log(t_lo), math.log(t_hi),
-            xtol=1e-13, rtol=1e-12, maxiter=opts.max_iter,
-        )
-        return levels(math.exp(log_t), lam_b)
-
-    def spend_of(q: np.ndarray) -> float:
-        return float(np.sum(2.0 * c * q**2 - k * v / q))
-
-    tol = opts.budget_tol * max(1.0, abs(budget))
-    q0 = match_mass(0.0)
-    if spend_of(q0) <= budget + tol:
-        return ParticipationVector(q0)
-    if np.all(v == 0.0):
-        return None  # spend is 2M regardless of the split; this M is infeasible
-    # Beyond 1/min(v>0) every value-driven client is pinned at the floor, so
-    # the level vector -- and hence the spend -- no longer changes.
-    lam_hi = 1.0 / float(np.min(v[v > 0.0]))
-    if spend_of(match_mass(lam_hi)) > budget:
-        return None
-    lam = brentq(
-        lambda lb: spend_of(match_mass(lb)) - budget,
-        0.0, lam_hi,
-        xtol=opts.lambda_tol * max(lam_hi, 1e-30), rtol=8.9e-16,
-        maxiter=opts.max_iter,
-    )
-    q = match_mass(lam)
-    if spend_of(q) > budget + tol:
-        q = match_mass(min(lam * (1.0 + 1e-9) + 1e-15, lam_hi))
-    if spend_of(q) > budget + tol:
-        return None
-    return ParticipationVector(q)
-
-
-def server_solve_m_search(
-    profiles: list,
-    constants: GameConstants,
-    budget: float,
-    opts: SolverOptions | None = None,
-) -> EquilibriumResult:
-    """Cross-check solver: fixed-step linear search over the cost mass M.
-
-    Scans M = sum c_n q_n^2 over its feasible range, solves the convex
-    fixed-M subproblem at each grid point, and keeps the best; optional
-    refinement passes re-grid around the incumbent with a 100x smaller step.
-    Exists to validate server_solve independently.
-    """
-    opts = opts or SolverOptions()
-    if len(profiles) < 1:
-        raise ValueError("population must contain at least one client")
-    _check_floor(profiles, constants)
-    floor_vec = ParticipationVector([constants.q_floor] * len(profiles))
-    min_budget = total_spend(floor_vec, profiles, constants)
-    tol = opts.budget_tol * max(1.0, abs(budget))
-    if budget < min_budget - tol:
-        raise InfeasibleBudgetError(budget, min_budget)
-
-    c = np.array([p.cost_coeff for p in profiles])
-    caps = np.array([p.q_max for p in profiles])
-    m_lo = float(np.sum(c) * constants.q_floor**2)
-    m_hi = float(np.sum(c * caps**2))
-
-    best_q = None
-    best_obj = math.inf
-    best_m = None
-
-    def scan(lo: float, hi: float, step: float) -> None:
-        nonlocal best_q, best_obj, best_m
-        n_points = max(2, int(round((hi - lo) / step)) + 1)
-        for m_target in np.linspace(lo, hi, n_points):
-            q = _solve_fixed_m(float(m_target), profiles, constants, budget, opts)
-            if q is None:
-                continue
-            obj = participation_penalty(q, profiles)
-            if obj < best_obj:
-                best_obj = obj
-                best_q = q
-                best_m = float(m_target)
-
-    step = opts.m_step * (m_hi - m_lo)
-    scan(m_lo, m_hi, step)
-    if best_q is None:
-        raise BracketError("no feasible cost mass found on the M grid")
-    for _ in range(opts.m_refine_passes):
-        lo = max(m_lo, best_m - step)
-        hi = min(m_hi, best_m + step)
-        step /= 100.0
-        scan(lo, hi, step)
-
-    # Recover the dual value from the tight-budget KKT identity on an interior
-    # client if one exists; fall back to the cap-regime dual otherwise.
-    lam = None
-    for qn, p in zip(best_q.q, profiles):
-        if constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS:
-            inv = (
-                4.0 * constants.rounds * p.cost_coeff * qn**3
-                / (constants.alpha * p.weight**2 * p.grad_bound**2)
-                + p.intrinsic_pref
-            )
-            lam = 1.0 / inv
-            break
-    if lam is None:
-        lam = _cap_lambda(profiles, constants)
-    return _finish(
-        best_q,
-        lam,
-        profiles,
-        constants,
-        {"solver": "m_search", "best_m": best_m,
-         "budget_residual": abs(total_spend(best_q, profiles, constants) - budget)},
+         "budget_residual": abs(_spend(q, cl) - budget)},
     )
 
 
-def _bisect_budget_scalar(
-    price_of,
-    profiles: list,
-    constants: GameConstants,
+# ---------------------------------------------------------------- baselines
+
+
+def _bisect_budget_scale(
+    unit_prices: np.ndarray,
+    cl: _Clients,
     budget: float,
     opts: SolverOptions,
 ):
-    """Bisect a nonnegative pricing scale so best responses exhaust the budget."""
+    """Bisect a nonnegative scale s so the best responses to the prices
+    s * unit_prices exhaust the budget; returns (s, responses)."""
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
 
-    def responses(scale: float) -> list:
-        return [client_best_response(price_of(scale, p), p, constants) for p in profiles]
+    def responses(scale: float) -> np.ndarray:
+        return _best_responses(scale * unit_prices, cl)
 
     def spend(scale: float) -> float:
-        return neumaier_sum(
-            price_of(scale, p) * qn for p, qn in zip(profiles, responses(scale))
-        )
+        prices = scale * unit_prices
+        return math.fsum(prices * _best_responses(prices, cl))
 
     tol = opts.budget_tol * max(1.0, budget)
     if budget == 0.0 or spend(0.0) >= budget - tol:
-        return 0.0, ParticipationVector(responses(0.0))
+        return 0.0, responses(0.0)
     hi = 1.0
     for _ in range(opts.max_iter):
         if spend(hi) >= budget:
@@ -549,7 +400,7 @@ def _bisect_budget_scalar(
         else:
             hi = mid
     scale = 0.5 * (lo + hi)
-    return scale, ParticipationVector(responses(scale))
+    return scale, responses(scale)
 
 
 def baseline_uniform(
@@ -560,8 +411,9 @@ def baseline_uniform(
 ):
     """One nonnegative price for everyone, scaled until the budget is exhausted."""
     opts = opts or SolverOptions()
-    price, q = _bisect_budget_scalar(lambda s, p: s, profiles, constants, budget, opts)
-    return price, q
+    cl = _Clients.read(profiles, constants)
+    price, q = _bisect_budget_scale(np.ones(len(profiles)), cl, budget, opts)
+    return price, ParticipationVector(q)
 
 
 def baseline_weighted(
@@ -572,10 +424,9 @@ def baseline_weighted(
 ):
     """Prices proportional to datasize, scaled until the budget is exhausted."""
     opts = opts or SolverOptions()
-    scale, q = _bisect_budget_scalar(
-        lambda s, p: s * p.datasize, profiles, constants, budget, opts
-    )
-    return PricingVector([scale * p.datasize for p in profiles]), q
+    cl = _Clients.read(profiles, constants)
+    scale, q = _bisect_budget_scale(cl.cols.d, cl, budget, opts)
+    return PricingVector(scale * cl.cols.d), ParticipationVector(q)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,333 @@
+"""Reference implementations the tests check the package against.
+
+None of this is library code. ``client_best_response`` is the per-client
+scalar bisection the array kernel in ``fedpricing.game`` replaced, kept
+as written, so the kernel can be held to it bit for bit.
+``server_solve_m_search`` is an independent Stage-I solver: a grid search
+over the total cost mass M = sum c_n q_n^2 with a convex subproblem at each
+grid point. ``client_utility`` is a client's profit with the bound's other
+summands held fixed. They only use the package's public functions.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.optimize import brentq
+
+from fedpricing.bound import convergence_gap_bound, participation_penalty
+from fedpricing.core import (
+    ClientProfile,
+    EquilibriumResult,
+    GameConstants,
+    ParticipationVector,
+    PricingVector,
+)
+from fedpricing.game import (
+    BracketError,
+    InfeasibleBudgetError,
+    SolverOptions,
+    inverse_price,
+    payment_threshold,
+    total_spend,
+)
+
+_INTERIOR_EPS = 1e-9
+M_STEP = 5e-3          # M-search grid step, as a fraction of the M range
+M_REFINE_PASSES = 2    # extra M-grid passes, each shrinking the step 100x
+
+
+def _bound_term(profile: ClientProfile, constants: GameConstants) -> float:
+    """(alpha/R) a_n^2 G_n^2, the client's coefficient in the gap bound."""
+    return constants.alpha / constants.rounds * profile.weight**2 * profile.grad_bound**2
+
+
+def _foc_residual(q: float, p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
+    # P + v*(alpha/R)*a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
+    return (
+        p_n
+        + profile.intrinsic_pref * _bound_term(profile, constants) / q**2
+        - 2.0 * profile.cost_coeff * q
+    )
+
+
+def client_best_response(p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
+    """Unique maximizer of the client's concave objective on [0, q_max].
+
+    Interior stationary points are found by monotone bisection on the
+    first-order-condition residual (the closed-form cubic root is avoided for
+    numerical robustness). Monotone non-decreasing in the price.
+    """
+    c = profile.cost_coeff
+    v = profile.intrinsic_pref
+    q_max = profile.q_max
+    if v == 0.0:
+        # FOC degenerates to P = 2 c q.
+        root = p_n / (2.0 * c)
+        if root <= 0.0:
+            return 0.0
+        return min(root, q_max)
+    q_lo = constants.q_floor * 1e-3
+    if _foc_residual(q_max, p_n, profile, constants) >= 0.0:
+        return q_max
+    if _foc_residual(q_lo, p_n, profile, constants) <= 0.0:
+        # Maximizer sits below the bracket; the objective diverges at zero,
+        # so the floor of the search interval is the best admissible point.
+        return q_lo
+    lo, hi = q_lo, q_max
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if _foc_residual(mid, p_n, profile, constants) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+
+
+def client_utility(
+    q_n: float,
+    p_n: float,
+    profile: ClientProfile,
+    constants: GameConstants,
+    profiles: list,
+    q_others: ParticipationVector,
+    value_offset: float = 0.0,
+) -> float:
+    """Client profit at participation q_n given price p_n and the others' levels.
+
+    Payment income minus quadratic cost, plus the intrinsic valuation of the
+    gap bound with q_n substituted into the client's own summand.
+    ``value_offset`` carries the q-independent part of the intrinsic value.
+    Returns -inf when the bound diverges (some level is zero) and the client
+    has positive intrinsic preference.
+    """
+    if not 0.0 <= q_n <= profile.q_max:
+        raise ValueError(f"q_n={q_n} outside [0, {profile.q_max}]")
+    base = p_n * q_n - profile.cost_coeff * q_n**2 + value_offset
+    v = profile.intrinsic_pref
+    if v == 0.0:
+        return base
+    levels = list(q_others.q)
+    levels[profile.index] = q_n
+    if any(qm == 0.0 for qm in levels):
+        return -math.inf
+    penalty = math.fsum(
+        (1.0 - qm) * p.weight**2 * p.grad_bound**2 / qm for qm, p in zip(levels, profiles)
+    )
+    return base - v * constants.alpha / constants.rounds * penalty
+
+
+
+
+def _check_floor(profiles: list, constants: GameConstants) -> None:
+    min_cap = min(p.q_max for p in profiles)
+    if constants.q_floor >= min_cap:
+        raise ValueError(
+            f"q_floor={constants.q_floor} must lie below the smallest cap {min_cap}"
+        )
+
+
+def _cap_lambda(profiles: list, constants: GameConstants) -> float:
+    # Largest dual value at which every unclipped stationary level still
+    # reaches its cap: 1/lambda = (4R/alpha) c q_max^3/(a^2 G^2) + v per client.
+    inv = max(
+        4.0 * constants.rounds * p.cost_coeff * p.q_max**3
+        / (constants.alpha * p.weight**2 * p.grad_bound**2)
+        + p.intrinsic_pref
+        for p in profiles
+    )
+    return 1.0 / inv
+
+
+def _finish(
+    q: ParticipationVector,
+    lam: float,
+    profiles: list,
+    constants: GameConstants,
+    diagnostics: dict,
+) -> EquilibriumResult:
+    prices = [inverse_price(qn, p, constants) for qn, p in zip(q.q, profiles)]
+    payments = tuple(pr * qn for pr, qn in zip(prices, q.q))
+    interior = tuple(
+        constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS
+        for qn, p in zip(q.q, profiles)
+    )
+    return EquilibriumResult(
+        q_star=q,
+        p_star=PricingVector(prices),
+        lambda_star=lam,
+        v_threshold=payment_threshold(lam),
+        spend=total_spend(q, profiles, constants),
+        bound_value=convergence_gap_bound(q, profiles, constants),
+        payments=payments,
+        interior=interior,
+        diagnostics=diagnostics,
+    )
+
+
+def _solve_fixed_m(
+    m_target: float,
+    profiles: list,
+    constants: GameConstants,
+    budget: float,
+    opts: SolverOptions,
+) -> ParticipationVector | None:
+    """Minimize the gap bound at fixed total cost mass M = sum c_n q_n^2.
+
+    Nested dual bisection: the inner loop matches the cost-mass equality via
+    its multiplier, the outer loop tightens the budget inequality. Returns
+    None when no level vector at this M satisfies the budget.
+    """
+    k = np.array([_bound_term(p, constants) for p in profiles])
+    c = np.array([p.cost_coeff for p in profiles])
+    v = np.array([p.intrinsic_pref for p in profiles])
+    caps = np.array([p.q_max for p in profiles])
+    floor = constants.q_floor
+
+    def levels(t: float, lam_b: float) -> np.ndarray:
+        # Stationarity of the subproblem Lagrangian: q^3 = k (1 - lam_b v) / (t c)
+        # with t = 2 nu + 4 lam_b > 0; nonpositive numerators pin the client.
+        num = k * (1.0 - lam_b * v)
+        q = np.where(num > 0.0, np.cbrt(np.maximum(num, 0.0) / (t * c)), floor)
+        return np.clip(q, floor, caps)
+
+    def mass(t: float, lam_b: float) -> float:
+        q = levels(t, lam_b)
+        return float(np.sum(c * q**2))
+
+    cap_mass = float(np.sum(c * caps**2))
+    floor_mass = float(np.sum(c * floor**2))
+    if not floor_mass - 1e-12 <= m_target <= cap_mass + 1e-12:
+        return None
+
+    def match_mass(lam_b: float) -> np.ndarray:
+        # mass is decreasing in t; the bracket follows from the clip bounds:
+        # every level is pinned at the floor once t >= max num/(c floor^3) and
+        # at its cap once t <= min num/(c caps^3) over active clients.
+        num = k * (1.0 - lam_b * v)
+        active = num > 0.0
+        if not np.any(active):
+            return levels(1.0, lam_b)  # all pinned; t is irrelevant
+        t_lo = float(np.min(num[active] / (c[active] * caps[active] ** 3)))
+        t_hi = float(np.max(num[active] / (c[active] * floor**3)))
+        if mass(t_lo, lam_b) <= m_target:
+            return levels(t_lo, lam_b)
+        if mass(t_hi, lam_b) >= m_target:
+            return levels(t_hi, lam_b)
+        # Root-find on log t so the bracket's many orders of magnitude
+        # do not starve the solver of resolution.
+        log_t = brentq(
+            lambda lt: mass(math.exp(lt), lam_b) - m_target,
+            math.log(t_lo), math.log(t_hi),
+            xtol=1e-13, rtol=1e-12, maxiter=opts.max_iter,
+        )
+        return levels(math.exp(log_t), lam_b)
+
+    def spend_of(q: np.ndarray) -> float:
+        return float(np.sum(2.0 * c * q**2 - k * v / q))
+
+    tol = opts.budget_tol * max(1.0, abs(budget))
+    q0 = match_mass(0.0)
+    if spend_of(q0) <= budget + tol:
+        return ParticipationVector(q0)
+    if np.all(v == 0.0):
+        return None  # spend is 2M regardless of the split; this M is infeasible
+    # Beyond 1/min(v>0) every value-driven client is pinned at the floor, so
+    # the level vector -- and hence the spend -- no longer changes.
+    lam_hi = 1.0 / float(np.min(v[v > 0.0]))
+    if spend_of(match_mass(lam_hi)) > budget:
+        return None
+    lam = brentq(
+        lambda lb: spend_of(match_mass(lb)) - budget,
+        0.0, lam_hi,
+        xtol=opts.lambda_tol * max(lam_hi, 1e-30), rtol=8.9e-16,
+        maxiter=opts.max_iter,
+    )
+    q = match_mass(lam)
+    if spend_of(q) > budget + tol:
+        q = match_mass(min(lam * (1.0 + 1e-9) + 1e-15, lam_hi))
+    if spend_of(q) > budget + tol:
+        return None
+    return ParticipationVector(q)
+
+
+def server_solve_m_search(
+    profiles: list,
+    constants: GameConstants,
+    budget: float,
+    opts: SolverOptions | None = None,
+) -> EquilibriumResult:
+    """Cross-check solver: fixed-step linear search over the cost mass M.
+
+    Scans M = sum c_n q_n^2 over its feasible range, solves the convex
+    fixed-M subproblem at each grid point, and keeps the best; optional
+    refinement passes re-grid around the incumbent with a 100x smaller step.
+    Exists to validate server_solve independently.
+    """
+    opts = opts or SolverOptions()
+    if len(profiles) < 1:
+        raise ValueError("population must contain at least one client")
+    _check_floor(profiles, constants)
+    floor_vec = ParticipationVector([constants.q_floor] * len(profiles))
+    min_budget = total_spend(floor_vec, profiles, constants)
+    tol = opts.budget_tol * max(1.0, abs(budget))
+    if budget < min_budget - tol:
+        raise InfeasibleBudgetError(budget, min_budget)
+
+    c = np.array([p.cost_coeff for p in profiles])
+    caps = np.array([p.q_max for p in profiles])
+    m_lo = float(np.sum(c) * constants.q_floor**2)
+    m_hi = float(np.sum(c * caps**2))
+
+    best_q = None
+    best_obj = math.inf
+    best_m = None
+
+    def scan(lo: float, hi: float, step: float) -> None:
+        nonlocal best_q, best_obj, best_m
+        n_points = max(2, int(round((hi - lo) / step)) + 1)
+        for m_target in np.linspace(lo, hi, n_points):
+            q = _solve_fixed_m(float(m_target), profiles, constants, budget, opts)
+            if q is None:
+                continue
+            obj = participation_penalty(q, profiles)
+            if obj < best_obj:
+                best_obj = obj
+                best_q = q
+                best_m = float(m_target)
+
+    step = M_STEP * (m_hi - m_lo)
+    scan(m_lo, m_hi, step)
+    if best_q is None:
+        raise BracketError("no feasible cost mass found on the M grid")
+    for _ in range(M_REFINE_PASSES):
+        lo = max(m_lo, best_m - step)
+        hi = min(m_hi, best_m + step)
+        step /= 100.0
+        scan(lo, hi, step)
+
+    # Recover the dual value from the tight-budget KKT identity on an interior
+    # client if one exists; fall back to the cap-regime dual otherwise.
+    lam = None
+    for qn, p in zip(best_q.q, profiles):
+        if constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS:
+            inv = (
+                4.0 * constants.rounds * p.cost_coeff * qn**3
+                / (constants.alpha * p.weight**2 * p.grad_bound**2)
+                + p.intrinsic_pref
+            )
+            lam = 1.0 / inv
+            break
+    if lam is None:
+        lam = _cap_lambda(profiles, constants)
+    return _finish(
+        best_q,
+        lam,
+        profiles,
+        constants,
+        {"solver": "m_search", "best_m": best_m,
+         "budget_residual": abs(total_spend(best_q, profiles, constants) - budget)},
+    )

@@ -23,10 +23,10 @@ from fedpricing.game import (
     payment_threshold,
     price_closed_form,
     server_solve,
-    server_solve_m_search,
     total_spend,
     verify_equilibrium,
 )
+from oracles import server_solve_m_search
 
 
 def _report(num: int, name: str, ok: bool) -> None:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fedpricing.bound import (
     bound_gradient,
     convergence_gap_bound,
-    neumaier_sum,
+    participation_penalty,
     variance_bound,
 )
 from fedpricing.core import GameConstants, ParticipationVector, make_population
@@ -135,5 +137,12 @@ def test_bounds_deterministic_across_calls():
         assert convergence_gap_bound(q, profiles, constants) == first
 
 
-def test_neumaier_sum_handles_cancellation():
-    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+def test_penalty_sum_keeps_small_terms_beside_a_large_one():
+    # q = 0.5 makes each summand a^2 G^2: here 2^54 and three terms near 1.
+    # Adding them left to right rounds every 2^54 + 1 back to 2^54; the exact
+    # sum rounds to 2^54 + 4.
+    profiles = make_population([3, 1, 1, 1], [2.0**28, 6.0, 6.0, 6.0], [1] * 4, [0] * 4, [1] * 4)
+    q = ParticipationVector([0.5] * 4)
+    terms = [p.weight**2 * p.grad_bound**2 for p in profiles]
+    assert participation_penalty(q, profiles) == math.fsum(terms)
+    assert math.fsum(terms) != sum(terms)

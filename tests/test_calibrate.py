@@ -49,6 +49,18 @@ def test_grad_bounds_rejects_zero_pilot_rounds():
         estimate_grad_bounds(tiny_dataset(), pilot_cfg(), pilot_rounds=0)
 
 
+def test_grad_bounds_follow_the_theoretical_schedule():
+    # Under the theoretical schedule eta0 and decay play no part, so the pilot
+    # trajectory, and with it every bound, must not move when they change.
+    ds = tiny_dataset()
+    base = estimate_grad_bounds(ds, pilot_cfg(lr_schedule="theoretical"), pilot_rounds=3, seed=1)
+    other = estimate_grad_bounds(ds, pilot_cfg(lr_schedule="theoretical", eta0=5.0, decay=0.5),
+                                 pilot_rounds=3, seed=1)
+    exponential = estimate_grad_bounds(ds, pilot_cfg(), pilot_rounds=3, seed=1)
+    assert other == base
+    assert exponential != base
+
+
 def test_grad_bounds_floor_on_degenerate_data():
     # One-class shards with zero features: the gradient vanishes immediately
     # except for the label-offset term... use identical constant labels and

@@ -68,6 +68,25 @@ def test_profile_invariants(kwargs, match):
         ClientProfile(**base)
 
 
+@pytest.mark.parametrize("field", ["datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_profile_rejects_non_finite_values(field, value):
+    base = dict(index=3, datasize=10, weight=1.0, grad_bound=1.0,
+                cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
+    base[field] = value
+    with pytest.raises(PopulationError, match=f"client 3: {field} must be finite"):
+        ClientProfile(**base)
+
+
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_make_population_rejects_non_finite_entries(column, value):
+    columns = [[1, 2, 3], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+    columns[column][2] = value
+    with pytest.raises(PopulationError, match="client 2"):
+        make_population(*columns)
+
+
 def test_game_constants_invariants():
     GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     with pytest.raises(ValueError):

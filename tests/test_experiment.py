@@ -136,6 +136,14 @@ def test_run_experiment_artifacts_and_report(tmp_path):
         assert scheme in text
 
 
+def test_build_report_skips_stray_metrics_names(tmp_path):
+    cfg = fast_config()
+    out = str(tmp_path / "run")
+    summary = run_experiment(cfg, out)
+    (tmp_path / "run" / "metrics_x_seedfoo.csv").write_text("not a metrics file\n")
+    assert build_report(out) == summary
+
+
 def test_build_report_without_metrics_errors(tmp_path):
     with pytest.raises(FileNotFoundError, match="metrics"):
         build_report(str(tmp_path))

@@ -207,6 +207,18 @@ def test_theoretical_schedule_trains():
     assert metrics[-1].loss < metrics[0].loss
 
 
+def test_theoretical_schedule_estimates_smoothness_once(monkeypatch):
+    import fedpricing.fltrain as fltrain
+
+    calls = []
+    real = fltrain.estimate_smoothness
+    monkeypatch.setattr(fltrain, "estimate_smoothness", lambda *a: calls.append(a) or real(*a))
+    cfg = TrainConfig(local_steps=2, batch=8, rounds=12, seed=0, lr_schedule="theoretical",
+                      participation=ParticipationVector([1.0, 1.0, 1.0]))
+    train(tiny_dataset(), cfg)
+    assert len(calls) == 1
+
+
 def test_global_loss_weighted_by_datasize():
     x0 = np.zeros((1, 2))
     x1 = np.zeros((3, 2))

@@ -10,16 +10,15 @@ from fedpricing.game import (
     baseline_uniform,
     baseline_weighted,
     client_best_response,
-    client_utility,
     inverse_price,
     kkt_participation,
     payment_threshold,
     price_closed_form,
     server_solve,
-    server_solve_m_search,
     total_spend,
     verify_equilibrium,
 )
+from oracles import client_utility, server_solve_m_search
 
 UNIT_CONSTANTS = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
 
@@ -151,6 +150,14 @@ def test_total_spend_manual():
     # a^2 G^2 = 1 each. Client 0: (2*0.5)*0.5 = 0.5.
     # Client 1: (2*0.5 - 1/0.25)*0.5 = (1-4)*0.5 = -1.5.
     assert total_spend(q, profiles, constants) == pytest.approx(-1.0)
+
+
+def test_total_spend_handles_cancellation():
+    # At q = 0.5 with a = 1/4 and G = alpha = R = 1 the summands are
+    # 1, 1e100, 1 and -1e100; summed left to right they give 0.
+    profiles = make_population([1] * 4, [1.0] * 4, [2.0, 2e100, 2.0, 1.0], [0, 0, 0, 8e100], [1] * 4)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    assert total_spend(ParticipationVector([0.5] * 4), profiles, constants) == 2.0
 
 
 def test_price_closed_form_matches_composition():
