@@ -8,11 +8,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
 
+from . import _blas
 from .bound import participation_penalty
-from .core import FederatedDataset, ParticipationVector
-from .fltrain import TrainConfig, aggregate, global_loss, learning_rate_schedule, loss_and_grad
+from .core import FederatedDataset
+from .fltrain import TrainConfig, _aggregate, _Shards, learning_rate_schedule, loss_and_grad
 
 GRAD_BOUND_FLOOR = 1e-6
 
@@ -34,43 +34,21 @@ def estimate_grad_bounds(
     if pilot_rounds < 1:
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
     rng = np.random.default_rng(seed)
-    n_clients = dataset.n_clients
-    total = dataset.total_samples
-    weights = [len(x) / total for x, _ in dataset.shards]
-
-    class _Prof:
-        __slots__ = ("weight",)
-
-        def __init__(self, weight):
-            self.weight = weight
-
-    profiles = [_Prof(a) for a in weights]
-    q_full = ParticipationVector([1.0] * n_clients)
+    shards = _Shards(dataset.shards)
+    clients = range(dataset.n_clients)
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
-    norms: list = [[] for _ in range(n_clients)]
+    norms = np.empty((pilot_rounds, dataset.n_clients, cfg.local_steps))
     learning_rate = learning_rate_schedule(cfg, dataset)
-    for r in range(pilot_rounds):
-        lr = learning_rate(r)
-        updates = {}
-        for n in range(n_clients):
-            x, y = dataset.shards[n]
-            w_local = w.copy()
-            for _ in range(cfg.local_steps):
-                if cfg.batch is None:
-                    bx, by = x, y
-                else:
-                    idx = rng.integers(0, len(x), size=cfg.batch)
-                    bx, by = x[idx], y[idx]
-                _, grad = loss_and_grad(w_local, bx, by, cfg.l2)
-                norms[n].append(float(np.linalg.norm(grad)))
-                w_local -= lr * grad
-            updates[n] = w_local
-        w = aggregate(w, updates, q_full, profiles)
+    with _blas.one_thread():
+        for r in range(pilot_rounds):
+            models = shards.local_models(w, clients, cfg.local_steps, cfg.batch,
+                                         learning_rate(r), cfg.l2, rng, norms=norms[r])
+            w = _aggregate(w, models, shards.weights)   # a_n / q_n with every q_n = 1
 
     bounds = []
-    for n in range(n_clients):
-        values = norms[n]
-        g = float(np.quantile(values, quantile)) if quantile is not None else max(values)
+    for n in clients:
+        values = norms[:, n].ravel()
+        g = float(np.quantile(values, quantile)) if quantile is not None else float(values.max())
         if g < GRAD_BOUND_FLOOR:
             warnings.warn(
                 f"client {n}: observed gradient norms are degenerate; flooring the "
@@ -112,6 +90,8 @@ def estimate_alpha(
 
 def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float,
                        tol: float, max_iter: int) -> np.ndarray:
+    from scipy.optimize import minimize
+
     def fun(flat):
         w = flat.reshape(shape)
         loss, grad = loss_and_grad(w, x, y, l2)
@@ -145,12 +125,16 @@ def local_optimum_losses(
     Both enter utilities only through a q-independent offset; the proxy is a
     trained stand-in for the true minimum, not the minimum itself.
     """
+    import scipy.optimize  # noqa: F401  (loaded before pinning, so its OpenBLAS is pinned too)
+
     shape = (dataset.n_classes, dataset.dim + 1)
+    shards = _Shards(dataset.shards)
     f_locals = []
-    for x, y in dataset.shards:
-        w_star = _minimize_logistic(x, y, shape, cfg.l2, tol, max_iter)
-        f_locals.append(global_loss(w_star, dataset, cfg.l2))
-    px, py = dataset.pooled()
-    w_pooled = _minimize_logistic(px, py, shape, cfg.l2, tol, max_iter)
-    f_star = global_loss(w_pooled, dataset, cfg.l2)
+    with _blas.one_thread():
+        for x, y in dataset.shards:
+            w_star = _minimize_logistic(x, y, shape, cfg.l2, tol, max_iter)
+            f_locals.append(shards.loss(w_star, cfg.l2))
+        px, py = dataset.pooled()
+        w_pooled = _minimize_logistic(px, py, shape, cfg.l2, tol, max_iter)
+        f_star = shards.loss(w_pooled, cfg.l2)
     return f_locals, f_star

@@ -5,6 +5,10 @@ participants run local SGD on the shared multinomial logistic model, and the
 server applies the inverse-probability-weighted update whose expectation over
 participant sets equals the full-participation average. Wall time is
 simulated, not measured.
+
+All of a round's participants take their local steps together: one stacked
+gradient step (``_sgd_step``) moves every participant's model at once, and
+per model it performs the same operations as a lone ``loss_and_grad`` step.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .core import FederatedDataset, ParticipationVector
 
 
@@ -97,9 +102,105 @@ def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     return ll + reg, grad
 
 
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of the logits z against y, formed as in loss_and_grad.
+
+    Overwrites z.
+    """
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z, out=z)
+    p = e[np.arange(len(y)), y] / e.sum(axis=1)
+    return -np.log(np.maximum(p, 1e-300))
+
+
 def sample_loss(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> float:
-    loss, _ = loss_and_grad(w, x, y, l2)
-    return loss
+    """loss_and_grad's loss, without the gradient."""
+    return float(_cross_entropy(_augment(x) @ w.T, y).mean() + 0.5 * l2 * float(np.sum(w * w)))
+
+
+def _sgd_step(w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> np.ndarray:
+    """One gradient step of each stacked model w[s] on its own batch, in place.
+
+    w is (S, C, D+1), x is (S, B, D+1) with the bias column, y is (S, B).
+    Each slice goes through the operations of loss_and_grad's gradient, so
+    each model moves bit for bit as a lone step would move it. Returns the
+    gradients; the loss is never formed.
+    """
+    z = x @ w.transpose(0, 2, 1)
+    z -= z.max(axis=2, keepdims=True)
+    probs = np.exp(z, out=z)
+    probs /= probs.sum(axis=2, keepdims=True)
+    n = y.shape[1]
+    probs[np.arange(len(y))[:, None], np.arange(n), y] -= 1.0
+    grad = probs.transpose(0, 2, 1) @ x / n + l2 * w
+    w -= lr * grad
+    return grad
+
+
+class _Shards:
+    """Every client's bias-augmented rows, stacked once in client order.
+
+    Client n's shard is rows ``rows[n]`` of ``xa`` and ``y``: a slice, not a
+    second copy.
+    """
+
+    def __init__(self, shards):
+        self.sizes = [len(x) for x, _ in shards]
+        total = sum(self.sizes)
+        self.weights = [size / total for size in self.sizes]     # a_n = d_n / D
+        starts = np.cumsum([0] + self.sizes[:-1]).tolist()
+        self.rows = [slice(start, start + size) for start, size in zip(starts, self.sizes)]
+        self.xa = _augment(np.concatenate([x for x, _ in shards]))
+        self.y = np.concatenate([y for _, y in shards])
+
+    def loss(self, w: np.ndarray, l2: float) -> float:
+        """sum_n a_n * (regularized loss on shard n): global_loss, bit for bit.
+
+        The logits are formed shard by shard, because OpenBLAS picks its
+        kernel by matrix size and a single product over all rows differs in
+        the last bit on some of them; everything after runs once over all rows.
+        """
+        z = np.empty((len(self.y), len(w)))
+        for rows in self.rows:
+            np.matmul(self.xa[rows], w.T, out=z[rows])
+        losses = _cross_entropy(z, self.y)
+        reg = 0.5 * l2 * float(np.sum(w * w))
+        total = 0.0
+        for a, rows, size in zip(self.weights, self.rows, self.sizes):
+            total += a * (np.add.reduce(losses[rows]) / size + reg)   # the shard's mean
+        return float(total)
+
+    def local_models(self, w, clients, local_steps, batch, lr, l2, rng, norms=None):
+        """Local SGD from w on each listed client's shard; the models, stacked.
+
+        Minibatches are drawn with replacement, client by client and step by
+        step, in the order and call shape of a per-client loop. ``batch=None``
+        steps on the whole shard, one client at a time. When ``norms`` is
+        given, an array of shape (len(clients), local_steps), it receives each
+        step's gradient norm.
+        """
+        models = np.repeat(w[None], len(clients), axis=0)
+        if batch is None:
+            for s, n in enumerate(clients):
+                rows = self.rows[n]
+                self._steps(models[s:s + 1], [self.xa[None, rows]] * local_steps,
+                            [self.y[None, rows]] * local_steps, lr, l2,
+                            None if norms is None else norms[s:s + 1])
+            return models
+        idx = np.empty((local_steps, len(clients), batch), dtype=np.intp)
+        for s, n in enumerate(clients):
+            for e in range(local_steps):
+                idx[e, s] = rng.integers(0, self.sizes[n], size=batch)
+            idx[:, s] += self.rows[n].start
+        self._steps(models, self.xa[idx], self.y[idx], lr, l2, norms)
+        return models
+
+    @staticmethod
+    def _steps(models, xs, ys, lr, l2, norms):
+        for e, (x, y) in enumerate(zip(xs, ys)):
+            grad = _sgd_step(models, x, y, lr, l2)
+            if norms is not None:
+                norms[:, e] = [np.linalg.norm(g) for g in grad]
 
 
 def local_sgd(
@@ -116,25 +217,22 @@ def local_sgd(
     ``batch=None`` uses the whole shard every step (deterministic full-batch
     gradient descent).
     """
-    x, y = shard
-    if len(x) == 0:
+    if len(shard[0]) == 0:
         raise ValueError("empty shard")
-    w = w.copy()
-    for _ in range(local_steps):
-        if batch is None:
-            bx, by = x, y
-        else:
-            idx = rng.integers(0, len(x), size=batch)
-            bx, by = x[idx], y[idx]
-        _, grad = loss_and_grad(w, bx, by, l2)
-        w -= lr * grad
-    return w
+    return _Shards([shard]).local_models(w, [0], local_steps, batch, lr, l2, rng)[0]
 
 
 def sample_participants(q: ParticipationVector, rng: np.random.Generator) -> list:
     """Independent Bernoulli inclusion per client; any subset can occur."""
-    draws = rng.random(len(q))
-    return [n for n, (u, qn) in enumerate(zip(draws, q.q)) if u < qn]
+    return np.flatnonzero(rng.random(len(q)) < np.asarray(q.q)).tolist()
+
+
+def _aggregate(w_prev: np.ndarray, models, coefs) -> np.ndarray:
+    """w_prev + sum_i coefs[i] (models[i] - w_prev), summed in the given order."""
+    w = w_prev.copy()
+    for model, coef in zip(models, coefs):
+        w += coef * (model - w_prev)
+    return w
 
 
 def aggregate(
@@ -148,36 +246,30 @@ def aggregate(
     w_next = w_prev + sum_{n in S} (a_n / q_n) (w_n - w_prev). An empty
     participant set leaves the model unchanged.
     """
-    w = w_prev.copy()
-    for n in sorted(local_updates):
-        qn = q.q[n]
-        if qn == 0.0:
+    order = sorted(local_updates)
+    for n in order:
+        if q.q[n] == 0.0:
             raise ValueError(f"client {n}: update received but participation probability is 0")
-        w += profiles[n].weight / qn * (local_updates[n] - w_prev)
-    return w
+    return _aggregate(w_prev, [local_updates[n] for n in order],
+                      [profiles[n].weight / q.q[n] for n in order])
 
 
 def global_loss(w: np.ndarray, dataset: FederatedDataset, l2: float = 0.0) -> float:
     """Datasize-weighted average of the per-client regularized losses."""
     if dataset.n_clients == 0:
         raise ValueError("empty dataset")
-    total = 0.0
-    for (x, y), a in zip(dataset.shards, _weights(dataset)):
-        total += a * sample_loss(w, x, y, l2)
-    return total
+    return _Shards(dataset.shards).loss(w, l2)
+
+
+def _accuracy(w: np.ndarray, test_xa: np.ndarray, test_labels: np.ndarray) -> float:
+    return float(np.mean((test_xa @ w.T).argmax(axis=1) == test_labels))
 
 
 def test_accuracy(w: np.ndarray, test_features: np.ndarray, test_labels: np.ndarray) -> float:
     """Fraction of correct argmax predictions on the test set."""
     if len(test_features) == 0:
         raise ValueError("empty test set")
-    preds = (_augment(test_features) @ w.T).argmax(axis=1)
-    return float(np.mean(preds == test_labels))
-
-
-def _weights(dataset: FederatedDataset) -> list:
-    total = dataset.total_samples
-    return [len(x) / total for x, _ in dataset.shards]
+    return _accuracy(w, _augment(test_features), test_labels)
 
 
 def theoretical_lr(round_index: int, smoothness: float, mu: float, local_steps: int) -> float:
@@ -216,7 +308,9 @@ def train(
 
     Deterministic for a fixed seed. Rounds with no participant advance the
     counter without touching the model. When ``record_states`` is set, the
-    per-round models are returned alongside the metrics.
+    per-round models are returned alongside the metrics. The weights a_n
+    come from ``profiles`` when given, from the datasizes otherwise. Every
+    loaded OpenBLAS runs on one thread for the length of the call.
     """
     if cfg.participation is None:
         raise ValueError("cfg.participation must be set")
@@ -224,51 +318,43 @@ def train(
     if len(q) != dataset.n_clients:
         raise ValueError(f"participation has {len(q)} entries for {dataset.n_clients} clients")
 
-    class _Prof:
-        __slots__ = ("weight",)
-
-        def __init__(self, weight):
-            self.weight = weight
-
-    if profiles is None:
-        profiles = [_Prof(a) for a in _weights(dataset)]
-
+    shards = _Shards(dataset.shards)
+    a = shards.weights if profiles is None else [p.weight for p in profiles]
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     metrics = []
     states = []
     sim_time = 0.0
     has_test = len(dataset.test_labels) > 0
+    test_xa = _augment(dataset.test_features)
     learning_rate = learning_rate_schedule(cfg, dataset)
-    for r in range(cfg.rounds):
-        participants = sample_participants(q, rng)
-        lr = learning_rate(r)
-        updates = {}
-        for n in participants:
-            updates[n] = local_sgd(
-                w, dataset.shards[n], cfg.local_steps, cfg.batch, lr, cfg.l2, rng
-            )
-        w = aggregate(w, updates, q, profiles)
-        if participants:
-            max_shard = max(len(dataset.shards[n][0]) for n in participants)
-            batch = cfg.batch if cfg.batch is not None else max_shard
-            sim_time += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
-        else:
-            sim_time += cfg.sim_t_base
-        if (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1:
-            loss = global_loss(w, dataset, cfg.l2)
-            acc = test_accuracy(w, dataset.test_features, dataset.test_labels) if has_test else float("nan")
-            metrics.append(
-                RoundMetrics(
-                    round_index=r,
-                    participants=tuple(participants),
-                    loss=loss,
-                    accuracy=acc,
-                    sim_time=sim_time,
+    with _blas.one_thread():
+        for r in range(cfg.rounds):
+            participants = sample_participants(q, rng)
+            if participants:
+                models = shards.local_models(
+                    w, participants, cfg.local_steps, cfg.batch, learning_rate(r), cfg.l2, rng
                 )
-            )
-        if record_states:
-            states.append(w.copy())
+                w = _aggregate(w, models, [a[n] / q.q[n] for n in participants])
+                max_shard = max(shards.sizes[n] for n in participants)
+                batch = cfg.batch if cfg.batch is not None else max_shard
+                sim_time += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
+            else:
+                sim_time += cfg.sim_t_base
+            if (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1:
+                loss = shards.loss(w, cfg.l2)
+                acc = _accuracy(w, test_xa, dataset.test_labels) if has_test else float("nan")
+                metrics.append(
+                    RoundMetrics(
+                        round_index=r,
+                        participants=tuple(participants),
+                        loss=loss,
+                        accuracy=acc,
+                        sim_time=sim_time,
+                    )
+                )
+            if record_states:
+                states.append(w.copy())
     if record_states:
         return metrics, states
     return metrics

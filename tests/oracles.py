@@ -6,7 +6,10 @@ as written, so the kernel can be held to it bit for bit.
 ``server_solve_m_search`` is an independent Stage-I solver: a grid search
 over the total cost mass M = sum c_n q_n^2 with a convex subproblem at each
 grid point. ``client_utility`` is a client's profit with the bound's other
-summands held fixed. They only use the package's public functions.
+summands held fixed. ``train`` is the per-participant training loop the
+stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
+``loss_and_grad`` call per local step, one model at a time, and a loss
+summed shard by shard. They only use the package's public functions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fedpricing.core import (
     ParticipationVector,
     PricingVector,
 )
+from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
 from fedpricing.game import (
     BracketError,
     InfeasibleBudgetError,
@@ -331,3 +335,124 @@ def server_solve_m_search(
         {"solver": "m_search", "best_m": best_m,
          "budget_residual": abs(total_spend(best_q, profiles, constants) - budget)},
     )
+
+
+# ---------------------------------------------------------------- training loop
+
+
+def local_sgd(w, shard, local_steps, batch, lr, l2, rng):
+    """E minibatch gradient steps on one shard; ``batch=None`` is full-batch."""
+    x, y = shard
+    if len(x) == 0:
+        raise ValueError("empty shard")
+    w = w.copy()
+    for _ in range(local_steps):
+        if batch is None:
+            bx, by = x, y
+        else:
+            idx = rng.integers(0, len(x), size=batch)
+            bx, by = x[idx], y[idx]
+        _, grad = loss_and_grad(w, bx, by, l2)
+        w -= lr * grad
+    return w
+
+
+def sample_participants(q, rng):
+    draws = rng.random(len(q))
+    return [n for n, (u, qn) in enumerate(zip(draws, q.q)) if u < qn]
+
+
+def aggregate(w_prev, local_updates, q, weights):
+    w = w_prev.copy()
+    for n in sorted(local_updates):
+        qn = q.q[n]
+        if qn == 0.0:
+            raise ValueError(f"client {n}: update received but participation probability is 0")
+        w += weights[n] / qn * (local_updates[n] - w_prev)
+    return w
+
+
+def global_loss(w, dataset, l2=0.0):
+    """Datasize-weighted sum of the per-shard losses, shard by shard."""
+    total = 0.0
+    for x, y in dataset.shards:
+        loss, _ = loss_and_grad(w, x, y, l2)
+        total += len(x) / dataset.total_samples * loss
+    return total
+
+
+def train(dataset, cfg, profiles=None, record_states=False):
+    """The per-participant federated loop: local_sgd per participant, then aggregate."""
+    if cfg.participation is None:
+        raise ValueError("cfg.participation must be set")
+    q = cfg.participation
+    if profiles is None:
+        weights = [len(x) / dataset.total_samples for x, _ in dataset.shards]
+    else:
+        weights = [p.weight for p in profiles]
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros((dataset.n_classes, dataset.dim + 1))
+    metrics = []
+    states = []
+    sim_time = 0.0
+    has_test = len(dataset.test_labels) > 0
+    learning_rate = learning_rate_schedule(cfg, dataset)
+    for r in range(cfg.rounds):
+        participants = sample_participants(q, rng)
+        lr = learning_rate(r)
+        updates = {}
+        for n in participants:
+            updates[n] = local_sgd(
+                w, dataset.shards[n], cfg.local_steps, cfg.batch, lr, cfg.l2, rng
+            )
+        w = aggregate(w, updates, q, weights)
+        if participants:
+            max_shard = max(len(dataset.shards[n][0]) for n in participants)
+            batch = cfg.batch if cfg.batch is not None else max_shard
+            sim_time += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
+        else:
+            sim_time += cfg.sim_t_base
+        if (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1:
+            loss = global_loss(w, dataset, cfg.l2)
+            acc = test_accuracy(w, dataset.test_features, dataset.test_labels) if has_test else float("nan")
+            metrics.append(
+                RoundMetrics(
+                    round_index=r,
+                    participants=tuple(participants),
+                    loss=loss,
+                    accuracy=acc,
+                    sim_time=sim_time,
+                )
+            )
+        if record_states:
+            states.append(w.copy())
+    if record_states:
+        return metrics, states
+    return metrics
+
+
+def pilot_gradient_norms(dataset, cfg, pilot_rounds, seed):
+    """Every local gradient norm of a full-participation pilot, per client, in step order."""
+    rng = np.random.default_rng(seed)
+    weights = [len(x) / dataset.total_samples for x, _ in dataset.shards]
+    q_full = ParticipationVector([1.0] * dataset.n_clients)
+    w = np.zeros((dataset.n_classes, dataset.dim + 1))
+    norms = [[] for _ in range(dataset.n_clients)]
+    learning_rate = learning_rate_schedule(cfg, dataset)
+    for r in range(pilot_rounds):
+        lr = learning_rate(r)
+        updates = {}
+        for n, (x, y) in enumerate(dataset.shards):
+            w_local = w.copy()
+            for _ in range(cfg.local_steps):
+                if cfg.batch is None:
+                    bx, by = x, y
+                else:
+                    idx = rng.integers(0, len(x), size=cfg.batch)
+                    bx, by = x[idx], y[idx]
+                _, grad = loss_and_grad(w_local, bx, by, cfg.l2)
+                norms[n].append(float(np.linalg.norm(grad)))
+                w_local -= lr * grad
+            updates[n] = w_local
+        w = aggregate(w, updates, q_full, weights)
+    return norms

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import fedpricing
+from fedpricing import _blas
 
 from fedpricing.bound import participation_penalty
 from fedpricing.calibrate import (
@@ -11,6 +18,8 @@ from fedpricing.calibrate import (
 from fedpricing.core import FederatedDataset, ParticipationVector, make_population
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import TrainConfig, global_loss, loss_and_grad
+
+import oracles
 
 
 def tiny_dataset(seed=0):
@@ -59,6 +68,19 @@ def test_grad_bounds_follow_the_theoretical_schedule():
     exponential = estimate_grad_bounds(ds, pilot_cfg(), pilot_rounds=3, seed=1)
     assert other == base
     assert exponential != base
+
+
+@pytest.mark.parametrize("batch", [None, 1, 8])
+@pytest.mark.parametrize("schedule", ["exponential", "theoretical"])
+def test_grad_bounds_equal_the_per_client_pilot(batch, schedule):
+    ds = tiny_dataset(seed=4)
+    cfg = pilot_cfg(batch=batch, lr_schedule=schedule)
+    with _blas.one_thread():
+        norms = oracles.pilot_gradient_norms(ds, cfg, pilot_rounds=3, seed=5)
+    assert estimate_grad_bounds(ds, cfg, pilot_rounds=3, seed=5) == [max(v) for v in norms]
+    assert estimate_grad_bounds(ds, cfg, pilot_rounds=3, seed=5, quantile=0.5) == [
+        float(np.quantile(v, 0.5)) for v in norms
+    ]
 
 
 def test_grad_bounds_floor_on_degenerate_data():
@@ -142,3 +164,10 @@ def test_local_optimum_losses_are_global_losses():
     # Single-shard optima can be arbitrarily bad on other shards under strong
     # heterogeneity, so only a loose upper bound applies.
     assert all(0.0 < f < 1e4 and np.isfinite(f) for f in f_locals)
+
+
+def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedpricing.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fedpricing.experiment; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedpricing import _blas
 from fedpricing.core import FederatedDataset, ParticipationVector, make_population
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import (
@@ -14,6 +17,8 @@ from fedpricing.fltrain import (
     train,
 )
 from fedpricing.fltrain import test_accuracy as accuracy_of
+
+import oracles
 
 
 def tiny_dataset(seed=0, n_clients=3):
@@ -251,3 +256,97 @@ def test_invalid_configs_rejected():
         TrainConfig(lr_schedule="linear")
     with pytest.raises(ValueError):
         TrainConfig(local_steps=-1)
+
+
+# ---------------------------------------------------------------- stacked kernel against the reference
+
+
+@st.composite
+def datasets(draw):
+    n_clients = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=n_clients, max_size=n_clients))
+    n_test = draw(st.integers(0, 10))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shards = tuple(
+        (scale * rng.normal(size=(d, dim)), rng.integers(0, n_classes, size=d)) for d in sizes
+    )
+    return FederatedDataset(
+        shards=shards, test_features=scale * rng.normal(size=(n_test, dim)),
+        test_labels=rng.integers(0, n_classes, size=n_test), n_classes=n_classes, dim=dim,
+    )
+
+
+LEVEL = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def assert_same_run(got, ref):
+    (metrics, states), (ref_metrics, ref_states) = got, ref
+    assert len(states) == len(ref_states)
+    for w, w_ref in zip(states, ref_states):
+        assert np.array_equal(w, w_ref)
+    assert len(metrics) == len(ref_metrics)
+    for m, r in zip(metrics, ref_metrics):
+        assert (m.round_index, m.participants, m.sim_time) == (r.round_index, r.participants, r.sim_time)
+        assert m.accuracy == r.accuracy or (np.isnan(m.accuracy) and np.isnan(r.accuracy))
+        assert abs(m.loss - r.loss) <= 1e-13 * abs(r.loss)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ds=datasets(),
+    data=st.data(),
+    local_steps=st.integers(0, 3),
+    batch=st.one_of(st.none(), st.integers(1, 9)),
+    rounds=st.integers(1, 6),
+    eval_stride=st.integers(1, 3),
+    schedule=st.sampled_from(["exponential", "theoretical"]),
+    l2=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+    with_profiles=st.booleans(),
+)
+def test_stacked_train_equals_the_per_participant_loop(
+    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seed, with_profiles
+):
+    q = ParticipationVector(data.draw(st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)))
+    cfg = TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, l2=l2,
+                      lr_schedule=schedule, eta0=0.5, participation=q, eval_stride=eval_stride)
+    profiles = None
+    if with_profiles:
+        n = ds.n_clients
+        profiles = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
+    with _blas.one_thread():
+        ref = oracles.train(ds, cfg, profiles, record_states=True)
+    assert_same_run(train(ds, cfg, profiles, record_states=True), ref)
+
+
+def test_stacked_train_equals_the_reference_with_empty_rounds():
+    ds = tiny_dataset(n_clients=4)
+    cfg = TrainConfig(local_steps=3, batch=5, rounds=12, seed=2,
+                      participation=ParticipationVector([0.0, 0.2, 0.5, 0.1]))
+    with _blas.one_thread():
+        ref = oracles.train(ds, cfg, record_states=True)
+    assert any(m.participants == () for m in ref[0])
+    assert any(len(m.participants) > 1 for m in ref[0])
+    assert_same_run(train(ds, cfg, record_states=True), ref)
+
+
+def test_local_sgd_equals_the_reference_step_by_step():
+    ds = tiny_dataset()
+    w = np.random.default_rng(0).normal(size=(3, 6))
+    for batch in (None, 1, 7):
+        got = local_sgd(w, ds.shards[1], 4, batch, 0.3, 1e-3, np.random.default_rng(9))
+        with _blas.one_thread():
+            ref = oracles.local_sgd(w, ds.shards[1], 4, batch, 0.3, 1e-3, np.random.default_rng(9))
+        assert np.array_equal(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets(), l2=st.sampled_from([0.0, 1e-3, 1.0]), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.0, 0.1, 3.0]))
+def test_pooled_global_loss_equals_the_weighted_per_shard_sum(ds, l2, seed, scale):
+    w = scale * np.random.default_rng(seed).normal(size=(ds.n_classes, ds.dim + 1))
+    expected = oracles.global_loss(w, ds, l2)
+    assert abs(global_loss(w, ds, l2) - expected) <= 1e-13 * abs(expected)
