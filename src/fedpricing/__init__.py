@@ -30,7 +30,16 @@ from .game import (
     total_spend,
     verify_equilibrium,
 )
-from .fltrain import TrainConfig, aggregate, global_loss, local_sgd, sample_participants, test_accuracy, train
+from .fltrain import (
+    TrainConfig,
+    aggregate,
+    global_loss,
+    local_sgd,
+    sample_participants,
+    test_accuracy,
+    train,
+    train_runs,
+)
 from .data import gen_synthetic, load_idx, partition_label_limited, subsample
 
 __all__ = [
@@ -69,6 +78,7 @@ __all__ = [
     "test_accuracy",
     "total_spend",
     "train",
+    "train_runs",
     "variance_bound",
     "verify_equilibrium",
 ]

@@ -12,7 +12,14 @@ import numpy as np
 from . import _blas
 from .bound import participation_penalty
 from .core import FederatedDataset
-from .fltrain import TrainConfig, _aggregate, _Shards, learning_rate_schedule, loss_and_grad
+from .fltrain import (
+    TrainConfig,
+    _aggregate,
+    _augment,
+    _loss_and_grad,
+    _Shards,
+    learning_rate_schedule,
+)
 
 GRAD_BOUND_FLOOR = 1e-6
 
@@ -35,14 +42,15 @@ def estimate_grad_bounds(
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
     rng = np.random.default_rng(seed)
     shards = _Shards(dataset.shards)
-    clients = range(dataset.n_clients)
+    clients = list(range(dataset.n_clients))
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     norms = np.empty((pilot_rounds, dataset.n_clients, cfg.local_steps))
     learning_rate = learning_rate_schedule(cfg, dataset)
     with _blas.one_thread():
         for r in range(pilot_rounds):
-            models = shards.local_models(w, clients, cfg.local_steps, cfg.batch,
-                                         learning_rate(r), cfg.l2, rng, norms=norms[r])
+            models = np.repeat(w[None], len(clients), axis=0)
+            shards.local_sgd(models, clients, [rng] * len(clients), cfg.local_steps, cfg.batch,
+                             learning_rate(r), cfg.l2, norms=norms[r])
             w = _aggregate(w, models, shards.weights)   # a_n / q_n with every q_n = 1
 
     bounds = []
@@ -92,9 +100,11 @@ def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float,
                        tol: float, max_iter: int) -> np.ndarray:
     from scipy.optimize import minimize
 
+    xa = _augment(x)   # once per fit, not once per evaluation
+
     def fun(flat):
         w = flat.reshape(shape)
-        loss, grad = loss_and_grad(w, x, y, l2)
+        loss, grad = _loss_and_grad(w, xa, y, l2)
         return loss, grad.ravel()
 
     res = minimize(

@@ -22,7 +22,7 @@ from .formats import (
     write_metrics_csv,
     write_population,
 )
-from .fltrain import train
+from .fltrain import train_runs
 from .game import InfeasibleBudgetError
 
 ENV_PREFIX = "FEDPRICING_"
@@ -104,15 +104,15 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args, repeats=args.repeats)
+    if cfg["repeats"] < 1:
+        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     dataset = datamod.load_dataset(args.dataset)
     profiles, _f_locals, _meta = read_population(args.population)
     result, scheme, _budget = read_equilibrium_manifest(args.equilibrium)
     os.makedirs(args.out, exist_ok=True)
-    base_seed = cfg["seed"]
-    for k in range(cfg["repeats"]):
-        seed = base_seed + k
-        run_cfg = exp.train_config(cfg, seed=seed, q=result.q_star)
-        metrics = train(dataset, run_cfg, profiles)
+    seeds = [cfg["seed"] + k for k in range(cfg["repeats"])]
+    run_cfgs = [exp.train_config(cfg, seed=seed, q=result.q_star) for seed in seeds]
+    for seed, metrics in zip(seeds, train_runs(dataset, run_cfgs, profiles)):
         path = os.path.join(args.out, f"metrics_{scheme}_seed{seed}.csv")
         write_metrics_csv(path, run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics)
         print(f"wrote {path}: final loss {metrics[-1].loss:.6g}")

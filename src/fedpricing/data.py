@@ -339,21 +339,27 @@ def save_dataset(path: str, dataset: FederatedDataset) -> None:
 
 def load_dataset(path: str) -> FederatedDataset:
     with open(path, "rb") as f:
+        def read(count: int, what: str) -> bytes:
+            buf = f.read(count)
+            if len(buf) != count:
+                raise ValueError(f"{path}: truncated {what}: expected {count} bytes, got {len(buf)}")
+            return buf
+
         magic = f.read(4)
         if magic != _CONTAINER_MAGIC:
             raise ValueError(f"{path}: not a dataset container (magic {magic!r})")
-        version, n_clients, dim, n_classes, n_test = struct.unpack("<IIIIQ", f.read(24))
+        version, n_clients, dim, n_classes, n_test = struct.unpack("<IIIIQ", read(24, "header"))
         if version != _CONTAINER_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        sizes = [struct.unpack("<Q", f.read(8))[0] for _ in range(n_clients)]
+        sizes = struct.unpack(f"<{n_clients}Q", read(8 * n_clients, "shard sizes"))
         shards = []
-        for size in sizes:
-            x = np.frombuffer(f.read(8 * size * dim), dtype="<f8").reshape(size, dim)
-            y = np.frombuffer(f.read(8 * size), dtype="<i8")
-            shards.append((x.copy(), y.copy()))
-        tx = np.frombuffer(f.read(8 * n_test * dim), dtype="<f8").reshape(n_test, dim).copy()
-        ty = np.frombuffer(f.read(8 * n_test), dtype="<i8").copy()
+        for n, size in enumerate(sizes):
+            x = np.frombuffer(read(8 * size * dim, f"client {n} features"), dtype="<f8")
+            y = np.frombuffer(read(8 * size, f"client {n} labels"), dtype="<i8")
+            shards.append((x.reshape(size, dim).copy(), y.copy()))
+        tx = np.frombuffer(read(8 * n_test * dim, "test features"), dtype="<f8")
+        ty = np.frombuffer(read(8 * n_test, "test labels"), dtype="<i8").copy()
     return FederatedDataset(
-        shards=tuple(shards), test_features=tx, test_labels=ty,
+        shards=tuple(shards), test_features=tx.reshape(n_test, dim).copy(), test_labels=ty,
         n_classes=n_classes, dim=dim,
     )

@@ -20,7 +20,7 @@ from . import data as datamod
 from .bound import convergence_gap_bound
 from .calibrate import estimate_alpha, estimate_grad_bounds, local_optimum_losses
 from .core import FederatedDataset, GameConstants, ParticipationVector, PricingVector, make_population
-from .fltrain import TrainConfig, train
+from .fltrain import TrainConfig, train_runs
 from .formats import (
     baseline_as_result,
     read_equilibrium_manifest,
@@ -213,13 +213,13 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
     # Alpha from matched-seed pilot pairs at two participation settings.
     q_full = ParticipationVector([1.0] * n)
     q_low = ParticipationVector([cfg["alpha_pilot_q"]] * n)
-    q_vectors, losses = [], []
-    for s in range(cfg["alpha_pilot_seeds"]):
-        for q in (q_full, q_low):
-            run_cfg = train_config(cfg, seed=cfg["data_seed"] + 1000 + s, q=q)
-            metrics = train(dataset, run_cfg, profiles)
-            q_vectors.append(q)
-            losses.append(metrics[-1].loss)
+    pilots = [
+        train_config(cfg, seed=cfg["data_seed"] + 1000 + s, q=q)
+        for s in range(cfg["alpha_pilot_seeds"])
+        for q in (q_full, q_low)
+    ]
+    q_vectors = [run_cfg.participation for run_cfg in pilots]
+    losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots, profiles)]
     alpha = max(estimate_alpha(q_vectors, losses, profiles, cfg["rounds"]), cfg["alpha_floor"])
 
     constants = GameConstants(
@@ -257,6 +257,8 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
 
     Writes every artifact into ``out_dir`` and returns the summary.
     """
+    if cfg["repeats"] < 1:
+        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
 
@@ -279,16 +281,13 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
             os.path.join(out_dir, f"equilibrium_{scheme}.json"), result, scheme, cfg["budget"]
         )
 
-    for scheme in SCHEMES:
-        q = results[scheme].q_star
-        for k in range(cfg["repeats"]):
-            seed = cfg["seed"] + k
-            run_cfg = train_config(cfg, seed=seed, q=q)
-            metrics = train(dataset, run_cfg, profiles)
-            write_metrics_csv(
-                os.path.join(out_dir, f"metrics_{scheme}_seed{seed}.csv"),
-                run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics,
-            )
+    runs = [(scheme, cfg["seed"] + k) for scheme in SCHEMES for k in range(cfg["repeats"])]
+    run_cfgs = [train_config(cfg, seed=seed, q=results[scheme].q_star) for scheme, seed in runs]
+    for (scheme, seed), metrics in zip(runs, train_runs(dataset, run_cfgs, profiles)):
+        write_metrics_csv(
+            os.path.join(out_dir, f"metrics_{scheme}_seed{seed}.csv"),
+            run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics,
+        )
 
     return build_report(out_dir, write=True)
 

@@ -6,14 +6,16 @@ server applies the inverse-probability-weighted update whose expectation over
 participant sets equals the full-participation average. Wall time is
 simulated, not measured.
 
-All of a round's participants take their local steps together: one stacked
-gradient step (``_sgd_step``) moves every participant's model at once, and
-per model it performs the same operations as a lone ``loss_and_grad`` step.
+Independent runs that share everything but their seed and participation
+vector step together (``train_runs``): each round, every participant of
+every run takes its local steps in one stacked gradient step (``_sgd_step``),
+which per model performs the same operations as a lone ``loss_and_grad``
+step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,7 +93,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Regularized cross-entropy over (x, y) and its gradient in w."""
-    xa = _augment(x)
+    return _loss_and_grad(w, _augment(x), y, l2)
+
+
+def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
+    """loss_and_grad on rows that already carry the bias column."""
     probs = _softmax(xa @ w.T)
     n = len(y)
     ll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
@@ -105,9 +111,14 @@ def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
 def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row cross-entropy of the logits z against y, formed as in loss_and_grad.
 
-    Overwrites z.
+    Overwrites z. The row max is taken column by column: max does no
+    rounding, so this equals ``z.max(axis=1)`` bit for bit, and on these
+    few-column rows it is about three times faster.
     """
-    z -= z.max(axis=1, keepdims=True)
+    m = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(m, z[:, j], out=m)
+    z -= m[:, None]
     e = np.exp(z, out=z)
     p = e[np.arange(len(y)), y] / e.sum(axis=1)
     return -np.log(np.maximum(p, 1e-300))
@@ -148,8 +159,9 @@ class _Shards:
         self.sizes = [len(x) for x, _ in shards]
         total = sum(self.sizes)
         self.weights = [size / total for size in self.sizes]     # a_n = d_n / D
-        starts = np.cumsum([0] + self.sizes[:-1]).tolist()
-        self.rows = [slice(start, start + size) for start, size in zip(starts, self.sizes)]
+        self.starts = np.cumsum([0] + self.sizes[:-1])
+        self.rows = [slice(start, start + size)
+                     for start, size in zip(self.starts.tolist(), self.sizes)]
         self.xa = _augment(np.concatenate([x for x, _ in shards]))
         self.y = np.concatenate([y for _, y in shards])
 
@@ -170,34 +182,35 @@ class _Shards:
             total += a * (np.add.reduce(losses[rows]) / size + reg)   # the shard's mean
         return float(total)
 
-    def local_models(self, w, clients, local_steps, batch, lr, l2, rng, norms=None):
-        """Local SGD from w on each listed client's shard; the models, stacked.
+    def local_sgd(self, models, clients, rngs, local_steps, batch, lr, l2, norms=None):
+        """Local SGD in place: row s of the stacked models steps on client
+        ``clients[s]``'s shard, with minibatches drawn from ``rngs[s]``.
 
-        Minibatches are drawn with replacement, client by client and step by
-        step, in the order and call shape of a per-client loop. ``batch=None``
-        steps on the whole shard, one client at a time. When ``norms`` is
-        given, an array of shape (len(clients), local_steps), it receives each
-        step's gradient norm.
+        Minibatches are drawn with replacement, with one draw of E*B indices
+        per row, in row order. That consumes a generator exactly as E draws
+        of B do, so rows that keep a run's participant order draw the indices
+        of a per-participant loop. Each step gathers its own rows, so memory
+        does not grow with E. ``batch=None`` steps on the whole shard, one row
+        at a time. When ``norms`` is given, an array of shape (len(clients),
+        local_steps), it receives each step's gradient norm.
         """
-        models = np.repeat(w[None], len(clients), axis=0)
         if batch is None:
             for s, n in enumerate(clients):
                 rows = self.rows[n]
-                self._steps(models[s:s + 1], [self.xa[None, rows]] * local_steps,
-                            [self.y[None, rows]] * local_steps, lr, l2,
+                whole = (self.xa[None, rows], self.y[None, rows])
+                self._steps(models[s:s + 1], [whole] * local_steps, lr, l2,
                             None if norms is None else norms[s:s + 1])
-            return models
-        idx = np.empty((local_steps, len(clients), batch), dtype=np.intp)
-        for s, n in enumerate(clients):
-            for e in range(local_steps):
-                idx[e, s] = rng.integers(0, self.sizes[n], size=batch)
-            idx[:, s] += self.rows[n].start
-        self._steps(models, self.xa[idx], self.y[idx], lr, l2, norms)
-        return models
+            return
+        draws = [rng.integers(0, self.sizes[n], size=local_steps * batch)
+                 for n, rng in zip(clients, rngs)]
+        idx = np.array(draws, dtype=np.intp).reshape(len(clients), local_steps, batch)
+        idx += self.starts[clients][:, None, None]
+        steps = idx.transpose(1, 0, 2)
+        self._steps(models, ((self.xa[i], self.y[i]) for i in steps), lr, l2, norms)
 
     @staticmethod
-    def _steps(models, xs, ys, lr, l2, norms):
-        for e, (x, y) in enumerate(zip(xs, ys)):
+    def _steps(models, batches, lr, l2, norms):
+        for e, (x, y) in enumerate(batches):
             grad = _sgd_step(models, x, y, lr, l2)
             if norms is not None:
                 norms[:, e] = [np.linalg.norm(g) for g in grad]
@@ -219,7 +232,9 @@ def local_sgd(
     """
     if len(shard[0]) == 0:
         raise ValueError("empty shard")
-    return _Shards([shard]).local_models(w, [0], local_steps, batch, lr, l2, rng)[0]
+    models = w[None].copy()
+    _Shards([shard]).local_sgd(models, [0], [rng], local_steps, batch, lr, l2)
+    return models[0]
 
 
 def sample_participants(q: ParticipationVector, rng: np.random.Generator) -> list:
@@ -312,49 +327,84 @@ def train(
     come from ``profiles`` when given, from the datasizes otherwise. Every
     loaded OpenBLAS runs on one thread for the length of the call.
     """
-    if cfg.participation is None:
-        raise ValueError("cfg.participation must be set")
-    q = cfg.participation
-    if len(q) != dataset.n_clients:
-        raise ValueError(f"participation has {len(q)} entries for {dataset.n_clients} clients")
+    return train_runs(dataset, [cfg], profiles, record_states)[0]
+
+
+def train_runs(
+    dataset: FederatedDataset,
+    cfgs: list,
+    profiles: list | None = None,
+    record_states: bool = False,
+) -> list:
+    """Run several training runs as one loop: one ``train`` result per config, in order.
+
+    The configs may differ only in ``seed`` and ``participation``. Each run
+    samples its participants and draws its minibatches from its own
+    generator, and aggregates, advances its simulated time and is evaluated
+    on its own, so each result equals ``train`` on that config alone, bit for
+    bit. Only the local steps are shared: each round, one stacked step moves
+    the participants of every run at once.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("train_runs needs at least one config")
+    if len({replace(c, seed=0, participation=None) for c in cfgs}) > 1:
+        raise ValueError("the configs of train_runs may differ only in seed and participation")
+    for c in cfgs:
+        if c.participation is None:
+            raise ValueError("cfg.participation must be set")
+        if len(c.participation) != dataset.n_clients:
+            raise ValueError(
+                f"participation has {len(c.participation)} entries for {dataset.n_clients} clients"
+            )
+    cfg = cfgs[0]
 
     shards = _Shards(dataset.shards)
     a = shards.weights if profiles is None else [p.weight for p in profiles]
-    rng = np.random.default_rng(cfg.seed)
-    w = np.zeros((dataset.n_classes, dataset.dim + 1))
-    metrics = []
-    states = []
-    sim_time = 0.0
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    ws = [np.zeros((dataset.n_classes, dataset.dim + 1)) for _ in cfgs]
+    runs = [([], []) for _ in cfgs]      # (metrics, states) per run
+    sim_times = [0.0] * len(cfgs)
     has_test = len(dataset.test_labels) > 0
     test_xa = _augment(dataset.test_features)
     learning_rate = learning_rate_schedule(cfg, dataset)
     with _blas.one_thread():
         for r in range(cfg.rounds):
-            participants = sample_participants(q, rng)
-            if participants:
-                models = shards.local_models(
-                    w, participants, cfg.local_steps, cfg.batch, learning_rate(r), cfg.l2, rng
-                )
-                w = _aggregate(w, models, [a[n] / q.q[n] for n in participants])
-                max_shard = max(shards.sizes[n] for n in participants)
-                batch = cfg.batch if cfg.batch is not None else max_shard
-                sim_time += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
-            else:
-                sim_time += cfg.sim_t_base
-            if (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1:
-                loss = shards.loss(w, cfg.l2)
-                acc = _accuracy(w, test_xa, dataset.test_labels) if has_test else float("nan")
-                metrics.append(
-                    RoundMetrics(
-                        round_index=r,
-                        participants=tuple(participants),
-                        loss=loss,
-                        accuracy=acc,
-                        sim_time=sim_time,
+            participants = [sample_participants(c.participation, rng) for c, rng in zip(cfgs, rngs)]
+            owners = [k for k, p in enumerate(participants) for _ in p]
+            if owners:
+                models = np.stack(ws)[owners]
+                shards.local_sgd(models, [n for p in participants for n in p],
+                                 [rngs[k] for k in owners], cfg.local_steps, cfg.batch,
+                                 learning_rate(r), cfg.l2)
+            first = 0
+            evaluate = (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1
+            for k, (c, p) in enumerate(zip(cfgs, participants)):
+                if p:
+                    q = c.participation.q
+                    ws[k] = _aggregate(ws[k], models[first:first + len(p)],
+                                       [a[n] / q[n] for n in p])
+                    first += len(p)
+                    max_shard = max(shards.sizes[n] for n in p)
+                    batch = cfg.batch if cfg.batch is not None else max_shard
+                    sim_times[k] += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
+                else:
+                    sim_times[k] += cfg.sim_t_base
+                metrics, states = runs[k]
+                if evaluate:
+                    w = ws[k]
+                    metrics.append(
+                        RoundMetrics(
+                            round_index=r,
+                            participants=tuple(p),
+                            loss=shards.loss(w, cfg.l2),
+                            accuracy=(_accuracy(w, test_xa, dataset.test_labels)
+                                      if has_test else float("nan")),
+                            sim_time=sim_times[k],
+                        )
                     )
-                )
-            if record_states:
-                states.append(w.copy())
+                if record_states:
+                    states.append(ws[k].copy())
     if record_states:
-        return metrics, states
-    return metrics
+        return runs
+    return [metrics for metrics, _ in runs]

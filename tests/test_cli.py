@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -120,3 +122,26 @@ def test_infeasible_budget_reported(tmp_path, capsys):
     )
     assert code == 1
     assert "infeasible" in stderr
+
+
+@pytest.mark.parametrize("where,message", [("header", "truncated header"), ("body", "truncated")])
+def test_truncated_dataset_is_one_error_line(tmp_path, capsys, where, message):
+    cfg = write_fast_config(tmp_path)
+    out = str(tmp_path / "run")
+    run_cli(["gen-data", "--config", cfg, "--out", out], capsys)
+    payload = (tmp_path / "run" / "dataset.bin").read_bytes()
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(payload[:10] if where == "header" else payload[:len(payload) // 2])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedpricing.cli", "calibrate", "--config", cfg,
+         "--dataset", str(cut), "--out", str(tmp_path / "cal")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert message in lines[0]
+    assert "Traceback" not in proc.stderr

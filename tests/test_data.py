@@ -210,3 +210,15 @@ def test_dataset_container_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_dataset(str(p))
+
+
+def test_dataset_container_rejects_every_truncation(tmp_path):
+    ds = gen_synthetic(n_clients=2, dim=2, n_classes=2, total_samples=6, seed=0)
+    full = tmp_path / "full.bin"
+    save_dataset(str(full), ds)
+    payload = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for length in range(4, len(payload)):
+        cut.write_bytes(payload[:length])
+        with pytest.raises(ValueError, match=r"cut\.bin: truncated .*: expected \d+ bytes, got \d+"):
+            load_dataset(str(cut))

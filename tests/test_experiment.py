@@ -5,7 +5,9 @@ import os
 import pytest
 import yaml
 
-from fedpricing.core import GameConstants, make_population
+from fedpricing import _blas
+from fedpricing.calibrate import estimate_alpha
+from fedpricing.core import GameConstants, ParticipationVector, make_population
 from fedpricing.experiment import (
     PRESETS,
     SCHEMES,
@@ -17,7 +19,10 @@ from fedpricing.experiment import (
     rounds_to_target,
     run_experiment,
     solve_scheme,
+    train_config,
 )
+
+import oracles
 
 
 def fast_config(**overrides):
@@ -78,6 +83,24 @@ def test_calibrate_population_produces_valid_game():
     assert len(f_locals) == 3
     assert math.isfinite(f_star)
     assert all(p.grad_bound > 0 and p.cost_coeff > 0 for p in profiles)
+
+
+def test_calibrate_population_alpha_equals_pilots_run_one_by_one():
+    cfg = build_config("desk", overrides={"rounds": 30, "pilot_rounds": 2, "alpha_pilot_seeds": 2})
+    ds = generate_dataset(cfg)
+    profiles, constants, _, _ = calibrate_population(ds, cfg, with_offsets=False)
+    n = ds.n_clients
+    q_vectors, losses = [], []
+    for s in range(cfg["alpha_pilot_seeds"]):
+        for q in (ParticipationVector([1.0] * n), ParticipationVector([cfg["alpha_pilot_q"]] * n)):
+            with _blas.one_thread():
+                metrics = oracles.train(ds, train_config(cfg, seed=cfg["data_seed"] + 1000 + s, q=q),
+                                        profiles)
+            q_vectors.append(q)
+            losses.append(metrics[-1].loss)
+    expected = max(estimate_alpha(q_vectors, losses, profiles, cfg["rounds"]), cfg["alpha_floor"])
+    assert expected > cfg["alpha_floor"]
+    assert constants.alpha == expected
 
 
 def test_solve_scheme_all_schemes_and_unknown():

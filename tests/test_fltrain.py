@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fedpricing.fltrain import (
     sample_participants,
     theoretical_lr,
     train,
+    train_runs,
 )
 from fedpricing.fltrain import test_accuracy as accuracy_of
 
@@ -350,3 +353,120 @@ def test_pooled_global_loss_equals_the_weighted_per_shard_sum(ds, l2, seed, scal
     w = scale * np.random.default_rng(seed).normal(size=(ds.n_classes, ds.dim + 1))
     expected = oracles.global_loss(w, ds, l2)
     assert abs(global_loss(w, ds, l2) - expected) <= 1e-13 * abs(expected)
+
+
+# ---------------------------------------------------------------- runs stepped together
+
+
+def assert_identical_run(got, ref):
+    assert_same_run(got, ref)
+    assert [m.loss for m in got[0]] == [m.loss for m in ref[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ds=datasets(),
+    data=st.data(),
+    local_steps=st.integers(0, 3),
+    batch=st.one_of(st.none(), st.just(1), st.sampled_from([3, 7]), st.just(24)),
+    rounds=st.integers(1, 5),
+    eval_stride=st.integers(1, 3),
+    schedule=st.sampled_from(["exponential", "theoretical"]),
+    l2=st.sampled_from([0.0, 1e-3]),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
+    with_profiles=st.booleans(),
+)
+def test_train_runs_equal_the_per_participant_loop_run_by_run(
+    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seeds, with_profiles
+):
+    levels = st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)
+    cfgs = [
+        TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, l2=l2,
+                    lr_schedule=schedule, eta0=0.5, eval_stride=eval_stride,
+                    participation=ParticipationVector(data.draw(levels)))
+        for seed in seeds
+    ]
+    profiles = None
+    if with_profiles:
+        n = ds.n_clients
+        profiles = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
+    runs = train_runs(ds, cfgs, profiles, record_states=True)
+    assert len(runs) == len(cfgs)
+    for cfg, run in zip(cfgs, runs):
+        with _blas.one_thread():
+            ref = oracles.train(ds, cfg, profiles, record_states=True)
+        assert_identical_run(run, ref)
+    assert [m.loss for m in train_runs(ds, cfgs, profiles)[-1]] == [m.loss for m in runs[-1][0]]
+
+
+def test_train_runs_rejects_no_configs():
+    with pytest.raises(ValueError, match="at least one"):
+        train_runs(tiny_dataset(), [])
+
+
+@pytest.mark.parametrize("change", [
+    {"local_steps": 4}, {"batch": None}, {"batch": 9}, {"rounds": 7}, {"l2": 1e-3},
+    {"lr_schedule": "theoretical"}, {"eta0": 0.2}, {"decay": 0.9}, {"eval_stride": 2},
+    {"sim_t_base": 2.0}, {"sim_t_comp": 0.5},
+])
+def test_train_runs_rejects_configs_differing_beyond_seed_and_participation(change):
+    base = TrainConfig(local_steps=2, batch=4, rounds=3, seed=0,
+                       participation=ParticipationVector([1.0, 0.5, 0.2]))
+    other = dataclasses.replace(base, seed=1, participation=ParticipationVector([0.3] * 3), **change)
+    with pytest.raises(ValueError, match="seed and participation"):
+        train_runs(tiny_dataset(), [base, other])
+
+
+def test_train_runs_checks_every_participation_vector():
+    base = TrainConfig(local_steps=1, batch=4, rounds=2, participation=ParticipationVector([1.0] * 3))
+    with pytest.raises(ValueError, match="3 clients"):
+        train_runs(tiny_dataset(), [base, dataclasses.replace(base, participation=ParticipationVector([1.0]))])
+    with pytest.raises(ValueError, match="participation must be set"):
+        train_runs(tiny_dataset(), [base, dataclasses.replace(base, participation=None)])
+
+
+@pytest.mark.parametrize("size,batch,steps", [
+    (1, 5, 3), (2, 1, 4), (7, 1, 1), (50, 7, 3), (10**6, 7, 5), (1000, 24, 10), (3, 9, 0),
+    (2**40, 3, 2),
+])
+def test_one_draw_of_e_times_b_consumes_the_stream_as_e_draws_of_b(size, batch, steps):
+    for seed in range(12):
+        one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (one, many):      # leave half a 64-bit word buffered on some seeds
+            rng.integers(0, 5, size=seed % 3)
+        got = one.integers(0, size, size=steps * batch).reshape(steps, batch)
+        ref = np.array([many.integers(0, size, size=batch) for _ in range(steps)],
+                       dtype=got.dtype).reshape(steps, batch)
+        assert np.array_equal(got, ref)
+        assert one.bit_generator.state == many.bit_generator.state
+        assert one.integers(0, 2**20) == many.integers(0, 2**20)
+
+
+def _axis_max_cross_entropy(z, y):
+    """The row max taken with z.max(axis=1), as the cross-entropy formed it before."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e[np.arange(len(y)), y] / e.sum(axis=1)
+    return -np.log(np.maximum(p, 1e-300))
+
+
+def test_cross_entropy_equals_the_axis_max_formula_bit_for_bit():
+    from fedpricing.fltrain import _cross_entropy
+
+    rng = np.random.default_rng(0)
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            n, c = int(rng.integers(0, 40)), int(rng.integers(1, 12))
+            z = rng.normal(size=(n, c)) * rng.choice([1e-3, 1.0, 30.0, 800.0])
+            y = rng.integers(0, c, size=n)
+            if n:
+                u = rng.random(size=(n, c))
+                z[u < 0.05] = np.nan
+                z[(u >= 0.05) & (u < 0.1)] = -np.inf
+                z[(u >= 0.1) & (u < 0.12)] = np.inf
+                z[(u >= 0.12) & (u < 0.15)] = -0.0
+                z[rng.integers(0, n)] = -np.inf      # a whole row at -inf
+                z[rng.integers(0, n)] = np.nan       # a whole row of NaN
+            ref = _axis_max_cross_entropy(z, y)
+            got = _cross_entropy(z.copy(), y)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
