@@ -3,18 +3,17 @@ client participation: equilibrium solvers, convergence bounds, and a
 desk-scale training simulator."""
 
 from .core import (
-    BoundConstituents,
     ClientProfile,
     EquilibriumResult,
     FederatedDataset,
     GameConstants,
     ParticipationVector,
+    Population,
     PopulationError,
     PricingVector,
-    derive_beta,
     make_population,
 )
-from .bound import bound_gradient, convergence_gap_bound, variance_bound
+from .bound import bound_gradient, convergence_gap_bound
 from .game import (
     EquilibriumReport,
     InfeasibleBudgetError,
@@ -43,7 +42,6 @@ from .fltrain import (
 from .data import gen_synthetic, load_idx, partition_label_limited, subsample
 
 __all__ = [
-    "BoundConstituents",
     "ClientProfile",
     "EquilibriumReport",
     "EquilibriumResult",
@@ -51,6 +49,7 @@ __all__ = [
     "GameConstants",
     "InfeasibleBudgetError",
     "ParticipationVector",
+    "Population",
     "PopulationError",
     "PricingVector",
     "SolverOptions",
@@ -61,7 +60,6 @@ __all__ = [
     "bound_gradient",
     "client_best_response",
     "convergence_gap_bound",
-    "derive_beta",
     "gen_synthetic",
     "global_loss",
     "inverse_price",
@@ -79,7 +77,6 @@ __all__ = [
     "total_spend",
     "train",
     "train_runs",
-    "variance_bound",
     "verify_equilibrium",
 ]
 

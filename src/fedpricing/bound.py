@@ -2,7 +2,7 @@
 
 These stand in for the expected final loss throughout the game: the server
 prices participation against the gap bound, never against actual training.
-Per-client terms are computed on arrays (``ClientColumns``) and summed with
+Per-client terms are computed on a ``Population``'s columns and summed with
 ``math.fsum``, which rounds the exact sum once, so every sum is the same
 whatever the order or length of its terms.
 """
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import ClientColumns, GameConstants, ParticipationVector
+from .core import GameConstants, ParticipationVector, Population
 
 
 def power(x, y):
@@ -36,50 +36,38 @@ def positive_levels(q: ParticipationVector) -> np.ndarray:
     return levels
 
 
-def penalty_of(levels: np.ndarray, cols: ClientColumns) -> float:
+def penalty_of(levels: np.ndarray, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n over positive levels."""
-    return math.fsum((1.0 - levels) * power(cols.a, 2) * power(cols.G, 2) / levels)
+    return math.fsum((1.0 - levels) * power(population.a, 2) * power(population.G, 2) / levels)
 
 
-def gap_bound_of(levels: np.ndarray, cols: ClientColumns, constants: GameConstants) -> float:
+def gap_bound_of(levels: np.ndarray, population: Population, constants: GameConstants) -> float:
     """(1/R) (alpha * penalty + beta) over positive levels."""
-    return (constants.alpha * penalty_of(levels, cols) + constants.beta) / constants.rounds
+    return (constants.alpha * penalty_of(levels, population) + constants.beta) / constants.rounds
 
 
-def bound_terms(cols: ClientColumns, constants: GameConstants) -> np.ndarray:
+def bound_terms(population: Population, constants: GameConstants) -> np.ndarray:
     """(alpha/R) a_n^2 G_n^2 per client: each one's coefficient in the gap bound."""
-    return constants.alpha / constants.rounds * power(cols.a, 2) * power(cols.G, 2)
+    return constants.alpha / constants.rounds * power(population.a, 2) * power(population.G, 2)
 
 
-def participation_penalty(q: ParticipationVector, profiles: list) -> float:
+def participation_penalty(q: ParticipationVector, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, the data-weighted participation deficit."""
-    return penalty_of(positive_levels(q), ClientColumns.of(profiles))
-
-
-def variance_bound(
-    q: ParticipationVector, profiles: list, eta: float, local_steps: int
-) -> float:
-    """Upper bound on the aggregation variance injected by randomized participation.
-
-    Returns 4 * sum_n (1 - q_n) a_n^2 G_n^2 / q_n * (eta * E)^2.
-    """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return 4.0 * participation_penalty(q, profiles) * (eta * local_steps) ** 2
+    return penalty_of(positive_levels(q), population)
 
 
 def convergence_gap_bound(
-    q: ParticipationVector, profiles: list, constants: GameConstants
+    q: ParticipationVector, population: Population, constants: GameConstants
 ) -> float:
     """Upper bound on the optimality gap after the full round budget.
 
     Returns (1/R) * (alpha * sum_n (1 - q_n) a_n^2 G_n^2 / q_n + beta).
     """
-    return gap_bound_of(positive_levels(q), ClientColumns.of(profiles), constants)
+    return gap_bound_of(positive_levels(q), population, constants)
 
 
 def bound_gradient(
-    q: ParticipationVector, profiles: list, constants: GameConstants
+    q: ParticipationVector, population: Population, constants: GameConstants
 ) -> list:
     """Analytic per-client derivative of the gap bound: -(alpha/R) a_n^2 G_n^2 / q_n^2.
 
@@ -87,6 +75,5 @@ def bound_gradient(
     the bound.
     """
     levels = positive_levels(q)
-    cols = ClientColumns.of(profiles)
     scale = constants.alpha / constants.rounds
-    return (-scale * power(cols.a, 2) * power(cols.G, 2) / power(levels, 2)).tolist()
+    return (-scale * power(population.a, 2) * power(population.G, 2) / power(levels, 2)).tolist()

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _blas
 from .bound import participation_penalty
-from .core import FederatedDataset
+from .core import FederatedDataset, Population
 from .fltrain import (
     TrainConfig,
     _aggregate,
@@ -70,7 +70,7 @@ def estimate_grad_bounds(
 def estimate_alpha(
     q_vectors: list,
     final_losses: list,
-    profiles: list,
+    population: Population,
     rounds: int,
 ) -> float:
     """Fit the bound coefficient from pilot losses at distinct participation vectors.
@@ -81,7 +81,7 @@ def estimate_alpha(
     """
     if len(q_vectors) < 2 or len(q_vectors) != len(final_losses):
         raise ValueError("need matched losses for at least two participation settings")
-    xs = np.array([participation_penalty(q, profiles) / rounds for q in q_vectors])
+    xs = np.array([participation_penalty(q, population) / rounds for q in q_vectors])
     ys = np.array(final_losses, dtype=float)
     dx, dy = [], []
     for i in range(len(xs)):

@@ -68,10 +68,10 @@ def cmd_calibrate(args) -> int:
     cfg = _config_from(args)
     dataset = datamod.load_dataset(args.dataset)
     cfg["n_clients"] = dataset.n_clients
-    profiles, constants, f_locals, f_star = exp.calibrate_population(dataset, cfg)
+    population, constants, f_locals, f_star = exp.calibrate_population(dataset, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "population.ini")
-    write_population(path, profiles, f_locals,
+    write_population(path, population, f_locals,
                      meta={"alpha": constants.alpha, "beta": constants.beta,
                            "f_star": f_star, "rounds": constants.rounds,
                            "local_steps": constants.local_steps,
@@ -92,9 +92,9 @@ def _constants_from_meta(meta: dict, cfg: dict) -> GameConstants:
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args, budget=args.budget)
-    profiles, _f_locals, meta = read_population(args.population)
+    population, _f_locals, meta = read_population(args.population)
     constants = _constants_from_meta(meta, cfg)
-    result = exp.solve_scheme(args.scheme, profiles, constants, cfg["budget"])
+    result = exp.solve_scheme(args.scheme, population, constants, cfg["budget"])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"equilibrium_{args.scheme}.json")
     write_equilibrium_manifest(path, result, args.scheme, cfg["budget"])
@@ -102,17 +102,31 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _check_population_matches(population, dataset, population_path: str,
+                              dataset_path: str) -> None:
+    """Training takes a_n from the dataset's shards, so the population file
+    must describe the same clients: the same count and every d_n."""
+    if len(population) != dataset.n_clients:
+        raise ValueError(f"{population_path} has {len(population)} clients, but "
+                         f"{dataset_path} has {dataset.n_clients}")
+    for n, (d, size) in enumerate(zip(population.d.tolist(), dataset.datasizes)):
+        if d != size:
+            raise ValueError(f"{population_path}: client {n} has d = {int(d)}, but its shard "
+                             f"in {dataset_path} has {size} samples")
+
+
 def cmd_train(args) -> int:
     cfg = _config_from(args, repeats=args.repeats)
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     dataset = datamod.load_dataset(args.dataset)
-    profiles, _f_locals, _meta = read_population(args.population)
+    population, _f_locals, _meta = read_population(args.population)
+    _check_population_matches(population, dataset, args.population, args.dataset)
     result, scheme, _budget = read_equilibrium_manifest(args.equilibrium)
     os.makedirs(args.out, exist_ok=True)
     seeds = [cfg["seed"] + k for k in range(cfg["repeats"])]
     run_cfgs = [exp.train_config(cfg, seed=seed, q=result.q_star) for seed in seeds]
-    for seed, metrics in zip(seeds, train_runs(dataset, run_cfgs, profiles)):
+    for seed, metrics in zip(seeds, train_runs(dataset, run_cfgs)):
         path = os.path.join(args.out, f"metrics_{scheme}_seed{seed}.csv")
         write_metrics_csv(path, run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics)
         print(f"wrote {path}: final loss {metrics[-1].loss:.6g}")

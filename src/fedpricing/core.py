@@ -8,20 +8,56 @@ downstream numerics never have to re-check inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-WEIGHT_TOL = 1e-9
 
 
 class PopulationError(ValueError):
     """Invalid client population input (mismatched lengths, bad per-client value)."""
 
 
+# ClientProfile's per-client fields, and the names of Population's columns for them.
+_FIELDS = ("datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max")
+_COLUMNS = ("d", "a", "G", "c", "v", "q_max")
+
+
+def _check_clients(columns: tuple, first_index: int = 0) -> None:
+    """Raise ``PopulationError`` naming the first client that breaks a row invariant.
+
+    ``columns`` holds one float array per field of ``_FIELDS``; client n is
+    numbered ``first_index + n``. A client's checks run in a fixed order,
+    every field's finiteness first, so the message names the field a
+    row-by-row check would name.
+    """
+    d, a, G, c, v, q_max = columns
+    checks = [(name, "must be finite", ~np.isfinite(col)) for name, col in zip(_FIELDS, columns)]
+    checks += [
+        ("datasize", "must be positive", ~(d > 0.0)),
+        ("datasize", "must be an integer", d != np.floor(d)),
+        ("weight", "must be in (0, 1]", ~((0.0 < a) & (a <= 1.0))),
+        ("grad_bound", "must be positive", ~(G > 0.0)),
+        ("cost_coeff", "must be positive", ~(c > 0.0)),
+        ("intrinsic_pref", "must be nonnegative", v < 0.0),
+        ("q_max", "must be in (0, 1]", ~((0.0 < q_max) & (q_max <= 1.0))),
+    ]
+    bad = np.stack([mask for _, _, mask in checks])
+    clients = np.flatnonzero(bad.any(axis=0))
+    if clients.size:
+        n = int(clients[0])
+        name, rule, _ = checks[int(np.argmax(bad[:, n]))]
+        value = float(columns[_FIELDS.index(name)][n])
+        if name == "datasize" and value.is_integer():
+            value = int(value)
+        raise PopulationError(f"client {first_index + n}: {name} {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class ClientProfile:
-    """One client's data weight, gradient bound, and economic parameters.
+    """One client's data weight, gradient bound, and economic parameters:
+    one row of a ``Population``.
 
     ``weight`` is the client's fraction of the total data and must sum to 1
     across a population. ``cost_coeff`` prices the quadratic participation
@@ -38,24 +74,17 @@ class ClientProfile:
     q_max: float = 1.0
 
     def __post_init__(self):
-        for name in ("datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise PopulationError(f"client {self.index}: {name} must be finite, got {value}")
-        if self.datasize <= 0:
-            raise PopulationError(f"client {self.index}: datasize must be positive, got {self.datasize}")
-        if not 0.0 < self.weight <= 1.0:
-            raise PopulationError(f"client {self.index}: weight must be in (0, 1], got {self.weight}")
-        if self.grad_bound <= 0.0:
-            raise PopulationError(f"client {self.index}: grad_bound must be positive, got {self.grad_bound}")
-        if self.cost_coeff <= 0.0:
-            raise PopulationError(f"client {self.index}: cost_coeff must be positive, got {self.cost_coeff}")
-        if self.intrinsic_pref < 0.0:
-            raise PopulationError(
-                f"client {self.index}: intrinsic_pref must be nonnegative, got {self.intrinsic_pref}"
-            )
-        if not 0.0 < self.q_max <= 1.0:
-            raise PopulationError(f"client {self.index}: q_max must be in (0, 1], got {self.q_max}")
+        _check_clients(tuple(np.array([getattr(self, name)], dtype=float) for name in _FIELDS),
+                       self.index)
+
+    @classmethod
+    def _checked(cls, index, *values) -> "ClientProfile":
+        """A row of a population whose columns were checked as a whole."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "index", index)
+        for name, value in zip(_FIELDS, values):
+            object.__setattr__(row, name, value)
+        return row
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -63,55 +92,6 @@ class ClientProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "ClientProfile":
         return cls(**d)
-
-
-@dataclass(frozen=True)
-class BoundConstituents:
-    """Constants from which the additive bound term beta can be derived.
-
-    Only needed when beta is computed rather than supplied directly; beta is
-    additive in the gap bound and affects no decision variable.
-    """
-
-    smoothness: float            # L
-    strong_convexity: float      # mu
-    grad_variances: tuple        # sigma_n^2 per client
-    heterogeneity_gap: float     # F* - sum a_n F_n*
-    init_dist_sq: float          # ||w_0 - w*||^2
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["grad_variances"] = list(self.grad_variances)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundConstituents":
-        d = dict(d)
-        d["grad_variances"] = tuple(d["grad_variances"])
-        return cls(**d)
-
-
-def derive_beta(constituents: BoundConstituents, profiles: list, E: int) -> float:
-    """Compute the additive bound constant from its constituents.
-
-    beta = (2L/(mu^2 E)) A0 + (12 L^2/(mu^2 E)) Gamma + (4 L^2/(mu E)) ||w0 - w*||^2,
-    with A0 = sum a_n^2 sigma_n^2 + 8 sum a_n G_n^2 (E-1)^2.
-    """
-    L = constituents.smoothness
-    mu = constituents.strong_convexity
-    if len(constituents.grad_variances) != len(profiles):
-        raise PopulationError(
-            f"grad_variances has {len(constituents.grad_variances)} entries for {len(profiles)} clients"
-        )
-    a = np.array([p.weight for p in profiles])
-    g = np.array([p.grad_bound for p in profiles])
-    sigma_sq = np.array(constituents.grad_variances)
-    a0 = float(np.sum(a**2 * sigma_sq) + 8.0 * np.sum(a * g**2) * (E - 1) ** 2)
-    return (
-        2.0 * L / (mu**2 * E) * a0
-        + 12.0 * L**2 / (mu**2 * E) * constituents.heterogeneity_gap
-        + 4.0 * L**2 / (mu * E) * constituents.init_dist_sq
-    )
 
 
 @dataclass(frozen=True)
@@ -128,7 +108,6 @@ class GameConstants:
     rounds: int
     local_steps: int
     q_floor: float = 0.01
-    constituents: BoundConstituents | None = None
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -143,22 +122,10 @@ class GameConstants:
             raise ValueError(f"q_floor must be in (0, 1), got {self.q_floor}")
 
     def to_dict(self) -> dict:
-        d = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rounds": self.rounds,
-            "local_steps": self.local_steps,
-            "q_floor": self.q_floor,
-        }
-        if self.constituents is not None:
-            d["constituents"] = self.constituents.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GameConstants":
-        d = dict(d)
-        if "constituents" in d and d["constituents"] is not None:
-            d["constituents"] = BoundConstituents.from_dict(d["constituents"])
         return cls(**d)
 
 
@@ -319,29 +286,73 @@ class FederatedDataset:
 
 
 @dataclass(frozen=True, eq=False)
-class ClientColumns:
-    """A population as columns: one float array per ``ClientProfile`` field,
-    in list order.
+class Population(Sequence):
+    """A client population as columns: one read-only float array per
+    ``ClientProfile`` field, in client order.
 
-    The game and the bound compute on these columns; ``of`` is the one
-    place that walks a list of profiles.
+    The game, the bound and training compute on the columns. The columns are
+    checked once, as a whole, at construction. A population is also a
+    read-only sequence of ``ClientProfile`` rows, numbered from 0; the rows
+    are built once, on first use.
     """
 
     d: np.ndarray        # datasize
-    a: np.ndarray        # weight
+    a: np.ndarray        # weight, d_n / sum(d) in a population from make_population
     G: np.ndarray        # grad_bound
     c: np.ndarray        # cost_coeff
     v: np.ndarray        # intrinsic_pref
     q_max: np.ndarray
 
+    def __post_init__(self):
+        for name in _COLUMNS:
+            values = np.array(getattr(self, name), dtype=float)    # a private copy
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        shape = (self.d.size,)
+        for name, values in zip(_FIELDS, self.columns):
+            if values.shape != shape:
+                raise PopulationError(f"{name} column has shape {values.shape}, expected {shape}")
+        if not self.d.size:
+            raise PopulationError("population must contain at least one client")
+        _check_clients(self.columns)
+
+    @property
+    def columns(self) -> tuple:
+        """(d, a, G, c, v, q_max)."""
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
     @classmethod
-    def of(cls, profiles) -> "ClientColumns":
-        rows = np.array(
-            [(p.datasize, p.weight, p.grad_bound, p.cost_coeff, p.intrinsic_pref, p.q_max)
-             for p in profiles],
-            dtype=float,
-        ).reshape(-1, 6)
-        return cls(*np.ascontiguousarray(rows.T))
+    def of_client(cls, profile: ClientProfile) -> "Population":
+        """The one-client population of a row, with the row's own weight.
+
+        A row was checked when it was made, so it is not checked again.
+        """
+        population = object.__new__(cls)
+        values = np.array([[getattr(profile, name)] for name in _FIELDS], dtype=float)
+        values.flags.writeable = False
+        for name, column in zip(_COLUMNS, values):
+            object.__setattr__(population, name, column)
+        return population
+
+    @cached_property
+    def _rows(self) -> tuple:
+        rows = zip(range(len(self)), map(int, self.d.tolist()),
+                   *(col.tolist() for col in self.columns[1:]))
+        return tuple(ClientProfile._checked(*row) for row in rows)
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, n):
+        return self._rows[n]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Population):
+            return NotImplemented
+        return all(np.array_equal(x, y) for x, y in zip(self.columns, other.columns))
 
 
 def make_population(
@@ -350,37 +361,26 @@ def make_population(
     cost_coeffs,
     intrinsic_prefs,
     q_maxes,
-) -> list:
+) -> Population:
     """Build a client population with weights normalized to the datasize shares.
 
-    All argument lists must have equal length N >= 1 and positive datasizes.
+    All arguments must have equal length N >= 1; datasizes must be positive
+    integers (integer-valued floats are accepted). The weights are
+    ``d_n / float(sum(d))``.
     """
-    lists = {
-        "datasizes": list(datasizes),
-        "grad_bounds": list(grad_bounds),
-        "cost_coeffs": list(cost_coeffs),
-        "intrinsic_prefs": list(intrinsic_prefs),
-        "q_maxes": list(q_maxes),
-    }
-    n = len(lists["datasizes"])
+    names = ("datasizes", "grad_bounds", "cost_coeffs", "intrinsic_prefs", "q_maxes")
+    columns = [v if isinstance(v, np.ndarray) else list(v)
+               for v in (datasizes, grad_bounds, cost_coeffs, intrinsic_prefs, q_maxes)]
+    n = len(columns[0])
     if n < 1:
         raise PopulationError("population must contain at least one client")
-    for name, values in lists.items():
+    for name, values in zip(names, columns):
         if len(values) != n:
             raise PopulationError(f"{name} has length {len(values)}, expected {n}")
-    for i, d in enumerate(lists["datasizes"]):
-        if not (math.isfinite(d) and d > 0):
-            raise PopulationError(f"client {i}: datasize must be positive and finite, got {d}")
-    total = float(sum(lists["datasizes"]))
-    return [
-        ClientProfile(
-            index=i,
-            datasize=int(lists["datasizes"][i]),
-            weight=lists["datasizes"][i] / total,
-            grad_bound=float(lists["grad_bounds"][i]),
-            cost_coeff=float(lists["cost_coeffs"][i]),
-            intrinsic_pref=float(lists["intrinsic_prefs"][i]),
-            q_max=float(lists["q_maxes"][i]),
-        )
-        for i in range(n)
-    ]
+    d = np.array(columns[0], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(d) & (d > 0.0) & (d == np.floor(d))))
+    if bad.size:
+        i = int(bad[0])
+        rule = "an integer" if math.isfinite(d[i]) and d[i] > 0.0 else "positive and finite"
+        raise PopulationError(f"client {i}: datasize must be {rule}, got {columns[0][i]}")
+    return Population(d, d / math.fsum(d), *columns[1:])

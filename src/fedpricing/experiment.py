@@ -19,7 +19,14 @@ import yaml
 from . import data as datamod
 from .bound import convergence_gap_bound
 from .calibrate import estimate_alpha, estimate_grad_bounds, local_optimum_losses
-from .core import FederatedDataset, GameConstants, ParticipationVector, PricingVector, make_population
+from .core import (
+    FederatedDataset,
+    GameConstants,
+    ParticipationVector,
+    Population,
+    PricingVector,
+    make_population,
+)
 from .fltrain import TrainConfig, train_runs
 from .formats import (
     baseline_as_result,
@@ -190,7 +197,7 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
     """Estimate gradient bounds and alpha, sample economics, and build the
     population plus game constants.
 
-    Returns (profiles, constants, f_locals, f_star).
+    Returns (population, constants, f_locals, f_star).
     """
     pilot_cfg = train_config(cfg, seed=cfg["data_seed"])
     grad_bounds = estimate_grad_bounds(dataset, pilot_cfg, cfg["pilot_rounds"], seed=cfg["data_seed"])
@@ -202,7 +209,7 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
         rng.exponential(cfg["mean_value"], size=n)
         if cfg["mean_value"] > 0 else np.zeros(n)
     )
-    profiles = make_population(
+    population = make_population(
         datasizes=dataset.datasizes,
         grad_bounds=grad_bounds,
         cost_coeffs=costs,
@@ -219,8 +226,8 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
         for q in (q_full, q_low)
     ]
     q_vectors = [run_cfg.participation for run_cfg in pilots]
-    losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots, profiles)]
-    alpha = max(estimate_alpha(q_vectors, losses, profiles, cfg["rounds"]), cfg["alpha_floor"])
+    losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
+    alpha = max(estimate_alpha(q_vectors, losses, population, cfg["rounds"]), cfg["alpha_floor"])
 
     constants = GameConstants(
         alpha=alpha, beta=cfg["beta"], rounds=cfg["rounds"],
@@ -230,24 +237,24 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
         f_locals, f_star = local_optimum_losses(dataset, pilot_cfg)
     else:
         f_locals, f_star = None, float("nan")
-    return profiles, constants, f_locals, f_star
+    return population, constants, f_locals, f_star
 
 
-def solve_scheme(scheme: str, profiles: list, constants: GameConstants, budget: float,
+def solve_scheme(scheme: str, population: Population, constants: GameConstants, budget: float,
                  opts: SolverOptions | None = None):
     """Solve one pricing scheme and wrap it in the manifest record."""
     opts = opts or SolverOptions()
     if scheme == "optimal":
-        return server_solve(profiles, constants, budget, opts)
+        return server_solve(population, constants, budget, opts)
     if scheme == "uniform":
-        price, q = baseline_uniform(profiles, constants, budget, opts)
-        prices = PricingVector([price] * len(profiles))
+        price, q = baseline_uniform(population, constants, budget, opts)
+        prices = PricingVector([price] * len(population))
     elif scheme == "weighted":
-        prices, q = baseline_weighted(profiles, constants, budget, opts)
+        prices, q = baseline_weighted(population, constants, budget, opts)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     bound_value = (
-        convergence_gap_bound(q, profiles, constants) if min(q.q) > 0 else float("inf")
+        convergence_gap_bound(q, population, constants) if min(q.q) > 0 else float("inf")
     )
     return baseline_as_result(prices, q, bound_value)
 
@@ -265,9 +272,9 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
     dataset = generate_dataset(cfg)
     datamod.save_dataset(os.path.join(out_dir, "dataset.bin"), dataset)
 
-    profiles, constants, f_locals, f_star = calibrate_population(dataset, cfg)
+    population, constants, f_locals, f_star = calibrate_population(dataset, cfg)
     write_population(
-        os.path.join(out_dir, "population.ini"), profiles, f_locals,
+        os.path.join(out_dir, "population.ini"), population, f_locals,
         meta={"alpha": constants.alpha, "beta": constants.beta, "f_star": f_star,
               "rounds": constants.rounds, "local_steps": constants.local_steps,
               "q_floor": constants.q_floor},
@@ -275,7 +282,7 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
 
     results = {}
     for scheme in SCHEMES:
-        result = solve_scheme(scheme, profiles, constants, cfg["budget"])
+        result = solve_scheme(scheme, population, constants, cfg["budget"])
         results[scheme] = result
         write_equilibrium_manifest(
             os.path.join(out_dir, f"equilibrium_{scheme}.json"), result, scheme, cfg["budget"]
@@ -283,7 +290,7 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
 
     runs = [(scheme, cfg["seed"] + k) for scheme in SCHEMES for k in range(cfg["repeats"])]
     run_cfgs = [train_config(cfg, seed=seed, q=results[scheme].q_star) for scheme, seed in runs]
-    for (scheme, seed), metrics in zip(runs, train_runs(dataset, run_cfgs, profiles)):
+    for (scheme, seed), metrics in zip(runs, train_runs(dataset, run_cfgs)):
         write_metrics_csv(
             os.path.join(out_dir, f"metrics_{scheme}_seed{seed}.csv"),
             run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics,
@@ -334,10 +341,10 @@ def build_report(run_dir: str, write: bool = False) -> dict:
         if os.path.exists(path):
             manifests[scheme] = read_equilibrium_manifest(path)
 
-    profiles = f_locals = None
+    population = f_locals = None
     pop_path = os.path.join(run_dir, "population.ini")
     if os.path.exists(pop_path):
-        profiles, f_locals, _meta = read_population(pop_path)
+        population, f_locals, _meta = read_population(pop_path)
 
     final = {
         scheme: {seed: rows[-1] for seed, rows in sorted(by_seed.items())}
@@ -374,14 +381,14 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     negative_payments = {}
     for scheme, (result, _, _budget) in manifests.items():
         negative_payments[scheme] = sum(1 for p in result.p_star.p if p < 0.0)
-        if profiles is not None and f_locals is not None and scheme in mean_final_loss:
+        if population is not None and f_locals is not None and scheme in mean_final_loss:
             total = 0.0
-            for n, prof in enumerate(profiles):
+            for n, (c, v) in enumerate(zip(population.c.tolist(), population.v.tolist())):
                 qn = result.q_star.q[n]
                 total += (
                     result.p_star.p[n] * qn
-                    - prof.cost_coeff * qn**2
-                    + prof.intrinsic_pref * (f_locals[n] - mean_final_loss[scheme])
+                    - c * qn**2
+                    + v * (f_locals[n] - mean_final_loss[scheme])
                 )
             utilities[scheme] = total
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _blas
-from .core import FederatedDataset, ParticipationVector
+from .core import FederatedDataset, ParticipationVector, Population
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,6 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     e = np.exp(z, out=z)
     p = e[np.arange(len(y)), y] / e.sum(axis=1)
     return -np.log(np.maximum(p, 1e-300))
-
-
-def sample_loss(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """loss_and_grad's loss, without the gradient."""
-    return float(_cross_entropy(_augment(x) @ w.T, y).mean() + 0.5 * l2 * float(np.sum(w * w)))
 
 
 def _sgd_step(w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> np.ndarray:
@@ -254,7 +249,7 @@ def aggregate(
     w_prev: np.ndarray,
     local_updates: dict,
     q: ParticipationVector,
-    profiles: list,
+    population: Population,
 ) -> np.ndarray:
     """Inverse-probability-weighted update over the participant set.
 
@@ -266,7 +261,7 @@ def aggregate(
         if q.q[n] == 0.0:
             raise ValueError(f"client {n}: update received but participation probability is 0")
     return _aggregate(w_prev, [local_updates[n] for n in order],
-                      [profiles[n].weight / q.q[n] for n in order])
+                      [population.a[n] / q.q[n] for n in order])
 
 
 def global_loss(w: np.ndarray, dataset: FederatedDataset, l2: float = 0.0) -> float:
@@ -313,29 +308,19 @@ def learning_rate_schedule(cfg: TrainConfig, dataset: FederatedDataset):
     return lambda round_index: theoretical_lr(round_index, smoothness, mu, local_steps)
 
 
-def train(
-    dataset: FederatedDataset,
-    cfg: TrainConfig,
-    profiles: list | None = None,
-    record_states: bool = False,
-):
+def train(dataset: FederatedDataset, cfg: TrainConfig, *, record_states: bool = False):
     """Run the full simulated federated loop and return per-round metrics.
 
     Deterministic for a fixed seed. Rounds with no participant advance the
     counter without touching the model. When ``record_states`` is set, the
-    per-round models are returned alongside the metrics. The weights a_n
-    come from ``profiles`` when given, from the datasizes otherwise. Every
-    loaded OpenBLAS runs on one thread for the length of the call.
+    per-round models are returned alongside the metrics. The weights are
+    the shards' data shares, a_n = d_n / sum(d). Every loaded OpenBLAS runs
+    on one thread for the length of the call.
     """
-    return train_runs(dataset, [cfg], profiles, record_states)[0]
+    return train_runs(dataset, [cfg], record_states=record_states)[0]
 
 
-def train_runs(
-    dataset: FederatedDataset,
-    cfgs: list,
-    profiles: list | None = None,
-    record_states: bool = False,
-) -> list:
+def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = False) -> list:
     """Run several training runs as one loop: one ``train`` result per config, in order.
 
     The configs may differ only in ``seed`` and ``participation``. Each run
@@ -360,7 +345,6 @@ def train_runs(
     cfg = cfgs[0]
 
     shards = _Shards(dataset.shards)
-    a = shards.weights if profiles is None else [p.weight for p in profiles]
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     ws = [np.zeros((dataset.n_classes, dataset.dim + 1)) for _ in cfgs]
     runs = [([], []) for _ in cfgs]      # (metrics, states) per run
@@ -383,7 +367,7 @@ def train_runs(
                 if p:
                     q = c.participation.q
                     ws[k] = _aggregate(ws[k], models[first:first + len(p)],
-                                       [a[n] / q[n] for n in p])
+                                       [shards.weights[n] / q[n] for n in p])
                     first += len(p)
                     max_shard = max(shards.sizes[n] for n in p)
                     batch = cfg.batch if cfg.batch is not None else max_shard

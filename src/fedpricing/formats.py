@@ -11,38 +11,35 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import re
 
-from .core import EquilibriumResult, ParticipationVector, PricingVector, make_population
+from .core import EquilibriumResult, ParticipationVector, Population, PricingVector, make_population
 
 METRICS_HEADER = ["run_id", "seed", "round", "sim_time", "participants", "loss", "accuracy"]
 
 _CLIENT_SECTION = re.compile(r"^client (\d+)$")
 
 
-def write_population(path: str, profiles: list, f_locals: list | None = None,
+def write_population(path: str, population: Population, f_locals: list | None = None,
                      meta: dict | None = None) -> None:
     cp = configparser.ConfigParser()
     cp.optionxform = str
     if meta:
         cp["meta"] = {k: repr(float(v)) for k, v in meta.items()}
-    for i, p in enumerate(profiles):
-        section = {
-            "d": str(int(p.datasize)),
-            "G": repr(float(p.grad_bound)),
-            "c": repr(float(p.cost_coeff)),
-            "v": repr(float(p.intrinsic_pref)),
-            "q_max": repr(float(p.q_max)),
-        }
+    columns = zip(population.d.tolist(), population.G.tolist(), population.c.tolist(),
+                  population.v.tolist(), population.q_max.tolist())
+    for n, (d, G, c, v, q_max) in enumerate(columns):
+        section = {"d": str(int(d)), "G": repr(G), "c": repr(c), "v": repr(v), "q_max": repr(q_max)}
         if f_locals is not None:
-            section["F_local"] = repr(float(f_locals[i]))
-        cp[f"client {p.index}"] = section
+            section["F_local"] = repr(float(f_locals[n]))
+        cp[f"client {n}"] = section
     with open(path, "w") as f:
         cp.write(f)
 
 
 def read_population(path: str):
-    """Returns (profiles, f_locals or None, meta dict)."""
+    """Returns (population, f_locals or None, meta dict)."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     with open(path) as f:
@@ -58,7 +55,7 @@ def read_population(path: str):
         sec = cp[name]
         rows.append((
             int(m.group(1)),
-            int(sec["d"]),
+            float(sec["d"]),
             float(sec["G"]),
             float(sec["c"]),
             float(sec["v"]),
@@ -68,7 +65,7 @@ def read_population(path: str):
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: client indices must be contiguous from 0")
-    profiles = make_population(
+    population = make_population(
         datasizes=[r[1] for r in rows],
         grad_bounds=[r[2] for r in rows],
         cost_coeffs=[r[3] for r in rows],
@@ -78,7 +75,7 @@ def read_population(path: str):
     f_locals = [r[6] for r in rows]
     if any(v is None for v in f_locals):
         f_locals = None
-    return profiles, f_locals, meta
+    return population, f_locals, meta
 
 
 def write_equilibrium_manifest(path: str, result: EquilibriumResult, scheme: str,
@@ -112,7 +109,7 @@ def baseline_as_result(prices: PricingVector, q: ParticipationVector,
         p_star=prices,
         lambda_star=float("nan"),
         v_threshold=float("nan"),
-        spend=sum(payments),
+        spend=math.fsum(payments),
         bound_value=bound_value,
         payments=payments,
         interior=tuple(False for _ in q.q),

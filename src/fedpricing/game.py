@@ -7,10 +7,12 @@ best responses. The solver bisects the budget constraint's dual variable over
 the KKT system (spend is monotone in the dual, so bisection is robust and
 deterministic).
 
-Each solver call reads its population once into columns (``_Clients``) and
-runs both stages on whole arrays, so a Stage-II pass or a spend evaluation is
-a fixed number of numpy operations over N clients rather than N Python calls.
-The public per-client functions are one-client calls into the same kernels.
+Each solver call derives the game's columns from its ``Population`` once
+(``_Clients``) and runs both stages on whole arrays, so a Stage-II pass or a
+spend evaluation is a fixed number of numpy operations over N clients rather
+than N Python calls.
+The public per-client functions are calls into the same kernels on the
+one-client population of a ``ClientProfile`` row.
 
 Clients with intrinsic preference above the payment threshold 1/(3*lambda)
 receive negative prices: they pay the server.
@@ -25,11 +27,11 @@ import numpy as np
 
 from .bound import bound_terms, gap_bound_of, power
 from .core import (
-    ClientColumns,
     ClientProfile,
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
+    Population,
     PricingVector,
 )
 
@@ -70,26 +72,25 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class _Clients:
-    """A population under one set of game constants, as columns.
+    """A population under one set of game constants.
 
     The derived columns are computed once per solver call, in the same
     operation order as the per-client formulas they stand for.
     """
 
-    cols: ClientColumns
+    pop: Population
     vk: np.ndarray         # v (alpha/R) a^2 G^2, the weight of the gap bound in the client's profit
     kkt_num: np.ndarray    # alpha a^2 G^2
     kkt_den: np.ndarray    # 4 R c
     floor: float
 
     @classmethod
-    def read(cls, profiles: list, constants: GameConstants) -> "_Clients":
-        cols = ClientColumns.of(profiles)
+    def read(cls, population: Population, constants: GameConstants) -> "_Clients":
         return cls(
-            cols=cols,
-            vk=cols.v * bound_terms(cols, constants),
-            kkt_num=constants.alpha * power(cols.a, 2) * power(cols.G, 2),
-            kkt_den=4.0 * constants.rounds * cols.c,
+            pop=population,
+            vk=population.v * bound_terms(population, constants),
+            kkt_num=constants.alpha * power(population.a, 2) * power(population.G, 2),
+            kkt_den=4.0 * constants.rounds * population.c,
             floor=constants.q_floor,
         )
 
@@ -115,7 +116,7 @@ def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
     its own interval is 1e-12 wide, so its answer does not depend on who else
     is in the population.
     """
-    c, v, cap = cl.cols.c, cl.cols.v, cl.cols.q_max
+    c, v, cap = cl.pop.c, cl.pop.v, cl.pop.q_max
     q = np.empty(len(c))
     free = v == 0.0
     root = prices[free] / (2.0 * c[free])
@@ -152,8 +153,8 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
     first-order-condition residual (the closed-form cubic root is avoided for
     numerical robustness). Monotone non-decreasing in the price.
     """
-    prices = np.array([p_n], dtype=float)
-    return float(_best_responses(prices, _Clients.read([profile], constants))[0])
+    cl = _Clients.read(Population.of_client(profile), constants)
+    return float(_best_responses(np.array([p_n], dtype=float), cl)[0])
 
 
 # ---------------------------------------------------------------- stage I
@@ -161,7 +162,7 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
 
 def _inverse_prices(levels: np.ndarray, cl: _Clients) -> np.ndarray:
     # P(q) = 2 c q - v (alpha/R) a^2 G^2 / q^2.
-    return 2.0 * cl.cols.c * levels - cl.vk / power(levels, 2)
+    return 2.0 * cl.pop.c * levels - cl.vk / power(levels, 2)
 
 
 def _spend(levels: np.ndarray, cl: _Clients) -> float:
@@ -172,20 +173,20 @@ def _kkt_levels(lam: float, cl: _Clients) -> np.ndarray:
     # q^3 = alpha a^2 G^2 (1/lam - v) / (4 R c), clipped to the box; clients
     # with 1/lam <= v are pinned to the floor.
     inv = 1.0 / lam
-    v = cl.cols.v
+    v = cl.pop.v
     q = power(cl.kkt_num * np.maximum(inv - v, 0.0) / cl.kkt_den, 1.0 / 3.0)
-    q = np.minimum(np.maximum(q, cl.floor), cl.cols.q_max)
+    q = np.minimum(np.maximum(q, cl.floor), cl.pop.q_max)
     return np.where(inv <= v, cl.floor, q)
 
 
 def _cap_lambda(cl: _Clients) -> float:
     # Largest dual value at which every unclipped stationary level still
     # reaches its cap: 1/lambda = (4R/alpha) c q_max^3/(a^2 G^2) + v per client.
-    return 1.0 / float(np.max(cl.kkt_den * power(cl.cols.q_max, 3) / cl.kkt_num + cl.cols.v))
+    return 1.0 / float(np.max(cl.kkt_den * power(cl.pop.q_max, 3) / cl.kkt_num + cl.pop.v))
 
 
 def _check_floor(cl: _Clients) -> None:
-    min_cap = float(np.min(cl.cols.q_max))
+    min_cap = float(np.min(cl.pop.q_max))
     if cl.floor >= min_cap:
         raise ValueError(f"q_floor={cl.floor} must lie below the smallest cap {min_cap}")
 
@@ -197,8 +198,8 @@ def inverse_price(q_n: float, profile: ClientProfile, constants: GameConstants) 
     """
     if q_n < constants.q_floor:
         raise ValueError(f"q_n={q_n} below the participation floor {constants.q_floor}")
-    levels = np.array([q_n], dtype=float)
-    return float(_inverse_prices(levels, _Clients.read([profile], constants))[0])
+    cl = _Clients.read(Population.of_client(profile), constants)
+    return float(_inverse_prices(np.array([q_n], dtype=float), cl)[0])
 
 
 def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstants) -> float:
@@ -210,10 +211,10 @@ def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstan
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return float(_kkt_levels(lam, _Clients.read([profile], constants))[0])
+    return float(_kkt_levels(lam, _Clients.read(Population.of_client(profile), constants))[0])
 
 
-def total_spend(q: ParticipationVector, profiles: list, constants: GameConstants) -> float:
+def total_spend(q: ParticipationVector, population: Population, constants: GameConstants) -> float:
     """Server's total payment when each level is supported by its inverse price.
 
     sum_n (2 c_n q_n^2 - (alpha/R) v_n a_n^2 G_n^2 / q_n); negative summands
@@ -226,7 +227,7 @@ def total_spend(q: ParticipationVector, profiles: list, constants: GameConstants
         raise ValueError(
             f"client {n}: q={levels[n]} below the participation floor {constants.q_floor}"
         )
-    return _spend(levels, _Clients.read(profiles, constants))
+    return _spend(levels, _Clients.read(population, constants))
 
 
 def payment_threshold(lambda_star: float) -> float:
@@ -272,14 +273,14 @@ def _finish(
 ) -> EquilibriumResult:
     prices = _inverse_prices(levels, cl)
     payments = prices * levels
-    interior = (cl.floor + _INTERIOR_EPS < levels) & (levels < cl.cols.q_max - _INTERIOR_EPS)
+    interior = (cl.floor + _INTERIOR_EPS < levels) & (levels < cl.pop.q_max - _INTERIOR_EPS)
     return EquilibriumResult(
         q_star=ParticipationVector(levels),
         p_star=PricingVector(prices),
         lambda_star=lam,
         v_threshold=payment_threshold(lam),
         spend=math.fsum(payments),
-        bound_value=gap_bound_of(levels, cl.cols, constants),
+        bound_value=gap_bound_of(levels, cl.pop, constants),
         payments=tuple(payments.tolist()),
         interior=tuple(interior.tolist()),
         diagnostics=diagnostics,
@@ -287,7 +288,7 @@ def _finish(
 
 
 def server_solve(
-    profiles: list,
+    population: Population,
     constants: GameConstants,
     budget: float,
     opts: SolverOptions | None = None,
@@ -299,16 +300,14 @@ def server_solve(
     optimum unless the budget already buys every client's cap.
     """
     opts = opts or SolverOptions()
-    if len(profiles) < 1:
-        raise ValueError("population must contain at least one client")
-    cl = _Clients.read(profiles, constants)
+    cl = _Clients.read(population, constants)
     _check_floor(cl)
-    min_budget = _spend(np.full(len(profiles), cl.floor), cl)
+    min_budget = _spend(np.full(len(population), cl.floor), cl)
     tol = opts.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
 
-    caps = cl.cols.q_max
+    caps = cl.pop.q_max
     cap_spend = _spend(caps, cl)
     lam_cap = _cap_lambda(cl)
     if cap_spend <= budget + tol:
@@ -404,29 +403,29 @@ def _bisect_budget_scale(
 
 
 def baseline_uniform(
-    profiles: list,
+    population: Population,
     constants: GameConstants,
     budget: float,
     opts: SolverOptions | None = None,
 ):
     """One nonnegative price for everyone, scaled until the budget is exhausted."""
     opts = opts or SolverOptions()
-    cl = _Clients.read(profiles, constants)
-    price, q = _bisect_budget_scale(np.ones(len(profiles)), cl, budget, opts)
+    cl = _Clients.read(population, constants)
+    price, q = _bisect_budget_scale(np.ones(len(population)), cl, budget, opts)
     return price, ParticipationVector(q)
 
 
 def baseline_weighted(
-    profiles: list,
+    population: Population,
     constants: GameConstants,
     budget: float,
     opts: SolverOptions | None = None,
 ):
     """Prices proportional to datasize, scaled until the budget is exhausted."""
     opts = opts or SolverOptions()
-    cl = _Clients.read(profiles, constants)
-    scale, q = _bisect_budget_scale(cl.cols.d, cl, budget, opts)
-    return PricingVector(scale * cl.cols.d), ParticipationVector(q)
+    cl = _Clients.read(population, constants)
+    scale, q = _bisect_budget_scale(cl.pop.d, cl, budget, opts)
+    return PricingVector(scale * cl.pop.d), ParticipationVector(q)
 
 
 @dataclass(frozen=True)
@@ -443,63 +442,52 @@ class EquilibriumReport:
 
 def verify_equilibrium(
     result: EquilibriumResult,
-    profiles: list,
+    population: Population,
     constants: GameConstants,
     budget: float,
 ) -> EquilibriumReport:
     """Check the equalities and sign/ordering structure an equilibrium must satisfy."""
     violations = []
-    interior_idx = [n for n, flag in enumerate(result.interior) if flag]
+    interior_idx = np.flatnonzero(np.array(result.interior, dtype=bool))
+    q = result.q_star.as_array()[interior_idx]
+    c, a, G, v = (col[interior_idx] for col in (population.c, population.a, population.G,
+                                                 population.v))
+    prices = result.p_star.as_array()[interior_idx]
 
-    thetas = []
-    for n in interior_idx:
-        p = profiles[n]
-        qn = result.q_star.q[n]
-        thetas.append(
-            4.0 * constants.rounds * p.cost_coeff * qn**3
-            / (constants.alpha * p.weight**2 * p.grad_bound**2)
-            + p.intrinsic_pref
-        )
+    thetas = (4.0 * constants.rounds * c * power(q, 3)
+              / (constants.alpha * power(a, 2) * power(G, 2)) + v)
     if len(thetas) >= 2:
-        spread = max(thetas) - min(thetas)
-        kkt_residual = spread / max(abs(t) for t in thetas)
+        kkt_residual = float((np.max(thetas) - np.min(thetas)) / np.max(np.abs(thetas)))
     else:
         kkt_residual = 0.0
 
     budget_residual = abs(result.spend - budget)
 
     vt = result.v_threshold
-    sign_ok = True
-    for n in interior_idx:
-        v = profiles[n].intrinsic_pref
-        price = result.p_star.p[n]
-        margin = 1e-9 * max(1.0, abs(vt))
-        if v < vt - margin and price <= 0.0:
-            sign_ok = False
-            violations.append(f"client {n}: intrinsic_pref below threshold but price {price} <= 0")
-        if v > vt + margin and price >= 0.0:
-            sign_ok = False
-            violations.append(f"client {n}: intrinsic_pref above threshold but price {price} >= 0")
+    margin = 1e-9 * max(1.0, abs(vt))
+    below = (v < vt - margin) & (prices <= 0.0)
+    above = (v > vt + margin) & (prices >= 0.0)
+    sign_ok = not (below.any() or above.any())
+    for n, price, low in zip(interior_idx[below | above].tolist(),
+                             prices[below | above].tolist(), below[below | above].tolist()):
+        side, sign = ("below", "<=") if low else ("above", ">=")
+        violations.append(f"client {n}: intrinsic_pref {side} threshold but price {price} {sign} 0")
 
     ordering_ok = True
-    for i in interior_idx:
-        for j in interior_idx:
-            if i == j:
+    strength = (c * a * G).tolist()
+    v, prices = v.tolist(), prices.tolist()
+    for i, n_i in enumerate(interior_idx.tolist()):
+        for j, n_j in enumerate(interior_idx.tolist()):
+            if strength[i] <= strength[j]:
                 continue
-            pi, pj = profiles[i], profiles[j]
-            strength_i = pi.cost_coeff * pi.weight * pi.grad_bound
-            strength_j = pj.cost_coeff * pj.weight * pj.grad_bound
-            if strength_i <= strength_j:
-                continue
-            price_i, price_j = result.p_star.p[i], result.p_star.p[j]
-            if pi.intrinsic_pref < pj.intrinsic_pref < vt:
-                if not price_i > price_j > 0.0:
+            if v[i] < v[j] < vt:
+                if not prices[i] > prices[j] > 0.0:
                     ordering_ok = False
-                    violations.append(f"clients ({i},{j}): positive-price ordering violated")
-            elif pi.intrinsic_pref > pj.intrinsic_pref > vt:
-                if not price_i < price_j < 0.0:
+                    violations.append(f"clients ({n_i},{n_j}): positive-price ordering violated")
+            elif v[i] > v[j] > vt:
+                if not prices[i] < prices[j] < 0.0:
                     ordering_ok = False
-                    violations.append(f"clients ({i},{j}): negative-price ordering violated")
+                    violations.append(f"clients ({n_i},{n_j}): negative-price ordering violated")
 
     return EquilibriumReport(
         n_interior=len(interior_idx),

@@ -9,7 +9,10 @@ grid point. ``client_utility`` is a client's profit with the bound's other
 summands held fixed. ``train`` is the per-participant training loop the
 stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
-summed shard by shard. They only use the package's public functions.
+summed shard by shard. ``population_rows`` is the row-by-row population
+construction the columnar ``make_population`` replaced, and
+``verify_equilibrium`` the per-client loop over profile rows that the
+column version replaced. They only use the package's public functions.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ from fedpricing.core import (
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
+    PopulationError,
     PricingVector,
 )
 from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
 from fedpricing.game import (
     BracketError,
+    EquilibriumReport,
     InfeasibleBudgetError,
     SolverOptions,
     inverse_price,
@@ -456,3 +461,139 @@ def pilot_gradient_norms(dataset, cfg, pilot_rounds, seed):
             updates[n] = w_local
         w = aggregate(w, updates, q_full, weights)
     return norms
+
+
+# ---------------------------------------------------------------- population rows
+
+
+def _check_row(index, datasize, weight, grad_bound, cost_coeff, intrinsic_pref, q_max):
+    """A ClientProfile's checks, one field at a time."""
+    values = {"datasize": datasize, "weight": weight, "grad_bound": grad_bound,
+              "cost_coeff": cost_coeff, "intrinsic_pref": intrinsic_pref, "q_max": q_max}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise PopulationError(f"client {index}: {name} must be finite, got {value}")
+    if datasize <= 0:
+        raise PopulationError(f"client {index}: datasize must be positive, got {datasize}")
+    if not 0.0 < weight <= 1.0:
+        raise PopulationError(f"client {index}: weight must be in (0, 1], got {weight}")
+    if grad_bound <= 0.0:
+        raise PopulationError(f"client {index}: grad_bound must be positive, got {grad_bound}")
+    if cost_coeff <= 0.0:
+        raise PopulationError(f"client {index}: cost_coeff must be positive, got {cost_coeff}")
+    if intrinsic_pref < 0.0:
+        raise PopulationError(
+            f"client {index}: intrinsic_pref must be nonnegative, got {intrinsic_pref}"
+        )
+    if not 0.0 < q_max <= 1.0:
+        raise PopulationError(f"client {index}: q_max must be in (0, 1], got {q_max}")
+
+
+def population_rows(datasizes, grad_bounds, cost_coeffs, intrinsic_prefs, q_maxes):
+    """make_population one client at a time: a list of (index, datasize, weight,
+    grad_bound, cost_coeff, intrinsic_pref, q_max) rows.
+
+    As the per-row construction was written, except that a datasize that is
+    not a whole number is rejected in the datasize pass instead of truncated.
+    """
+    lists = {
+        "datasizes": list(datasizes),
+        "grad_bounds": list(grad_bounds),
+        "cost_coeffs": list(cost_coeffs),
+        "intrinsic_prefs": list(intrinsic_prefs),
+        "q_maxes": list(q_maxes),
+    }
+    n = len(lists["datasizes"])
+    if n < 1:
+        raise PopulationError("population must contain at least one client")
+    for name, values in lists.items():
+        if len(values) != n:
+            raise PopulationError(f"{name} has length {len(values)}, expected {n}")
+    for i, d in enumerate(lists["datasizes"]):
+        if not (math.isfinite(d) and d > 0):
+            raise PopulationError(f"client {i}: datasize must be positive and finite, got {d}")
+        if not float(d).is_integer():
+            raise PopulationError(f"client {i}: datasize must be an integer, got {d}")
+    total = float(sum(lists["datasizes"]))
+    rows = []
+    for i in range(n):
+        row = (
+            i,
+            int(lists["datasizes"][i]),
+            lists["datasizes"][i] / total,
+            float(lists["grad_bounds"][i]),
+            float(lists["cost_coeffs"][i]),
+            float(lists["intrinsic_prefs"][i]),
+            float(lists["q_maxes"][i]),
+        )
+        _check_row(*row)
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------- equilibrium checks
+
+
+def verify_equilibrium(result, profiles, constants, budget):
+    """Check the equalities and sign/ordering structure an equilibrium must satisfy."""
+    violations = []
+    interior_idx = [n for n, flag in enumerate(result.interior) if flag]
+
+    thetas = []
+    for n in interior_idx:
+        p = profiles[n]
+        qn = result.q_star.q[n]
+        thetas.append(
+            4.0 * constants.rounds * p.cost_coeff * qn**3
+            / (constants.alpha * p.weight**2 * p.grad_bound**2)
+            + p.intrinsic_pref
+        )
+    if len(thetas) >= 2:
+        spread = max(thetas) - min(thetas)
+        kkt_residual = spread / max(abs(t) for t in thetas)
+    else:
+        kkt_residual = 0.0
+
+    budget_residual = abs(result.spend - budget)
+
+    vt = result.v_threshold
+    sign_ok = True
+    for n in interior_idx:
+        v = profiles[n].intrinsic_pref
+        price = result.p_star.p[n]
+        margin = 1e-9 * max(1.0, abs(vt))
+        if v < vt - margin and price <= 0.0:
+            sign_ok = False
+            violations.append(f"client {n}: intrinsic_pref below threshold but price {price} <= 0")
+        if v > vt + margin and price >= 0.0:
+            sign_ok = False
+            violations.append(f"client {n}: intrinsic_pref above threshold but price {price} >= 0")
+
+    ordering_ok = True
+    for i in interior_idx:
+        for j in interior_idx:
+            if i == j:
+                continue
+            pi, pj = profiles[i], profiles[j]
+            strength_i = pi.cost_coeff * pi.weight * pi.grad_bound
+            strength_j = pj.cost_coeff * pj.weight * pj.grad_bound
+            if strength_i <= strength_j:
+                continue
+            price_i, price_j = result.p_star.p[i], result.p_star.p[j]
+            if pi.intrinsic_pref < pj.intrinsic_pref < vt:
+                if not price_i > price_j > 0.0:
+                    ordering_ok = False
+                    violations.append(f"clients ({i},{j}): positive-price ordering violated")
+            elif pi.intrinsic_pref > pj.intrinsic_pref > vt:
+                if not price_i < price_j < 0.0:
+                    ordering_ok = False
+                    violations.append(f"clients ({i},{j}): negative-price ordering violated")
+
+    return EquilibriumReport(
+        n_interior=len(interior_idx),
+        kkt_equality_residual=kkt_residual,
+        budget_residual=budget_residual,
+        threshold_sign_ok=sign_ok,
+        ordering_ok=ordering_ok,
+        violations=tuple(violations),
+    )

@@ -7,7 +7,6 @@ from fedpricing.bound import (
     bound_gradient,
     convergence_gap_bound,
     participation_penalty,
-    variance_bound,
 )
 from fedpricing.core import GameConstants, ParticipationVector, make_population
 
@@ -32,39 +31,34 @@ def random_instance(rng, n=None):
     return profiles, constants, q
 
 
-def test_variance_bound_zero_at_full_participation():
+def test_participation_penalty_zero_at_full_participation():
     profiles = make_population([1, 2, 3], [1, 2, 3], [1, 1, 1], [0, 0, 0], [1, 1, 1])
     q = ParticipationVector([1.0, 1.0, 1.0])
-    assert variance_bound(q, profiles, eta=0.1, local_steps=5) == 0.0
+    assert participation_penalty(q, profiles) == 0.0
 
 
-def test_variance_bound_single_client_value():
+def test_participation_penalty_single_client_value():
     profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
     q = ParticipationVector([0.5])
-    # 4 * (1 - 0.5) * 1 * 1 / 0.5 * 1 = 4
-    assert variance_bound(q, profiles, eta=1.0, local_steps=1) == pytest.approx(4.0)
+    # (1 - 0.5) * 1 * 1 / 0.5 = 1
+    assert participation_penalty(q, profiles) == 1.0
 
 
-def test_variance_bound_quadratic_in_grad_bounds():
+def test_participation_penalty_quadratic_in_grad_bounds():
     rng = np.random.default_rng(3)
     profiles, constants, q = random_instance(rng, n=4)
-    doubled = make_population(
-        [p.datasize for p in profiles],
-        [2 * p.grad_bound for p in profiles],
-        [p.cost_coeff for p in profiles],
-        [p.intrinsic_pref for p in profiles],
-        [p.q_max for p in profiles],
-    )
-    v1 = variance_bound(q, profiles, 0.1, 3)
-    v2 = variance_bound(q, doubled, 0.1, 3)
+    doubled = make_population(profiles.d, 2 * profiles.G, profiles.c, profiles.v, profiles.q_max)
+    v1 = participation_penalty(q, profiles)
+    v2 = participation_penalty(q, doubled)
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
-def test_variance_bound_rejects_nonpositive_q():
+def test_gap_bound_rejects_nonpositive_q():
     profiles = make_population([1, 1], [1, 1], [1, 1], [0, 0], [1, 1])
     q = ParticipationVector([0.5, 0.0])
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     with pytest.raises(ValueError, match="client 1"):
-        variance_bound(q, profiles, 0.1, 1)
+        convergence_gap_bound(q, profiles, constants)
 
 
 def test_gap_bound_full_participation_is_beta_over_rounds():

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from fedpricing.cli import main
+from fedpricing.core import make_population
+from fedpricing.formats import read_population, write_population
 
 
 def run_cli(args, capsys):
@@ -124,6 +126,44 @@ def test_infeasible_budget_reported(tmp_path, capsys):
     assert "infeasible" in stderr
 
 
+def run_module(args):
+    """``python -m fedpricing.cli`` in a fresh interpreter, with the package from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-m", "fedpricing.cli"] + args,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),
+                                            ("datasize", "client 1 has d = ")])
+def test_train_rejects_a_population_that_does_not_match_the_dataset(tmp_path, capsys,
+                                                                   change, message):
+    cfg = write_fast_config(tmp_path)
+    out = str(tmp_path / "run")
+    run_cli(["gen-data", "--config", cfg, "--out", out], capsys)
+    dataset = os.path.join(out, "dataset.bin")
+    run_cli(["calibrate", "--config", cfg, "--dataset", dataset, "--out", out], capsys)
+    population = os.path.join(out, "population.ini")
+    run_cli(["solve", "--config", cfg, "--population", population, "--out", out], capsys)
+    pop, f_locals, meta = read_population(population)
+    keep = slice(0, 2) if change == "count" else slice(None)
+    d = pop.d.copy()
+    if change == "datasize":
+        d[1] += 1
+    wrong = make_population(d[keep], pop.G[keep], pop.c[keep], pop.v[keep], pop.q_max[keep])
+    write_population(population, wrong, f_locals[keep], meta)
+    proc = run_module(["train", "--config", cfg, "--dataset", dataset, "--population", population,
+                       "--equilibrium", os.path.join(out, "equilibrium_optimal.json"),
+                       "--out", out])
+    assert proc.returncode != 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert message in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert not any(name.startswith("metrics_") for name in os.listdir(out))
+
+
 @pytest.mark.parametrize("where,message", [("header", "truncated header"), ("body", "truncated")])
 def test_truncated_dataset_is_one_error_line(tmp_path, capsys, where, message):
     cfg = write_fast_config(tmp_path)
@@ -132,14 +172,8 @@ def test_truncated_dataset_is_one_error_line(tmp_path, capsys, where, message):
     payload = (tmp_path / "run" / "dataset.bin").read_bytes()
     cut = tmp_path / "cut.bin"
     cut.write_bytes(payload[:10] if where == "header" else payload[:len(payload) // 2])
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedpricing.cli", "calibrate", "--config", cfg,
-         "--dataset", str(cut), "--out", str(tmp_path / "cal")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_module(["calibrate", "--config", cfg, "--dataset", str(cut),
+                       "--out", str(tmp_path / "cal")])
     assert proc.returncode != 0
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

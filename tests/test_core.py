@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from fedpricing.core import (
-    BoundConstituents,
     ClientProfile,
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
+    Population,
     PopulationError,
     PricingVector,
-    derive_beta,
     make_population,
 )
 
@@ -87,6 +86,37 @@ def test_make_population_rejects_non_finite_entries(column, value):
         make_population(*columns)
 
 
+def test_non_integer_datasize_rejected_not_truncated():
+    with pytest.raises(PopulationError, match=r"client 1: datasize must be an integer, got 2.5"):
+        make_population([1, 2.5], [1, 1], [1, 1], [0, 0], [1, 1])
+    with pytest.raises(PopulationError, match=r"client 4: datasize must be an integer"):
+        ClientProfile(index=4, datasize=2.5, weight=1.0, grad_bound=1.0, cost_coeff=1.0,
+                      intrinsic_pref=0.0)
+    assert make_population([1.0, 3.0], [1, 1], [1, 1], [0, 0], [1, 1])[1].datasize == 3
+
+
+def test_population_columns_are_read_only_and_rows_built_once():
+    d = np.array([3, 1])
+    population = make_population(d, [1.0, 2.0], [1, 1], [0, 0], [1, 1])
+    d[0] = 7                      # the population keeps its own copy
+    assert population.d.tolist() == [3.0, 1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        population.a[0] = 0.5
+    assert population[0] is population[0]
+    assert population[1] == ClientProfile(index=1, datasize=1, weight=0.25, grad_bound=2.0,
+                                          cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
+    assert [p.index for p in population] == [0, 1] and len(population) == 2
+
+
+def test_population_checks_its_columns():
+    with pytest.raises(PopulationError, match="grad_bound column has shape"):
+        Population([1, 2], [0.5, 0.5], [1.0], [1, 1], [0, 0], [1, 1])
+    with pytest.raises(PopulationError, match="client 1: q_max must be in"):
+        Population([1, 2], [0.5, 0.5], [1, 1], [1, 1], [0, 0], [1, 0])
+    one = Population.of_client(make_population([1, 3], [1, 2], [1, 1], [0, 0], [1, 1])[1])
+    assert (len(one), one.a.tolist(), one.G.tolist()) == (1, [0.75], [2.0])
+
+
 def test_game_constants_invariants():
     GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     with pytest.raises(ValueError):
@@ -105,29 +135,6 @@ def test_participation_vector_range():
         ParticipationVector([0.5, 1.2])
 
 
-def test_derive_beta_matches_manual_computation():
-    profiles = make_population([2, 2], [1.0, 2.0], [1, 1], [0, 0], [1, 1])
-    cons = BoundConstituents(
-        smoothness=2.0, strong_convexity=0.5, grad_variances=(1.0, 4.0),
-        heterogeneity_gap=0.1, init_dist_sq=3.0,
-    )
-    E = 2
-    a0 = 0.25 * 1.0 + 0.25 * 4.0 + 8 * (0.5 * 1.0 + 0.5 * 4.0) * (E - 1) ** 2
-    expected = (
-        2 * 2.0 / (0.25 * E) * a0
-        + 12 * 4.0 / (0.25 * E) * 0.1
-        + 4 * 4.0 / (0.5 * E) * 3.0
-    )
-    assert derive_beta(cons, profiles, E) == pytest.approx(expected, rel=1e-12)
-
-
-def test_derive_beta_rejects_mismatched_variances():
-    profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
-    cons = BoundConstituents(1.0, 1.0, (1.0, 2.0), 0.0, 0.0)
-    with pytest.raises(PopulationError):
-        derive_beta(cons, profiles, 1)
-
-
 class TestManifestRoundTrips:
     """Every core type survives a trip through the manifest (JSON dict) form."""
 
@@ -136,10 +143,7 @@ class TestManifestRoundTrips:
         assert ClientProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
     def test_game_constants(self):
-        c = GameConstants(
-            alpha=2.0, beta=1.0, rounds=10, local_steps=5, q_floor=0.02,
-            constituents=BoundConstituents(1.0, 0.1, (1.0,), 0.0, 2.0),
-        )
+        c = GameConstants(alpha=2.0, beta=1.0, rounds=10, local_steps=5, q_floor=0.02)
         assert GameConstants.from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
     def test_vectors(self):

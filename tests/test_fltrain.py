@@ -238,8 +238,7 @@ def test_global_loss_weighted_by_datasize():
         n_classes=2, dim=2,
     )
     w = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])  # bias favors class 0
-    from fedpricing.fltrain import sample_loss
-    expected = 0.25 * sample_loss(w, x0, y0, 0.0) + 0.75 * sample_loss(w, x1, y1, 0.0)
+    expected = 0.25 * loss_and_grad(w, x0, y0, 0.0)[0] + 0.75 * loss_and_grad(w, x1, y1, 0.0)[0]
     assert global_loss(w, ds) == pytest.approx(expected)
 
 
@@ -308,21 +307,16 @@ def assert_same_run(got, ref):
     schedule=st.sampled_from(["exponential", "theoretical"]),
     l2=st.sampled_from([0.0, 1e-3]),
     seed=st.integers(0, 2**16),
-    with_profiles=st.booleans(),
 )
 def test_stacked_train_equals_the_per_participant_loop(
-    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seed, with_profiles
+    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seed
 ):
     q = ParticipationVector(data.draw(st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)))
     cfg = TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, l2=l2,
                       lr_schedule=schedule, eta0=0.5, participation=q, eval_stride=eval_stride)
-    profiles = None
-    if with_profiles:
-        n = ds.n_clients
-        profiles = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
     with _blas.one_thread():
-        ref = oracles.train(ds, cfg, profiles, record_states=True)
-    assert_same_run(train(ds, cfg, profiles, record_states=True), ref)
+        ref = oracles.train(ds, cfg, record_states=True)
+    assert_same_run(train(ds, cfg, record_states=True), ref)
 
 
 def test_stacked_train_equals_the_reference_with_empty_rounds():
@@ -374,10 +368,9 @@ def assert_identical_run(got, ref):
     schedule=st.sampled_from(["exponential", "theoretical"]),
     l2=st.sampled_from([0.0, 1e-3]),
     seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
-    with_profiles=st.booleans(),
 )
 def test_train_runs_equal_the_per_participant_loop_run_by_run(
-    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seeds, with_profiles
+    ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seeds
 ):
     levels = st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)
     cfgs = [
@@ -386,17 +379,13 @@ def test_train_runs_equal_the_per_participant_loop_run_by_run(
                     participation=ParticipationVector(data.draw(levels)))
         for seed in seeds
     ]
-    profiles = None
-    if with_profiles:
-        n = ds.n_clients
-        profiles = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
-    runs = train_runs(ds, cfgs, profiles, record_states=True)
+    runs = train_runs(ds, cfgs, record_states=True)
     assert len(runs) == len(cfgs)
     for cfg, run in zip(cfgs, runs):
         with _blas.one_thread():
-            ref = oracles.train(ds, cfg, profiles, record_states=True)
+            ref = oracles.train(ds, cfg, record_states=True)
         assert_identical_run(run, ref)
-    assert [m.loss for m in train_runs(ds, cfgs, profiles)[-1]] == [m.loss for m in runs[-1][0]]
+    assert [m.loss for m in train_runs(ds, cfgs)[-1]] == [m.loss for m in runs[-1][0]]
 
 
 def test_train_runs_rejects_no_configs():

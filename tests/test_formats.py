@@ -102,6 +102,14 @@ def test_baseline_as_result_wraps_fields():
     assert result.bound_value == 3.0
 
 
+def test_baseline_spend_is_the_exact_sum_of_payments():
+    prices = PricingVector([1.0, 1e100, 1.0, -1e100])
+    q = ParticipationVector([1.0] * 4)
+    result = baseline_as_result(prices, q)
+    assert result.payments == (1.0, 1e100, 1.0, -1e100)
+    assert result.spend == 2.0
+
+
 def test_metrics_csv_round_trip(tmp_path):
     metrics = [
         RoundMetrics(round_index=0, participants=(0, 2), loss=1.25, accuracy=0.5, sim_time=1.5),

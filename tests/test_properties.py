@@ -3,23 +3,40 @@
 The array kernels in ``fedpricing.game`` must reproduce the per-client
 scalar reference in ``oracles.py`` bit for bit, on single clients and on
 mixed populations: v = 0 next to v > 0, prices of either sign and zero,
-values far above the price, and caps below 1.
+values far above the price, and caps below 1. ``make_population`` must
+accept and reject what the row-by-row construction does, with the same
+message, and a population must survive its file format bit for bit.
 """
 
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedpricing.core import GameConstants, ParticipationVector, make_population
+from fedpricing.core import (
+    FederatedDataset,
+    GameConstants,
+    ParticipationVector,
+    PopulationError,
+    PricingVector,
+    make_population,
+)
+from fedpricing.fltrain import _Shards
+from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
     _best_responses,
     _Clients,
     baseline_uniform,
     baseline_weighted,
     kkt_participation,
+    server_solve,
     total_spend,
+    verify_equilibrium,
 )
 
 import oracles
@@ -106,3 +123,115 @@ def test_baseline_levels_are_the_reference_best_responses(rows, constants, share
     prices, q = baseline_weighted(profiles, constants, budget)
     want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices.p, profiles)]
     np.testing.assert_array_equal(bits(q.q), bits(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, share=st.floats(0.0, 1.0), data=st.data())
+def test_verify_equilibrium_is_the_per_client_loop(rows, constants, share, data):
+    profiles = build(rows)
+    n = len(profiles)
+    if constants.q_floor >= min(p.q_max for p in profiles):
+        return
+    floor = total_spend(ParticipationVector([constants.q_floor] * n), profiles, constants)
+    caps = total_spend(ParticipationVector([p.q_max for p in profiles]), profiles, constants)
+    budget = floor + share * (caps - floor)
+    result = server_solve(profiles, constants, budget)
+    if data.draw(st.booleans()):     # scrambled prices and flags, so that checks fail
+        result = dataclasses.replace(
+            result,
+            p_star=PricingVector(data.draw(st.lists(PRICE, min_size=n, max_size=n))),
+            interior=tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        )
+    got = verify_equilibrium(result, profiles, constants, budget)
+    assert got == oracles.verify_equilibrium(result, profiles, constants, budget)
+
+
+# ---------------------------------------------------------------- population construction
+
+NAN, INF = float("nan"), float("inf")
+POSITIVE = st.floats(1e-300, 1e300)
+# Valid and invalid entries per make_population argument, in argument order.
+GOOD = (
+    st.integers(1, 2**40),
+    POSITIVE,
+    POSITIVE,
+    st.one_of(st.just(0.0), POSITIVE),
+    st.one_of(st.just(1.0), st.floats(1e-300, 1.0)),
+)
+NON_FINITE = st.sampled_from([NAN, INF, -INF])
+NEGATIVE = st.floats(-1e300, -1e-300)
+BAD = (
+    st.one_of(NON_FINITE, st.sampled_from([0, 0.0, -0.0]), st.integers(-2**40, 0), NEGATIVE,
+              st.floats(1e-3, 1e6).filter(lambda x: not x.is_integer())),
+    st.one_of(NON_FINITE, st.sampled_from([0.0, -0.0]), NEGATIVE),
+    st.one_of(NON_FINITE, st.sampled_from([0.0, -0.0]), NEGATIVE),
+    st.one_of(NON_FINITE, NEGATIVE),
+    st.one_of(NON_FINITE, st.sampled_from([0.0, -0.0]), NEGATIVE,
+              st.floats(1.0, 1e300, exclude_min=True)),
+)
+
+
+@st.composite
+def population_arguments(draw):
+    """make_population's five arguments, with 0 to 4 invalid entries in random
+    places, as lists or as arrays, and datasizes as ints or as floats."""
+    n = draw(st.integers(1, 12))
+    columns = [draw(st.lists(good, min_size=n, max_size=n)) for good in GOOD]
+    if draw(st.booleans()):
+        columns[0] = [float(d) for d in columns[0]]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, 4))
+        columns[k][draw(st.integers(0, n - 1))] = draw(BAD[k])
+    as_array = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    return [np.array(col) if arr else col for col, arr in zip(columns, as_array)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=population_arguments())
+@example(args=[[1, 2, 0], [1.0] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3])
+@example(args=[[1, 2.5, 3], [NAN] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3])
+@example(args=[[4, 1], [1.0, -1.0], [1.0, 1.0], [NAN, 0.0], [1.0, 2.0]])
+@example(args=[[1, 2], [1.0], [1.0] * 2, [0.0] * 2, [1.0] * 2])
+def test_make_population_accepts_and_rejects_as_the_row_by_row_construction(args):
+    try:
+        rows = oracles.population_rows(*args)
+    except PopulationError as exc:
+        with pytest.raises(PopulationError) as got:
+            make_population(*args)
+        assert str(got.value) == str(exc)
+        return
+    population = make_population(*args)
+    want = list(zip(*rows))
+    assert list(population.d) == list(want[1])
+    for column, values in zip(population.columns[1:], want[2:]):
+        np.testing.assert_array_equal(bits(column), bits(values))
+    assert [tuple(p.to_dict().values()) for p in population] == rows
+
+
+CLIENT_ANY_SCALE = st.tuples(GOOD[0], GOOD[1], GOOD[2], GOOD[3], GOOD[4])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=20),
+       with_f_locals=st.booleans())
+def test_population_file_round_trip_is_bit_exact(rows, with_f_locals):
+    population = build(rows)
+    f_locals = [float(n) / 3.0 for n in range(len(rows))] if with_f_locals else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "population.ini")
+        write_population(path, population, f_locals)
+        back, back_f, _ = read_population(path)
+    for column, original in zip(back.columns, population.columns):
+        np.testing.assert_array_equal(bits(column), bits(original))
+    assert back_f == f_locals
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30))
+def test_population_weights_are_the_training_weights(sizes):
+    shards = tuple((np.zeros((size, 1)), np.zeros(size, dtype=np.int64)) for size in sizes)
+    ds = FederatedDataset(shards=shards, test_features=np.zeros((0, 1)),
+                          test_labels=np.zeros(0, dtype=np.int64), n_classes=1, dim=1)
+    n = len(sizes)
+    population = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
+    np.testing.assert_array_equal(bits(population.a), bits(_Shards(ds.shards).weights))
