@@ -19,16 +19,28 @@ from .core import GameConstants, ParticipationVector, Population
 def power(x, y):
     """x**y elementwise, rounded as Python's ``**`` rounds it on floats.
 
-    ``np.float_power`` calls the C library's ``pow``, as Python does; numpy's
-    ``**`` multiplies for squares and uses SIMD code for other exponents, and
-    either can differ from ``pow`` in the last bit.
+    Used for cubes and cube roots only. ``np.float_power`` calls the C
+    library's ``pow``, as Python does; numpy's ``**`` uses SIMD code for
+    exponents other than 2, which can differ from ``pow`` in the last bit.
+    Squares are written as products, ``x * x``: a product is correctly
+    rounded on every platform, while ``pow(x, 2)`` is not always, and it is
+    many times cheaper.
     """
     return np.float_power(x, y)
 
 
-def positive_levels(q: ParticipationVector) -> np.ndarray:
-    """The levels of q as an array, after checking that each is positive."""
+def checked_levels(q: ParticipationVector, population: Population) -> np.ndarray:
+    """The levels of q as an array, after checking that there is one per client."""
     levels = q.as_array()
+    if len(levels) != len(population):
+        raise ValueError(f"participation has {len(levels)} entries for {len(population)} clients")
+    return levels
+
+
+def positive_levels(q: ParticipationVector, population: Population) -> np.ndarray:
+    """The levels of q as an array, after checking that there is one per client
+    and that each is positive."""
+    levels = checked_levels(q, population)
     bad = np.flatnonzero(~(levels > 0.0))
     if bad.size:
         n = int(bad[0])
@@ -38,7 +50,8 @@ def positive_levels(q: ParticipationVector) -> np.ndarray:
 
 def penalty_of(levels: np.ndarray, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n over positive levels."""
-    return math.fsum((1.0 - levels) * power(population.a, 2) * power(population.G, 2) / levels)
+    a, G = population.a, population.G
+    return math.fsum((1.0 - levels) * (a * a) * (G * G) / levels)
 
 
 def gap_bound_of(levels: np.ndarray, population: Population, constants: GameConstants) -> float:
@@ -48,12 +61,13 @@ def gap_bound_of(levels: np.ndarray, population: Population, constants: GameCons
 
 def bound_terms(population: Population, constants: GameConstants) -> np.ndarray:
     """(alpha/R) a_n^2 G_n^2 per client: each one's coefficient in the gap bound."""
-    return constants.alpha / constants.rounds * power(population.a, 2) * power(population.G, 2)
+    a, G = population.a, population.G
+    return constants.alpha / constants.rounds * (a * a) * (G * G)
 
 
 def participation_penalty(q: ParticipationVector, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, the data-weighted participation deficit."""
-    return penalty_of(positive_levels(q), population)
+    return penalty_of(positive_levels(q, population), population)
 
 
 def convergence_gap_bound(
@@ -63,7 +77,7 @@ def convergence_gap_bound(
 
     Returns (1/R) * (alpha * sum_n (1 - q_n) a_n^2 G_n^2 / q_n + beta).
     """
-    return gap_bound_of(positive_levels(q), population, constants)
+    return gap_bound_of(positive_levels(q, population), population, constants)
 
 
 def bound_gradient(
@@ -74,6 +88,7 @@ def bound_gradient(
     Strictly negative in every component: more participation always tightens
     the bound.
     """
-    levels = positive_levels(q)
+    levels = positive_levels(q, population)
     scale = constants.alpha / constants.rounds
-    return (-scale * power(population.a, 2) * power(population.G, 2) / power(levels, 2)).tolist()
+    a, G = population.a, population.G
+    return (-scale * (a * a) * (G * G) / (levels * levels)).tolist()

@@ -23,19 +23,21 @@ _CLIENT_SECTION = re.compile(r"^client (\d+)$")
 
 def write_population(path: str, population: Population, f_locals: list | None = None,
                      meta: dict | None = None) -> None:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+    """Write the file as ``configparser`` writes it, byte for byte, without
+    building a parser object per client."""
+    lines = []
     if meta:
-        cp["meta"] = {k: repr(float(v)) for k, v in meta.items()}
+        lines += ["[meta]", *(f"{k} = {float(v)!r}" for k, v in meta.items()), ""]
     columns = zip(population.d.tolist(), population.G.tolist(), population.c.tolist(),
                   population.v.tolist(), population.q_max.tolist())
     for n, (d, G, c, v, q_max) in enumerate(columns):
-        section = {"d": str(int(d)), "G": repr(G), "c": repr(c), "v": repr(v), "q_max": repr(q_max)}
+        lines += [f"[client {n}]", f"d = {int(d)}", f"G = {G!r}", f"c = {c!r}", f"v = {v!r}",
+                  f"q_max = {q_max!r}"]
         if f_locals is not None:
-            section["F_local"] = repr(float(f_locals[n]))
-        cp[f"client {n}"] = section
+            lines.append(f"F_local = {float(f_locals[n])!r}")
+        lines.append("")
     with open(path, "w") as f:
-        cp.write(f)
+        f.write("\n".join(lines) + "\n")
 
 
 def read_population(path: str):
@@ -83,8 +85,7 @@ def write_equilibrium_manifest(path: str, result: EquilibriumResult, scheme: str
     payload = {"scheme": scheme, "budget": budget}
     payload.update(result.to_dict())
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_equilibrium_manifest(path: str):

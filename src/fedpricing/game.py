@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import bound_terms, gap_bound_of, power
+from .bound import bound_terms, checked_levels, gap_bound_of, power
 from .core import (
     ClientProfile,
     EquilibriumResult,
@@ -86,10 +86,11 @@ class _Clients:
 
     @classmethod
     def read(cls, population: Population, constants: GameConstants) -> "_Clients":
+        a, G = population.a, population.G
         return cls(
             pop=population,
             vk=population.v * bound_terms(population, constants),
-            kkt_num=constants.alpha * power(population.a, 2) * power(population.G, 2),
+            kkt_num=constants.alpha * (a * a) * (G * G),
             kkt_den=4.0 * constants.rounds * population.c,
             floor=constants.q_floor,
         )
@@ -100,7 +101,7 @@ class _Clients:
 
 def _foc(q, prices, vk, c2):
     # P + v (alpha/R) a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
-    return prices + vk / power(q, 2) - c2 * q
+    return prices + vk / (q * q) - c2 * q
 
 
 def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
@@ -157,16 +158,71 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
     return float(_best_responses(np.array([p_n], dtype=float), cl)[0])
 
 
+# ---------------------------------------------------------------- certified sums
+
+
+class _Total:
+    """``math.fsum(terms)``, bounded from ``np.sum`` and computed only when a
+    test needs it.
+
+    ``np.sum`` adds in some order, each addition rounded, so it lies within
+    gamma_{n-1} * sum |x_i| of the exact sum, with gamma_k = k u / (1 - k u)
+    and u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 4.2). The bound taken, 2 n u times the computed sum of |x_i|,
+    covers that and its own rounding while n u < 0.01, and the ends it gives
+    are moved out by one ulp. The correctly rounded sum ``math.fsum`` returns
+    lies between the ends, so a test monotone in the total that answers the
+    same at both ends answers so for ``math.fsum(terms)`` too: every decision
+    is the one ``math.fsum`` gives. Only a test whose answer differs at the
+    ends runs ``math.fsum``; totals that are not finite, or near overflow, run
+    it at once, with its errors.
+    """
+
+    def __init__(self, terms: np.ndarray):
+        self.terms = terms
+        with np.errstate(over="ignore", invalid="ignore"):   # math.fsum reports these
+            total = float(np.sum(terms))
+            size = float(np.sum(np.abs(terms)))
+        if math.isfinite(total) and size < 2.0**1000:
+            err = 2.0 * len(terms) * 2.0**-53 * size
+            self.lo = math.nextafter(total - err, -math.inf)
+            self.hi = math.nextafter(total + err, math.inf)
+        else:
+            self.exact()
+
+    def exact(self) -> float:
+        self.lo = self.hi = math.fsum(self.terms)
+        return self.lo
+
+    def test(self, holds) -> bool:
+        """holds(math.fsum(terms)), for a predicate monotone in the total."""
+        at_lo = holds(self.lo)
+        if at_lo == holds(self.hi):
+            return at_lo
+        return holds(self.exact())
+
+
+def _within(total: _Total, target: float, tol: float) -> bool:
+    """abs(math.fsum(terms) - target) <= tol, as tests monotone in the total."""
+    if total.test(lambda s: s < target):
+        return total.test(lambda s: s - target >= -tol)
+    return total.test(lambda s: s - target <= tol)
+
+
 # ---------------------------------------------------------------- stage I
 
 
 def _inverse_prices(levels: np.ndarray, cl: _Clients) -> np.ndarray:
     # P(q) = 2 c q - v (alpha/R) a^2 G^2 / q^2.
-    return 2.0 * cl.pop.c * levels - cl.vk / power(levels, 2)
+    return 2.0 * cl.pop.c * levels - cl.vk / (levels * levels)
+
+
+def _payments(levels: np.ndarray, cl: _Clients) -> np.ndarray:
+    return _inverse_prices(levels, cl) * levels
 
 
 def _spend(levels: np.ndarray, cl: _Clients) -> float:
-    return math.fsum(_inverse_prices(levels, cl) * levels)
+    return math.fsum(_payments(levels, cl))
 
 
 def _kkt_levels(lam: float, cl: _Clients) -> np.ndarray:
@@ -220,7 +276,7 @@ def total_spend(q: ParticipationVector, population: Population, constants: GameC
     sum_n (2 c_n q_n^2 - (alpha/R) v_n a_n^2 G_n^2 / q_n); negative summands
     are clients paying the server.
     """
-    levels = q.as_array()
+    levels = checked_levels(q, population)
     below = np.flatnonzero(levels < constants.q_floor)
     if below.size:
         n = int(below[0])
@@ -252,14 +308,8 @@ def price_closed_form(lambda_star: float, profile: ClientProfile, constants: Gam
         raise ValueError(
             f"client {profile.index} is not interior: 1/lambda={inv} <= intrinsic_pref={v}"
         )
-    coeff = (
-        2.0
-        * constants.alpha
-        * profile.cost_coeff**2
-        * profile.weight**2
-        * profile.grad_bound**2
-        / constants.rounds
-    ) ** (1.0 / 3.0)
+    c, a, G = profile.cost_coeff, profile.weight, profile.grad_bound
+    coeff = (2.0 * constants.alpha * (c * c) * (a * a) * (G * G) / constants.rounds) ** (1.0 / 3.0)
     gap = inv - v
     return coeff * (gap ** (1.0 / 3.0) - 2.0 * v / gap ** (2.0 / 3.0))
 
@@ -320,24 +370,25 @@ def server_solve(
              "budget_residual": max(0.0, cap_spend - budget)},
         )
 
-    def spend_at(lam: float) -> float:
-        return _spend(_kkt_levels(lam, cl), cl)
+    def spend_at(lam: float) -> _Total:
+        return _Total(_payments(_kkt_levels(lam, cl), cl))
 
     lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
     lam_hi = lam_cap
     for _ in range(opts.max_iter):
         lam_hi *= 2.0
-        if spend_at(lam_hi) <= budget:
+        if spend_at(lam_hi).test(lambda s: s <= budget):
             break
     else:
         raise BracketError(
-            f"could not bracket the budget dual: spend({lam_hi}) = {spend_at(lam_hi)} > {budget}"
+            f"could not bracket the budget dual: spend({lam_hi}) = {spend_at(lam_hi).exact()} "
+            f"> {budget}"
         )
 
     iterations = 0
     while (lam_hi - lam_lo) > opts.lambda_tol * lam_hi and iterations < opts.max_iter:
         mid = 0.5 * (lam_lo + lam_hi)
-        if spend_at(mid) > budget:
+        if spend_at(mid).test(lambda s: s > budget):
             lam_lo = mid
         else:
             lam_hi = mid
@@ -371,30 +422,30 @@ def _bisect_budget_scale(
     def responses(scale: float) -> np.ndarray:
         return _best_responses(scale * unit_prices, cl)
 
-    def spend(scale: float) -> float:
+    def spend(scale: float) -> _Total:
         prices = scale * unit_prices
-        return math.fsum(prices * _best_responses(prices, cl))
+        return _Total(prices * _best_responses(prices, cl))
 
     tol = opts.budget_tol * max(1.0, budget)
-    if budget == 0.0 or spend(0.0) >= budget - tol:
+    if budget == 0.0 or spend(0.0).test(lambda s: s >= budget - tol):
         return 0.0, responses(0.0)
     hi = 1.0
     for _ in range(opts.max_iter):
-        if spend(hi) >= budget:
+        if spend(hi).test(lambda s: s >= budget):
             break
         hi *= 2.0
     else:
         raise BracketError(
-            f"baseline pricing cannot exhaust budget {budget}: spend({hi}) = {spend(hi)}"
+            f"baseline pricing cannot exhaust budget {budget}: spend({hi}) = {spend(hi).exact()}"
         )
     lo = 0.0
     for _ in range(4 * opts.max_iter):
         mid = 0.5 * (lo + hi)
         s = spend(mid)
-        if abs(s - budget) <= tol:
+        if _within(s, budget, tol):
             lo = hi = mid
             break
-        if s < budget:
+        if s.test(lambda x: x < budget):
             lo = mid
         else:
             hi = mid
@@ -455,7 +506,7 @@ def verify_equilibrium(
     prices = result.p_star.as_array()[interior_idx]
 
     thetas = (4.0 * constants.rounds * c * power(q, 3)
-              / (constants.alpha * power(a, 2) * power(G, 2)) + v)
+              / (constants.alpha * (a * a) * (G * G)) + v)
     if len(thetas) >= 2:
         kkt_residual = float((np.max(thetas) - np.min(thetas)) / np.max(np.abs(thetas)))
     else:

@@ -2,7 +2,11 @@
 
 None of this is library code. ``client_best_response`` is the per-client
 scalar bisection the array kernel in ``fedpricing.game`` replaced, kept
-as written, so the kernel can be held to it bit for bit.
+as written, so the kernel can be held to it bit for bit. Every square here
+is a product, ``x * x``, as in the package: a product is correctly rounded,
+while the C library's ``pow(x, 2)``, which Python's ``**`` calls, is not
+always. ``inverse_price_of`` and ``penalty_of`` are the inverse price and
+the bound's participation penalty, one client at a time.
 ``server_solve_m_search`` is an independent Stage-I solver: a grid search
 over the total cost mass M = sum c_n q_n^2 with a convex subproblem at each
 grid point. ``client_utility`` is a client's profit with the bound's other
@@ -10,13 +14,15 @@ summands held fixed. ``train`` is the per-participant training loop the
 stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
 summed shard by shard. ``population_rows`` is the row-by-row population
-construction the columnar ``make_population`` replaced, and
+construction the columnar ``make_population`` replaced, ``write_population``
+the ``configparser`` writer of the population file, and
 ``verify_equilibrium`` the per-client loop over profile rows that the
 column version replaced. They only use the package's public functions.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
 
 import numpy as np
@@ -49,15 +55,32 @@ M_REFINE_PASSES = 2    # extra M-grid passes, each shrinking the step 100x
 
 def _bound_term(profile: ClientProfile, constants: GameConstants) -> float:
     """(alpha/R) a_n^2 G_n^2, the client's coefficient in the gap bound."""
-    return constants.alpha / constants.rounds * profile.weight**2 * profile.grad_bound**2
+    a, G = profile.weight, profile.grad_bound
+    return constants.alpha / constants.rounds * (a * a) * (G * G)
 
 
 def _foc_residual(q: float, p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
     # P + v*(alpha/R)*a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
     return (
         p_n
-        + profile.intrinsic_pref * _bound_term(profile, constants) / q**2
+        + profile.intrinsic_pref * _bound_term(profile, constants) / (q * q)
         - 2.0 * profile.cost_coeff * q
+    )
+
+
+def inverse_price_of(q: float, profile: ClientProfile, constants: GameConstants) -> float:
+    """2 c q - v (alpha/R) a^2 G^2 / q^2, one client at a time."""
+    return (
+        2.0 * profile.cost_coeff * q
+        - profile.intrinsic_pref * _bound_term(profile, constants) / (q * q)
+    )
+
+
+def penalty_of(levels, profiles) -> float:
+    """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, one client at a time."""
+    return math.fsum(
+        (1.0 - qn) * (p.weight * p.weight) * (p.grad_bound * p.grad_bound) / qn
+        for qn, p in zip(levels, profiles)
     )
 
 
@@ -115,7 +138,7 @@ def client_utility(
     """
     if not 0.0 <= q_n <= profile.q_max:
         raise ValueError(f"q_n={q_n} outside [0, {profile.q_max}]")
-    base = p_n * q_n - profile.cost_coeff * q_n**2 + value_offset
+    base = p_n * q_n - profile.cost_coeff * (q_n * q_n) + value_offset
     v = profile.intrinsic_pref
     if v == 0.0:
         return base
@@ -124,7 +147,8 @@ def client_utility(
     if any(qm == 0.0 for qm in levels):
         return -math.inf
     penalty = math.fsum(
-        (1.0 - qm) * p.weight**2 * p.grad_bound**2 / qm for qm, p in zip(levels, profiles)
+        (1.0 - qm) * (p.weight * p.weight) * (p.grad_bound * p.grad_bound) / qm
+        for qm, p in zip(levels, profiles)
     )
     return base - v * constants.alpha / constants.rounds * penalty
 
@@ -144,7 +168,7 @@ def _cap_lambda(profiles: list, constants: GameConstants) -> float:
     # reaches its cap: 1/lambda = (4R/alpha) c q_max^3/(a^2 G^2) + v per client.
     inv = max(
         4.0 * constants.rounds * p.cost_coeff * p.q_max**3
-        / (constants.alpha * p.weight**2 * p.grad_bound**2)
+        / (constants.alpha * (p.weight * p.weight) * (p.grad_bound * p.grad_bound))
         + p.intrinsic_pref
         for p in profiles
     )
@@ -205,10 +229,10 @@ def _solve_fixed_m(
 
     def mass(t: float, lam_b: float) -> float:
         q = levels(t, lam_b)
-        return float(np.sum(c * q**2))
+        return float(np.sum(c * (q * q)))
 
-    cap_mass = float(np.sum(c * caps**2))
-    floor_mass = float(np.sum(c * floor**2))
+    cap_mass = float(np.sum(c * (caps * caps)))
+    floor_mass = float(np.sum(c * (floor * floor)))
     if not floor_mass - 1e-12 <= m_target <= cap_mass + 1e-12:
         return None
 
@@ -236,7 +260,7 @@ def _solve_fixed_m(
         return levels(math.exp(log_t), lam_b)
 
     def spend_of(q: np.ndarray) -> float:
-        return float(np.sum(2.0 * c * q**2 - k * v / q))
+        return float(np.sum(2.0 * c * (q * q) - k * v / q))
 
     tol = opts.budget_tol * max(1.0, abs(budget))
     q0 = match_mass(0.0)
@@ -288,8 +312,8 @@ def server_solve_m_search(
 
     c = np.array([p.cost_coeff for p in profiles])
     caps = np.array([p.q_max for p in profiles])
-    m_lo = float(np.sum(c) * constants.q_floor**2)
-    m_hi = float(np.sum(c * caps**2))
+    m_lo = float(np.sum(c) * (constants.q_floor * constants.q_floor))
+    m_hi = float(np.sum(c * (caps * caps)))
 
     best_q = None
     best_obj = math.inf
@@ -325,7 +349,7 @@ def server_solve_m_search(
         if constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS:
             inv = (
                 4.0 * constants.rounds * p.cost_coeff * qn**3
-                / (constants.alpha * p.weight**2 * p.grad_bound**2)
+                / (constants.alpha * (p.weight * p.weight) * (p.grad_bound * p.grad_bound))
                 + p.intrinsic_pref
             )
             lam = 1.0 / inv
@@ -531,6 +555,25 @@ def population_rows(datasizes, grad_bounds, cost_coeffs, intrinsic_prefs, q_maxe
     return rows
 
 
+# ---------------------------------------------------------------- population file
+
+
+def write_population(path, population, f_locals=None, meta=None):
+    """The population file as ``configparser`` writes it."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    if meta:
+        cp["meta"] = {k: repr(float(v)) for k, v in meta.items()}
+    for n, p in enumerate(population):
+        section = {"d": str(int(p.datasize)), "G": repr(p.grad_bound), "c": repr(p.cost_coeff),
+                   "v": repr(p.intrinsic_pref), "q_max": repr(p.q_max)}
+        if f_locals is not None:
+            section["F_local"] = repr(float(f_locals[n]))
+        cp[f"client {n}"] = section
+    with open(path, "w") as f:
+        cp.write(f)
+
+
 # ---------------------------------------------------------------- equilibrium checks
 
 
@@ -545,7 +588,7 @@ def verify_equilibrium(result, profiles, constants, budget):
         qn = result.q_star.q[n]
         thetas.append(
             4.0 * constants.rounds * p.cost_coeff * qn**3
-            / (constants.alpha * p.weight**2 * p.grad_bound**2)
+            / (constants.alpha * (p.weight * p.weight) * (p.grad_bound * p.grad_bound))
             + p.intrinsic_pref
         )
     if len(thetas) >= 2:

@@ -140,3 +140,14 @@ def test_penalty_sum_keeps_small_terms_beside_a_large_one():
     terms = [p.weight**2 * p.grad_bound**2 for p in profiles]
     assert participation_penalty(q, profiles) == math.fsum(terms)
     assert math.fsum(terms) != sum(terms)
+
+
+@pytest.mark.parametrize("levels", [[0.5], [0.5, 0.5]])
+@pytest.mark.parametrize("bound", [participation_penalty, convergence_gap_bound, bound_gradient])
+def test_bounds_reject_a_participation_of_the_wrong_length(bound, levels):
+    profiles = make_population([1, 2, 3], [1.0] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    args = (profiles,) if bound is participation_penalty else (profiles, constants)
+    message = f"^participation has {len(levels)} entries for 3 clients$"
+    with pytest.raises(ValueError, match=message):
+        bound(ParticipationVector(levels), *args)

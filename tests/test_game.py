@@ -152,6 +152,15 @@ def test_total_spend_manual():
     assert total_spend(q, profiles, constants) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("levels", [[0.5], [0.5, 0.5]])
+def test_total_spend_rejects_a_participation_of_the_wrong_length(levels):
+    profiles = make_population([1, 2, 3], [1.0] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    message = f"^participation has {len(levels)} entries for 3 clients$"
+    with pytest.raises(ValueError, match=message):
+        total_spend(ParticipationVector(levels), profiles, constants)
+
+
 def test_total_spend_handles_cancellation():
     # At q = 0.5 with a = 1/4 and G = alpha = R = 1 the summands are
     # 1, 1e100, 1 and -1e100; summed left to right they give 0.

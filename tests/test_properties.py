@@ -5,7 +5,8 @@ scalar reference in ``oracles.py`` bit for bit, on single clients and on
 mixed populations: v = 0 next to v > 0, prices of either sign and zero,
 values far above the price, and caps below 1. ``make_population`` must
 accept and reject what the row-by-row construction does, with the same
-message, and a population must survive its file format bit for bit.
+message, and a population must survive its file format bit for bit. A
+sum's certified sign must decide every comparison as ``math.fsum`` does.
 """
 
 import dataclasses
@@ -31,6 +32,8 @@ from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
     _best_responses,
     _Clients,
+    _Total,
+    _within,
     baseline_uniform,
     baseline_weighted,
     kkt_participation,
@@ -226,6 +229,21 @@ def test_population_file_round_trip_is_bit_exact(rows, with_f_locals):
     assert back_f == f_locals
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=20), with_f_locals=st.booleans(),
+       meta=st.one_of(st.none(), st.dictionaries(st.sampled_from(["alpha", "f_star", "rounds"]),
+                                                 st.one_of(POSITIVE, st.integers(1, 500)))))
+def test_population_file_is_the_configparser_file_byte_for_byte(rows, with_f_locals, meta):
+    population = build(rows)
+    f_locals = [float(n) / 3.0 for n in range(len(rows))] if with_f_locals else None
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.ini"), os.path.join(tmp, "want.ini")
+        write_population(got, population, f_locals, meta)
+        oracles.write_population(want, population, f_locals, meta)
+        with open(got, "rb") as f1, open(want, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30))
 def test_population_weights_are_the_training_weights(sizes):
@@ -235,3 +253,65 @@ def test_population_weights_are_the_training_weights(sizes):
     n = len(sizes)
     population = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
     np.testing.assert_array_equal(bits(population.a), bits(_Shards(ds.shards).weights))
+
+
+# ---------------------------------------------------------------- certified sums
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e100, -1e100,
+                           1.7e308, -1.7e308])
+
+
+@st.composite
+def long_terms(draw):
+    """Up to 1e5 seeded terms over 40 decades, scaled into the subnormals or
+    near overflow, optionally each beside its negation, so the sum cancels."""
+    n = draw(st.integers(0, 10**5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    x = x * draw(st.sampled_from([1.0, 2.0**-1060, 1e280]))
+    if draw(st.booleans()):
+        x = rng.permutation(np.concatenate([x, -x, x[:3]]))
+    return x
+
+
+@st.composite
+def sum_cases(draw):
+    """(terms, c, tol): c at the fsum, a neighbour of it, or anywhere; tol at
+    |fsum - c|, a neighbour of it, or anywhere."""
+    terms = np.asarray(draw(st.one_of(
+        st.lists(st.one_of(SPECIAL, st.floats()), max_size=30), long_terms())), dtype=float)
+    try:
+        exact = math.fsum(terms)
+    except (OverflowError, ValueError):
+        exact = 0.0
+    near = [exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf), 0.0, -0.0]
+    c = draw(st.one_of(st.sampled_from(near), st.floats(allow_nan=False)))
+    gap = abs(exact - c)
+    tol = draw(st.one_of(st.sampled_from([gap, math.nextafter(gap, 0.0), math.nextafter(gap, 1.0)]),
+                         st.floats(0.0, 1e300)))
+    return terms, c, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sum_cases())
+@example(case=(np.array([1.0, 1e100, 1.0, -1e100]), 2.0, 0.0))
+@example(case=(np.array([1.0, 1e100, 1.0, -1e100]), math.nextafter(2.0, 3.0), 1e-300))
+@example(case=(np.array([1.0, 1e100, 1.0, -1e100]), math.nextafter(2.0, 1.0), 0.0))
+@example(case=(np.array([]), 0.0, 0.0))
+@example(case=(np.array([]), -0.0, 5e-324))
+@example(case=(np.array([5e-324, -5e-324, 5e-324]), 5e-324, 0.0))
+@example(case=(np.array([0.0, -0.0]), -0.0, 0.0))
+@example(case=(np.array([1.7e308, 1.7e308, -1.7e308]), 0.0, 1.0))
+@example(case=(np.array([math.inf, -math.inf]), 0.0, 1.0))
+def test_certified_sign_decides_as_fsum(case):
+    terms, c, tol = case
+    try:
+        exact = math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _Total(terms)
+        return
+    for holds in (lambda s: s > c, lambda s: s >= c, lambda s: s < c, lambda s: s <= c):
+        assert _Total(terms).test(holds) == holds(exact)
+    assert _within(_Total(terms), c, tol) == (abs(exact - c) <= tol)
+    np.testing.assert_array_equal(bits(_Total(terms).exact()), bits(exact))
