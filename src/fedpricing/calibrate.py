@@ -1,5 +1,5 @@
 """Empirical estimation of the game parameters: per-client gradient bounds,
-the bound coefficient alpha, and the local-optimum losses behind the
+the bound coefficient alpha, and the local-optimum losses F_local behind the
 intrinsic-value offsets.
 """
 
@@ -22,6 +22,8 @@ from .fltrain import (
 )
 
 GRAD_BOUND_FLOOR = 1e-6
+LOCAL_OPTIMUM_TOL = 1e-7          # max |gradient| at a shard's optimum
+LOCAL_OPTIMUM_MAX_ITER = 2000     # L-BFGS iterations per shard
 
 
 def estimate_grad_bounds(
@@ -29,14 +31,12 @@ def estimate_grad_bounds(
     cfg: TrainConfig,
     pilot_rounds: int,
     seed: int = 0,
-    quantile: float | None = None,
 ) -> list:
     """Per-client bound on the stochastic gradient norm from a full-participation pilot.
 
     Runs ``pilot_rounds`` rounds with every client active, under cfg's
     learning-rate schedule, records each local minibatch gradient norm along
-    the update trajectory, and reports the maximum per client (or an
-    optional quantile, for robustness to outliers).
+    the update trajectory, and reports the maximum per client.
     """
     if pilot_rounds < 1:
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
@@ -54,9 +54,7 @@ def estimate_grad_bounds(
             w = _aggregate(w, models, shards.weights)   # a_n / q_n with every q_n = 1
 
     bounds = []
-    for n in clients:
-        values = norms[:, n].ravel()
-        g = float(np.quantile(values, quantile)) if quantile is not None else float(values.max())
+    for n, g in enumerate(norms.max(axis=(0, 2)).tolist()):
         if g < GRAD_BOUND_FLOOR:
             warnings.warn(
                 f"client {n}: observed gradient norms are degenerate; flooring the "
@@ -96,8 +94,7 @@ def estimate_alpha(
     return max(0.0, float(np.sum(dx * dy) / denom))
 
 
-def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float,
-                       tol: float, max_iter: int) -> np.ndarray:
+def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -> np.ndarray:
     from scipy.optimize import minimize
 
     xa = _augment(x)   # once per fit, not once per evaluation
@@ -112,39 +109,27 @@ def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float,
         np.zeros(shape).ravel(),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0},
+        options={"maxiter": LOCAL_OPTIMUM_MAX_ITER, "gtol": LOCAL_OPTIMUM_TOL, "ftol": 0.0},
     )
     grad_norm = float(np.max(np.abs(res.jac)))
-    if grad_norm > 10.0 * tol:
+    if grad_norm > 10.0 * LOCAL_OPTIMUM_TOL:
         raise RuntimeError(
-            f"local optimizer did not converge within {max_iter} iterations "
+            f"local optimizer did not converge within {LOCAL_OPTIMUM_MAX_ITER} iterations "
             f"(final gradient norm {grad_norm})"
         )
     return res.x.reshape(shape)
 
 
-def local_optimum_losses(
-    dataset: FederatedDataset,
-    cfg: TrainConfig,
-    tol: float = 1e-7,
-    max_iter: int = 2000,
-):
-    """Global loss at each client's own-shard optimum, plus a pooled-training
-    proxy for the global minimum.
+def local_optimum_losses(dataset: FederatedDataset, cfg: TrainConfig) -> list:
+    """Global loss at each client's own-shard optimum, F_local, in client order.
 
-    Both enter utilities only through a q-independent offset; the proxy is a
-    trained stand-in for the true minimum, not the minimum itself.
+    F_local enters a client's utility only through the offset
+    v_n * (F_local - F(w_R)), which does not depend on q.
     """
     import scipy.optimize  # noqa: F401  (loaded before pinning, so its OpenBLAS is pinned too)
 
     shape = (dataset.n_classes, dataset.dim + 1)
     shards = _Shards(dataset.shards)
-    f_locals = []
     with _blas.one_thread():
-        for x, y in dataset.shards:
-            w_star = _minimize_logistic(x, y, shape, cfg.l2, tol, max_iter)
-            f_locals.append(shards.loss(w_star, cfg.l2))
-        px, py = dataset.pooled()
-        w_pooled = _minimize_logistic(px, py, shape, cfg.l2, tol, max_iter)
-        f_star = shards.loss(w_pooled, cfg.l2)
-    return f_locals, f_star
+        return [shards.loss(_minimize_logistic(x, y, shape, cfg.l2), cfg.l2)
+                for x, y in dataset.shards]

@@ -67,16 +67,11 @@ def cmd_gen_data(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _config_from(args)
     dataset = datamod.load_dataset(args.dataset)
-    cfg["n_clients"] = dataset.n_clients
-    population, constants, f_locals, f_star = exp.calibrate_population(dataset, cfg)
+    population, constants, f_locals = exp.calibrate_population(dataset, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "population.ini")
-    write_population(path, population, f_locals,
-                     meta={"alpha": constants.alpha, "beta": constants.beta,
-                           "f_star": f_star, "rounds": constants.rounds,
-                           "local_steps": constants.local_steps,
-                           "q_floor": constants.q_floor})
-    print(f"wrote {path}: alpha={constants.alpha:.6g}, f_star proxy={f_star:.6g}")
+    write_population(path, population, f_locals, meta=constants.to_dict())
+    print(f"wrote {path}: alpha={constants.alpha:.6g}")
     return 0
 
 

@@ -278,12 +278,6 @@ class FederatedDataset:
     def total_samples(self) -> int:
         return sum(self.datasizes)
 
-    def pooled(self) -> tuple:
-        """All training samples stacked in client order."""
-        x = np.concatenate([s[0] for s in self.shards], axis=0)
-        y = np.concatenate([s[1] for s in self.shards], axis=0)
-        return x, y
-
 
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import re
 
@@ -193,11 +194,11 @@ def generate_dataset(cfg: dict) -> FederatedDataset:
     )
 
 
-def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: bool = True):
+def calibrate_population(dataset: FederatedDataset, cfg: dict):
     """Estimate gradient bounds and alpha, sample economics, and build the
     population plus game constants.
 
-    Returns (population, constants, f_locals, f_star).
+    Returns (population, constants, f_locals).
     """
     pilot_cfg = train_config(cfg, seed=cfg["data_seed"])
     grad_bounds = estimate_grad_bounds(dataset, pilot_cfg, cfg["pilot_rounds"], seed=cfg["data_seed"])
@@ -217,11 +218,13 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
         q_maxes=[cfg["q_max"]] * n,
     )
 
-    # Alpha from matched-seed pilot pairs at two participation settings.
+    # Alpha from matched-seed pilot pairs at two participation settings. Only
+    # each pilot's final loss is read, and the last round is always evaluated.
     q_full = ParticipationVector([1.0] * n)
     q_low = ParticipationVector([cfg["alpha_pilot_q"]] * n)
+    final_only = {**cfg, "eval_stride": cfg["rounds"]}
     pilots = [
-        train_config(cfg, seed=cfg["data_seed"] + 1000 + s, q=q)
+        train_config(final_only, seed=cfg["data_seed"] + 1000 + s, q=q)
         for s in range(cfg["alpha_pilot_seeds"])
         for q in (q_full, q_low)
     ]
@@ -233,11 +236,7 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict, with_offsets: boo
         alpha=alpha, beta=cfg["beta"], rounds=cfg["rounds"],
         local_steps=cfg["local_steps"], q_floor=cfg["q_floor"],
     )
-    if with_offsets:
-        f_locals, f_star = local_optimum_losses(dataset, pilot_cfg)
-    else:
-        f_locals, f_star = None, float("nan")
-    return population, constants, f_locals, f_star
+    return population, constants, local_optimum_losses(dataset, pilot_cfg)
 
 
 def solve_scheme(scheme: str, population: Population, constants: GameConstants, budget: float,
@@ -272,13 +271,9 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
     dataset = generate_dataset(cfg)
     datamod.save_dataset(os.path.join(out_dir, "dataset.bin"), dataset)
 
-    population, constants, f_locals, f_star = calibrate_population(dataset, cfg)
-    write_population(
-        os.path.join(out_dir, "population.ini"), population, f_locals,
-        meta={"alpha": constants.alpha, "beta": constants.beta, "f_star": f_star,
-              "rounds": constants.rounds, "local_steps": constants.local_steps,
-              "q_floor": constants.q_floor},
-    )
+    population, constants, f_locals = calibrate_population(dataset, cfg)
+    write_population(os.path.join(out_dir, "population.ini"), population, f_locals,
+                     meta=constants.to_dict())
 
     results = {}
     for scheme in SCHEMES:
@@ -382,15 +377,10 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     for scheme, (result, _, _budget) in manifests.items():
         negative_payments[scheme] = sum(1 for p in result.p_star.p if p < 0.0)
         if population is not None and f_locals is not None and scheme in mean_final_loss:
-            total = 0.0
-            for n, (c, v) in enumerate(zip(population.c.tolist(), population.v.tolist())):
-                qn = result.q_star.q[n]
-                total += (
-                    result.p_star.p[n] * qn
-                    - c * qn**2
-                    + v * (f_locals[n] - mean_final_loss[scheme])
-                )
-            utilities[scheme] = total
+            q = result.q_star.as_array()
+            terms = (result.p_star.as_array() * q - population.c * (q * q)
+                     + population.v * (np.array(f_locals) - mean_final_loss[scheme]))
+            utilities[scheme] = math.fsum(terms.tolist())
 
     summary = {
         "target_loss": target,

@@ -2,8 +2,8 @@
 
 Population files are INI-style: one ``[client N]`` section per client with
 keys d, G, c, v, q_max (plus optional F_local from calibration) and an
-optional ``[meta]`` section for file-level scalars (alpha, f_star). See the
-README FORMATS section for the grammar.
+optional ``[meta]`` section for file-level scalars: the pipeline writes the
+``GameConstants`` fields there. See the README FORMATS section for the grammar.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ grid point. ``client_utility`` is a client's profit with the bound's other
 summands held fixed. ``train`` is the per-participant training loop the
 stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
-summed shard by shard. ``population_rows`` is the row-by-row population
+summed shard by shard. ``pooled_optimum_loss`` is the global loss at the
+optimum of all shards pooled, a reference no single-shard optimum can beat
+on the global loss. ``population_rows`` is the row-by-row population
 construction the columnar ``make_population`` replaced, ``write_population``
 the ``configparser`` writer of the population file, and
 ``verify_equilibrium`` the per-client loop over profile rows that the
@@ -26,7 +28,7 @@ import configparser
 import math
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from fedpricing.bound import convergence_gap_bound, participation_penalty
 from fedpricing.core import (
@@ -408,6 +410,23 @@ def global_loss(w, dataset, l2=0.0):
         loss, _ = loss_and_grad(w, x, y, l2)
         total += len(x) / dataset.total_samples * loss
     return total
+
+
+def pooled_optimum_loss(dataset, l2):
+    """Global loss at the L-BFGS optimum of the pooled training data."""
+    x = np.concatenate([s[0] for s in dataset.shards], axis=0)
+    y = np.concatenate([s[1] for s in dataset.shards], axis=0)
+    shape = (dataset.n_classes, dataset.dim + 1)
+
+    def fun(flat):
+        loss, grad = loss_and_grad(flat.reshape(shape), x, y, l2)
+        return loss, grad.ravel()
+
+    res = minimize(fun, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 2000, "gtol": 1e-7, "ftol": 0.0})
+    if float(np.max(np.abs(res.jac))) > 1e-6:
+        raise RuntimeError("pooled fit did not converge")
+    return global_loss(res.x.reshape(shape), dataset, l2)
 
 
 def train(dataset, cfg, profiles=None, record_states=False):

@@ -45,14 +45,6 @@ def test_grad_bounds_positive_and_deterministic():
     assert all(g > 0 for g in g1)
 
 
-def test_grad_bounds_quantile_leq_max():
-    ds = tiny_dataset()
-    cfg = pilot_cfg()
-    g_max = estimate_grad_bounds(ds, cfg, pilot_rounds=2, seed=3)
-    g_q = estimate_grad_bounds(ds, cfg, pilot_rounds=2, seed=3, quantile=0.9)
-    assert all(a <= b + 1e-12 for a, b in zip(g_q, g_max))
-
-
 def test_grad_bounds_rejects_zero_pilot_rounds():
     with pytest.raises(ValueError, match="pilot_rounds"):
         estimate_grad_bounds(tiny_dataset(), pilot_cfg(), pilot_rounds=0)
@@ -78,9 +70,6 @@ def test_grad_bounds_equal_the_per_client_pilot(batch, schedule):
     with _blas.one_thread():
         norms = oracles.pilot_gradient_norms(ds, cfg, pilot_rounds=3, seed=5)
     assert estimate_grad_bounds(ds, cfg, pilot_rounds=3, seed=5) == [max(v) for v in norms]
-    assert estimate_grad_bounds(ds, cfg, pilot_rounds=3, seed=5, quantile=0.5) == [
-        float(np.quantile(v, 0.5)) for v in norms
-    ]
 
 
 def test_grad_bounds_floor_on_degenerate_data():
@@ -144,22 +133,18 @@ def test_estimate_alpha_needs_two_runs():
 def test_local_optimum_losses_ordering():
     ds = tiny_dataset(seed=4)
     cfg = pilot_cfg(l2=1e-3)
-    f_locals, f_star = local_optimum_losses(ds, cfg)
+    f_locals = local_optimum_losses(ds, cfg)
     assert len(f_locals) == ds.n_clients
-    # The pooled optimum proxy cannot be beaten by any single-shard optimum
-    # on the global objective (it directly minimizes a proxy of it).
-    assert f_star <= min(f_locals) + 1e-6
-    # Each reported value really is the global loss at a near-stationary point
-    # of that shard's objective: check the gradient there.
-    shape = (ds.n_classes, ds.dim + 1)
-    for (x, y), f_loc in zip(ds.shards, f_locals):
-        assert f_loc >= f_star - 1e-9
+    # No single-shard optimum beats the pooled optimum on the global loss,
+    # which the pooled fit minimizes directly.
+    f_pooled = oracles.pooled_optimum_loss(ds, cfg.l2)
+    assert all(f_loc >= f_pooled - 1e-9 for f_loc in f_locals)
 
 
 def test_local_optimum_losses_are_global_losses():
     ds = tiny_dataset(seed=5)
     cfg = pilot_cfg(l2=1e-3)
-    f_locals, _ = local_optimum_losses(ds, cfg)
+    f_locals = local_optimum_losses(ds, cfg)
     # Rough sanity: finite, positive, and on a plausible cross-entropy scale.
     # Single-shard optima can be arbitrarily bad on other shards under strong
     # heterogeneity, so only a loose upper bound applies.

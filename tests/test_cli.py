@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import pytest
 
-from fedpricing.cli import main
-from fedpricing.core import make_population
+from fedpricing import experiment as exp
+from fedpricing.cli import _constants_from_meta, main
+from fedpricing.core import GameConstants, make_population
 from fedpricing.formats import read_population, write_population
 
 
@@ -81,6 +83,25 @@ def test_experiment_and_report_commands(tmp_path, capsys):
     code, stdout, _ = run_cli(["report", "--run-dir", out], capsys)
     assert code == 0
     assert "optimal" in stdout and "uniform" in stdout and "weighted" in stdout
+
+
+def test_population_meta_is_the_game_constants(tmp_path, capsys):
+    cfg_path = write_fast_config(tmp_path)
+    cfg = exp.build_config(config_path=cfg_path)
+    constants = exp.calibrate_population(exp.generate_dataset(cfg), cfg)[1]
+    exp_dir, cal_dir = tmp_path / "exp", tmp_path / "cal"
+    assert run_cli(["experiment", "--config", cfg_path, "--out", str(exp_dir)], capsys)[0] == 0
+    assert run_cli(["calibrate", "--config", cfg_path, "--dataset", str(exp_dir / "dataset.bin"),
+                    "--out", str(cal_dir)], capsys)[0] == 0
+    # Fallbacks unlike every calibrated value, so a constant missing from
+    # [meta] would change the rebuilt constants.
+    fallback = {**cfg, "alpha_floor": 2.0 * constants.alpha + 1.0, "beta": constants.beta + 1.0,
+                "rounds": constants.rounds + 1, "local_steps": constants.local_steps + 1,
+                "q_floor": constants.q_floor / 2.0}
+    for run_dir in (exp_dir, cal_dir):
+        _, _, meta = read_population(str(run_dir / "population.ini"))
+        assert list(meta) == [f.name for f in dataclasses.fields(GameConstants)]
+        assert _constants_from_meta(meta, fallback) == constants
 
 
 def test_missing_file_is_reported_not_raised(tmp_path, capsys):
