@@ -29,10 +29,14 @@ ENV_PREFIX = "FEDPRICING_"
 
 
 def _env_default(flag: str, cast, fallback=None):
-    raw = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+    name = ENV_PREFIX + flag.upper().replace("-", "_")
+    raw = os.environ.get(name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -189,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, PopulationError, InfeasibleBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

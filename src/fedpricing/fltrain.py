@@ -11,10 +11,20 @@ vector step together (``train_runs``): each round, every participant of
 every run takes its local steps in one stacked gradient step (``_sgd_step``),
 which per model performs the same operations as a lone ``loss_and_grad``
 step.
+
+Where a second CPU is free (``_fork_helper``), a forked helper process
+evaluates the evaluated rounds' models, sent in batches, while the parent
+trains the following rounds; it runs the same evaluation code on the same
+arrays, so the metrics are bit-identical to evaluating in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,13 +161,18 @@ class _Shards:
     """
 
     def __init__(self, shards):
+        if not shards:
+            raise ValueError("no client shards")
         self.sizes = [len(x) for x, _ in shards]
         total = sum(self.sizes)
         self.weights = [size / total for size in self.sizes]     # a_n = d_n / D
         self.starts = np.cumsum([0] + self.sizes[:-1])
         self.rows = [slice(start, start + size)
                      for start, size in zip(self.starts.tolist(), self.sizes)]
-        self.xa = _augment(np.concatenate([x for x, _ in shards]))
+        self.xa = np.empty((total, shards[0][0].shape[1] + 1))
+        for (x, _), rows in zip(shards, self.rows):
+            self.xa[rows, :-1] = x
+        self.xa[:, -1] = 1.0
         self.y = np.concatenate([y for _, y in shards])
 
     def loss(self, w: np.ndarray, l2: float) -> float:
@@ -308,6 +323,147 @@ def learning_rate_schedule(cfg: TrainConfig, dataset: FederatedDataset):
     return lambda round_index: theoretical_lr(round_index, smoothness, mu, local_steps)
 
 
+# The parent sends evaluated rounds to the forked helper in batches of at
+# least this many model-rows (models times pooled training rows), some tens
+# of milliseconds of evaluation. Each message wakes a sleeping helper, which
+# then spends more CPU than the evaluation alone: a few tenths of a
+# millisecond per message on a 2-core x86-64 machine, enough that one
+# message per round raised the desk workload's CPU time by 7%.
+_BATCH_ROWS = 100_000
+# Batches the helper may fall behind the parent. The helper answers every
+# batch it receives, so at most this many replies, a few floats per model,
+# wait in the pipe: the helper never blocks on a full buffer, and the parent,
+# which reads before it sends more, only ever waits for the helper.
+_BATCHES_IN_FLIGHT = 4
+
+
+def _fork_helper(cfg: TrainConfig, runs: int, rows: int) -> bool:
+    """Whether train_runs evaluates in a forked helper process.
+
+    Only on Linux, where forking is safe with the BLAS in use (macOS
+    Accelerate is not fork-safe); only with a second CPU to run the helper
+    on; and only when the evaluations of ``runs`` models on ``rows`` pooled
+    rows each fill more than one batch. The last batch is evaluated after the
+    last round, so a lone batch overlaps nothing: runs evaluated at their
+    last round only (``eval_stride >= rounds``) never fork. A process with a
+    second Python thread evaluates in place, since a fork copies no thread
+    but every lock it holds, and so does a daemonic multiprocessing worker,
+    which may start no children.
+    """
+    import multiprocessing      # here, not at the top: it adds 0.5 MB to every process
+
+    evaluations = -(-cfg.rounds // cfg.eval_stride)
+    rounds_per_batch = -(-_BATCH_ROWS // (runs * rows))
+    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
+            and evaluations > rounds_per_batch and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon)
+
+
+class _InlineEvaluator:
+    """Evaluates each submitted round at once, in this process."""
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+        self._results = []
+
+    def submit(self, models) -> None:
+        self._results.append(self._evaluate(models))
+
+    def results(self) -> list:
+        return self._results
+
+    def close(self) -> None:
+        pass
+
+
+def _serve(evaluate, conn, parent_end) -> None:
+    """The helper's loop: evaluate each received batch of rounds, reply in order.
+
+    An exception is sent back as its text, and the helper then exits. The
+    helper ignores SIGINT, which a terminal sends to the whole process group:
+    the parent handles it and stops the helper.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()          # so that the parent's exit reads as EOF here
+    try:
+        while True:
+            try:
+                batch = conn.recv()
+            except EOFError:
+                return
+            conn.send([evaluate(models) for models in batch])
+    except Exception as exc:
+        conn.send(f"{type(exc).__name__}: {exc}")
+
+
+class _ForkedEvaluator:
+    """Evaluates submitted rounds in a forked helper process, in order.
+
+    Forked once the shards, the test rows and the one-thread BLAS are in
+    place, the helper shares those arrays copy-free and runs the same code on
+    them. Rounds are sent in batches of ``_BATCH_ROWS``; before each send the
+    parent collects any replies that are ready.
+    """
+
+    def __init__(self, evaluate, rows: int):
+        """``rows``: the pooled training rows each model is evaluated on."""
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(target=_serve, args=(evaluate, child_end, self._conn),
+                                        name="fedpricing-eval", daemon=True)
+        self._process.start()
+        child_end.close()
+        self._rows = rows
+        self._batch = []
+        self._results = []
+        self._in_flight = 0
+
+    def submit(self, models) -> None:
+        self._batch.append(list(models))      # the models themselves are never changed
+        if len(self._batch) * len(models) * self._rows >= _BATCH_ROWS:
+            self._send()
+
+    def results(self) -> list:
+        if self._batch:
+            self._send()
+        while self._in_flight:
+            self._receive()
+        return self._results
+
+    def close(self) -> None:
+        self._conn.close()
+        self._process.terminate()
+        self._process.join()
+
+    def _send(self) -> None:
+        while self._in_flight and (self._in_flight >= _BATCHES_IN_FLIGHT or self._conn.poll()):
+            self._receive()
+        try:
+            self._conn.send(self._batch)
+        except OSError:         # the helper is gone: raise its last reply's error, if any
+            while self._in_flight:
+                self._receive()
+            raise self._exited() from None
+        self._batch = []
+        self._in_flight += 1
+
+    def _receive(self) -> None:
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError):      # OSError: reset, when it died with our data unread
+            raise self._exited() from None
+        if isinstance(reply, str):
+            raise RuntimeError(f"evaluation helper failed: {reply}")
+        self._results.extend(reply)
+        self._in_flight -= 1
+
+    def _exited(self) -> RuntimeError:
+        self._process.join()
+        return RuntimeError(f"evaluation helper exited with code {self._process.exitcode}")
+
+
 def train(dataset: FederatedDataset, cfg: TrainConfig, *, record_states: bool = False):
     """Run the full simulated federated loop and return per-round metrics.
 
@@ -329,6 +485,11 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
     on its own, so each result equals ``train`` on that config alone, bit for
     bit. Only the local steps are shared: each round, one stacked step moves
     the participants of every run at once.
+
+    When ``_fork_helper`` allows, the evaluation runs in a forked helper
+    process while the following rounds train; the metrics are the same bit
+    for bit. An error in the helper is raised here as a RuntimeError, and the
+    helper is stopped and reaped before this returns or raises.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -347,12 +508,24 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
     shards = _Shards(dataset.shards)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     ws = [np.zeros((dataset.n_classes, dataset.dim + 1)) for _ in cfgs]
-    runs = [([], []) for _ in cfgs]      # (metrics, states) per run
+    states = [[] for _ in cfgs]
+    evaluated = []          # (round, participants of each run, sim time of each run)
     sim_times = [0.0] * len(cfgs)
     has_test = len(dataset.test_labels) > 0
     test_xa = _augment(dataset.test_features)
     learning_rate = learning_rate_schedule(cfg, dataset)
-    with _blas.one_thread():
+
+    def evaluate(models):
+        return [(shards.loss(w, cfg.l2),
+                 _accuracy(w, test_xa, dataset.test_labels) if has_test else float("nan"))
+                for w in models]
+
+    def start_evaluator():
+        if _fork_helper(cfg, len(cfgs), len(shards.y)):
+            return _ForkedEvaluator(evaluate, len(shards.y))
+        return _InlineEvaluator(evaluate)
+
+    with _blas.one_thread(), contextlib.closing(start_evaluator()) as evaluator:
         for r in range(cfg.rounds):
             participants = [sample_participants(c.participation, rng) for c, rng in zip(cfgs, rngs)]
             owners = [k for k, p in enumerate(participants) for _ in p]
@@ -362,7 +535,6 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
                                  [rngs[k] for k in owners], cfg.local_steps, cfg.batch,
                                  learning_rate(r), cfg.l2)
             first = 0
-            evaluate = (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1
             for k, (c, p) in enumerate(zip(cfgs, participants)):
                 if p:
                     q = c.participation.q
@@ -374,21 +546,17 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
                     sim_times[k] += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
                 else:
                     sim_times[k] += cfg.sim_t_base
-                metrics, states = runs[k]
-                if evaluate:
-                    w = ws[k]
-                    metrics.append(
-                        RoundMetrics(
-                            round_index=r,
-                            participants=tuple(p),
-                            loss=shards.loss(w, cfg.l2),
-                            accuracy=(_accuracy(w, test_xa, dataset.test_labels)
-                                      if has_test else float("nan")),
-                            sim_time=sim_times[k],
-                        )
-                    )
                 if record_states:
-                    states.append(ws[k].copy())
+                    states[k].append(ws[k].copy())
+            if (r + 1) % cfg.eval_stride == 0 or r == cfg.rounds - 1:
+                evaluator.submit(ws)
+                evaluated.append((r, participants, list(sim_times)))
+        scores = evaluator.results()
+    runs = [[] for _ in cfgs]
+    for (r, participants, times), round_scores in zip(evaluated, scores):
+        for metrics, p, sim_time, (loss, accuracy) in zip(runs, participants, times, round_scores):
+            metrics.append(RoundMetrics(round_index=r, participants=tuple(p), loss=loss,
+                                        accuracy=accuracy, sim_time=sim_time))
     if record_states:
-        return runs
-    return [metrics for metrics, _ in runs]
+        return list(zip(runs, states))
+    return runs

@@ -147,13 +147,23 @@ def test_infeasible_budget_reported(tmp_path, capsys):
     assert "infeasible" in stderr
 
 
-def run_module(args):
+def run_module(args, env_vars=None):
     """``python -m fedpricing.cli`` in a fresh interpreter, with the package from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **(env_vars or {}))
     return subprocess.run([sys.executable, "-m", "fedpricing.cli"] + args,
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("var,value,message", [
+    ("FEDPRICING_SEED", "abc", "error: FEDPRICING_SEED: expected int, got 'abc'"),
+    ("FEDPRICING_BUDGET", "x", "error: FEDPRICING_BUDGET: expected float, got 'x'"),
+])
+def test_a_bad_environment_value_is_one_error_line(tmp_path, var, value, message):
+    proc = run_module(["report", "--run-dir", str(tmp_path)], {var: value})
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines() == [message], proc.stderr
 
 
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),

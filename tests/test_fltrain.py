@@ -1,4 +1,8 @@
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpricing import _blas
+from fedpricing import fltrain
 from fedpricing.core import FederatedDataset, ParticipationVector, make_population
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import (
@@ -459,3 +464,148 @@ def test_cross_entropy_equals_the_axis_max_formula_bit_for_bit():
             ref = _axis_max_cross_entropy(z, y)
             got = _cross_entropy(z.copy(), y)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+# ---------------------------------------------------------------- evaluation in a forked helper
+
+LINUX = sys.platform.startswith("linux")
+linux_only = pytest.mark.skipif(not LINUX, reason="the evaluation helper is forked on Linux only")
+
+
+def pretend_two_cpus(mp, batch_rows=1):
+    """Let train_runs fork on this machine, with a batch per evaluated round by default."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    mp.setattr(fltrain, "_BATCH_ROWS", batch_rows)
+
+
+def count_process_starts(mp):
+    starts = []
+    real = multiprocessing.process.BaseProcess.start
+    mp.setattr(multiprocessing.process.BaseProcess, "start",
+               lambda self: starts.append(self.name) or real(self))
+    return starts
+
+
+def helper_config(**change):
+    base = TrainConfig(local_steps=2, batch=4, rounds=5, seed=3,
+                       participation=ParticipationVector([0.9, 0.6, 0.8]))
+    return dataclasses.replace(base, **change)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ds=datasets(),
+    data=st.data(),
+    local_steps=st.integers(0, 2),
+    batch=st.one_of(st.none(), st.integers(1, 7)),
+    rounds=st.integers(1, 7),
+    eval_stride=st.integers(1, 4),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+    record_states=st.booleans(),
+    rounds_per_batch=st.integers(1, 3),
+)
+def test_forked_evaluation_equals_inline_evaluation_bit_for_bit(
+    ds, data, local_steps, batch, rounds, eval_stride, seeds, record_states, rounds_per_batch
+):
+    levels = st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)
+    cfgs = [
+        TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, eta0=0.5,
+                    lr_schedule="theoretical", l2=1e-3, eval_stride=eval_stride,
+                    participation=ParticipationVector(data.draw(levels)))
+        for seed in seeds
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fltrain, "_fork_helper", lambda cfg, runs, rows: False)
+        inline = train_runs(ds, cfgs, record_states=record_states)
+    with pytest.MonkeyPatch.context() as mp:
+        pretend_two_cpus(mp, rounds_per_batch * len(cfgs) * ds.total_samples)
+        starts = count_process_starts(mp)
+        forked = train_runs(ds, cfgs, record_states=record_states)
+    evaluations = sum((r + 1) % eval_stride == 0 or r == rounds - 1 for r in range(rounds))
+    assert len(starts) == (1 if LINUX and evaluations > rounds_per_batch else 0)
+    assert multiprocessing.active_children() == []
+    if record_states:
+        for (_, states), (_, ref_states) in zip(forked, inline):
+            assert [w.tobytes() for w in states] == [w.tobytes() for w in ref_states]
+        forked, inline = [m for m, _ in forked], [m for m, _ in inline]
+    # repr prints each float's shortest round-trip form, so equal reprs are equal bits.
+    assert repr(forked) == repr(inline)
+
+
+@linux_only
+def test_the_helper_evaluates_and_leaves_no_process(monkeypatch):
+    cfg = helper_config(rounds=40)
+    inline = train(tiny_dataset(), cfg)
+    pretend_two_cpus(monkeypatch, batch_rows=60 * 3)     # 60 rows: three rounds a batch
+    starts = count_process_starts(monkeypatch)
+    forked = train(tiny_dataset(), cfg)
+    assert starts == ["fedpricing-eval"]
+    assert repr(forked) == repr(inline)
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_an_evaluation_error_in_the_helper_is_raised_in_the_parent(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def fail(self, w, l2):
+        raise ValueError(f"no loss in process {'parent' if os.getpid() == parent else 'helper'}")
+
+    monkeypatch.setattr(fltrain._Shards, "loss", fail)
+    with pytest.raises(RuntimeError, match="evaluation helper failed: ValueError: no loss in process helper"):
+        train(tiny_dataset(), helper_config())
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_helper_that_dies_is_reported_with_its_exit_code(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def die(self, w, l2):
+        if os.getpid() == parent:
+            raise AssertionError("evaluated in the parent")
+        os._exit(7)
+
+    monkeypatch.setattr(fltrain._Shards, "loss", die)
+    with pytest.raises(RuntimeError, match="evaluation helper exited with code 7"):
+        train(tiny_dataset(), helper_config(rounds=30))     # sends go on after it died
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("why,change", [
+    ("one CPU", {}), ("one evaluation", {"eval_stride": 5}), ("one evaluation", {"eval_stride": 9}),
+    ("one batch", {}),
+])
+def test_no_helper_on_one_cpu_or_with_one_batch_of_evaluations(monkeypatch, why, change):
+    pretend_two_cpus(monkeypatch, batch_rows=60 * 5 if why == "one batch" else 1)
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    starts = count_process_starts(monkeypatch)
+    metrics = train(tiny_dataset(), helper_config(**change))
+    assert starts == []
+    assert metrics[-1].round_index == 4
+
+
+def test_no_helper_while_a_second_thread_runs(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    starts = count_process_starts(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        train(tiny_dataset(), helper_config())
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert starts == []
+
+
+@linux_only
+def test_evaluations_filling_two_batches_start_the_helper(monkeypatch):
+    pretend_two_cpus(monkeypatch, batch_rows=60 * 4)     # 60 rows: four rounds a batch
+    starts = count_process_starts(monkeypatch)
+    train(tiny_dataset(), helper_config())
+    assert starts == ["fedpricing-eval"]
