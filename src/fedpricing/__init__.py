@@ -17,14 +17,12 @@ from .bound import bound_gradient, convergence_gap_bound
 from .game import (
     EquilibriumReport,
     InfeasibleBudgetError,
-    SolverOptions,
     baseline_uniform,
     baseline_weighted,
     client_best_response,
     inverse_price,
     kkt_participation,
     payment_threshold,
-    price_closed_form,
     server_solve,
     total_spend,
     verify_equilibrium,
@@ -52,7 +50,6 @@ __all__ = [
     "Population",
     "PopulationError",
     "PricingVector",
-    "SolverOptions",
     "TrainConfig",
     "aggregate",
     "baseline_uniform",
@@ -69,7 +66,6 @@ __all__ = [
     "make_population",
     "partition_label_limited",
     "payment_threshold",
-    "price_closed_form",
     "sample_participants",
     "server_solve",
     "subsample",

@@ -29,12 +29,19 @@ def power(x, y):
     return np.float_power(x, y)
 
 
+def per_client(values, name: str, population: Population) -> np.ndarray:
+    """``values`` as a float array, after checking that there is one per client."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
+    if len(array) != len(population):
+        raise ValueError(f"{name} has {len(array)} entries for {len(population)} clients")
+    return array
+
+
 def checked_levels(q: ParticipationVector, population: Population) -> np.ndarray:
     """The levels of q as an array, after checking that there is one per client."""
-    levels = q.as_array()
-    if len(levels) != len(population):
-        raise ValueError(f"participation has {len(levels)} entries for {len(population)} clients")
-    return levels
+    return per_client(q.as_array(), "participation", population)
 
 
 def positive_levels(q: ParticipationVector, population: Population) -> np.ndarray:

@@ -3,7 +3,8 @@
 Subcommands: gen-data, calibrate, solve, train, experiment, report.
 Every flag can also be supplied through an environment variable with the
 FEDPRICING_ prefix (e.g. FEDPRICING_SEED=3 mirrors --seed 3); explicit flags
-win over the environment.
+win over the environment. A variable is read only when the chosen subcommand
+has its flag.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import yaml
 
 from . import experiment as exp
 from . import data as datamod
@@ -23,31 +26,46 @@ from .formats import (
     write_population,
 )
 from .fltrain import train_runs
-from .game import InfeasibleBudgetError
+from .game import BracketError, InfeasibleBudgetError
 
 ENV_PREFIX = "FEDPRICING_"
 
 
-def _env_default(flag: str, cast, fallback=None):
-    name = ENV_PREFIX + flag.upper().replace("-", "_")
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
+class _EnvDefault:
+    """A flag's default from its FEDPRICING_ variable, read by ``_read_env_defaults``
+    only when the chosen subcommand has the flag and it was not given."""
+
+    def __init__(self, flag: str, cast, fallback=None):
+        self.name = ENV_PREFIX + flag.upper().replace("-", "_")
+        self.cast = cast
+        self.fallback = fallback
+
+    def read(self):
+        raw = os.environ.get(self.name)
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except ValueError:
+            raise ValueError(f"{self.name}: expected {self.cast.__name__}, got {raw!r}") from None
+
+
+def _read_env_defaults(args: argparse.Namespace) -> argparse.Namespace:
+    for dest, value in vars(args).items():
+        if isinstance(value, _EnvDefault):
+            setattr(args, dest, value.read())
+    return args
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=_env_default("config", str),
+    parser.add_argument("--config", default=_EnvDefault("config", str),
                         help="YAML config file")
-    parser.add_argument("--preset", default=_env_default("preset", str),
+    parser.add_argument("--preset", default=_EnvDefault("preset", str),
                         choices=["setup1", "setup2", "setup3", "desk"],
                         help="named parameter preset")
-    parser.add_argument("--out", default=_env_default("out", str, "runs/latest"),
+    parser.add_argument("--out", default=_EnvDefault("out", str, "runs/latest"),
                         help="output directory")
-    parser.add_argument("--seed", type=int, default=_env_default("seed", int))
+    parser.add_argument("--seed", type=int, default=_EnvDefault("seed", int))
 
 
 def _config_from(args, **extra) -> dict:
@@ -166,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one pricing scheme's equilibrium")
     _add_common(p)
     p.add_argument("--population", required=True, help="population file path")
-    p.add_argument("--scheme", default=_env_default("scheme", str, "optimal"),
+    p.add_argument("--scheme", default=_EnvDefault("scheme", str, "optimal"),
                    choices=list(exp.SCHEMES))
-    p.add_argument("--budget", type=float, default=_env_default("budget", float))
+    p.add_argument("--budget", type=float, default=_EnvDefault("budget", float))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("train", help="run seeded training under a solved equilibrium")
@@ -176,17 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--population", required=True)
     p.add_argument("--equilibrium", required=True, help="equilibrium manifest path")
-    p.add_argument("--repeats", type=int, default=_env_default("repeats", int))
+    p.add_argument("--repeats", type=int, default=_EnvDefault("repeats", int))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("experiment", help="full pipeline with per-scheme comparison")
     _add_common(p)
-    p.add_argument("--repeats", type=int, default=_env_default("repeats", int))
-    p.add_argument("--budget", type=float, default=_env_default("budget", float))
+    p.add_argument("--repeats", type=int, default=_EnvDefault("repeats", int))
+    p.add_argument("--budget", type=float, default=_EnvDefault("budget", float))
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="recompute summary tables from a run directory")
-    p.add_argument("--run-dir", default=_env_default("out", str, "runs/latest"))
+    p.add_argument("--run-dir", default=_EnvDefault("out", str, "runs/latest"))
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -194,10 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_env_defaults(build_parser().parse_args(argv))
         return args.func(args)
-    except (FileNotFoundError, PopulationError, InfeasibleBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, PopulationError, InfeasibleBudgetError, ValueError,
+            BracketError, yaml.YAMLError) as exc:
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -86,13 +86,6 @@ class ClientProfile:
             object.__setattr__(row, name, value)
         return row
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClientProfile":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class GameConstants:
@@ -124,10 +117,6 @@ class GameConstants:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GameConstants":
-        return cls(**d)
-
 
 def _float_array(values) -> np.ndarray:
     """Any iterable of numbers as a 1-D float array."""
@@ -158,13 +147,6 @@ class ParticipationVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.q)
 
-    def to_dict(self) -> dict:
-        return {"q": list(self.q)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParticipationVector":
-        return cls(d["q"])
-
 
 @dataclass(frozen=True)
 class PricingVector:
@@ -181,13 +163,6 @@ class PricingVector:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.p)
-
-    def to_dict(self) -> dict:
-        return {"p": list(self.p)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PricingVector":
-        return cls(d["p"])
 
 
 @dataclass(frozen=True)
@@ -284,10 +259,11 @@ class Population(Sequence):
     """A client population as columns: one read-only float array per
     ``ClientProfile`` field, in client order.
 
-    The game, the bound and training compute on the columns. The columns are
-    checked once, as a whole, at construction. A population is also a
-    read-only sequence of ``ClientProfile`` rows, numbered from 0; the rows
-    are built once, on first use.
+    The game, the bound and training compute on the columns, and every
+    function of the game takes a whole population. The columns are checked
+    once, as a whole, at construction. For iteration only, a population is
+    also a read-only sequence of ``ClientProfile`` rows, numbered from 0; the
+    rows are built once, on first use.
     """
 
     d: np.ndarray        # datasize
@@ -314,19 +290,6 @@ class Population(Sequence):
     def columns(self) -> tuple:
         """(d, a, G, c, v, q_max)."""
         return tuple(getattr(self, name) for name in _COLUMNS)
-
-    @classmethod
-    def of_client(cls, profile: ClientProfile) -> "Population":
-        """The one-client population of a row, with the row's own weight.
-
-        A row was checked when it was made, so it is not checked again.
-        """
-        population = object.__new__(cls)
-        values = np.array([[getattr(profile, name)] for name in _FIELDS], dtype=float)
-        values.flags.writeable = False
-        for name, column in zip(_COLUMNS, values):
-            object.__setattr__(population, name, column)
-        return population
 
     @cached_property
     def _rows(self) -> tuple:

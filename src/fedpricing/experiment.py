@@ -18,19 +18,17 @@ import numpy as np
 import yaml
 
 from . import data as datamod
-from .bound import convergence_gap_bound
 from .calibrate import estimate_alpha, estimate_grad_bounds, local_optimum_losses
 from .core import (
+    EquilibriumResult,
     FederatedDataset,
     GameConstants,
     ParticipationVector,
     Population,
-    PricingVector,
     make_population,
 )
 from .fltrain import TrainConfig, train_runs
 from .formats import (
-    baseline_as_result,
     read_equilibrium_manifest,
     read_metrics_csv,
     read_population,
@@ -38,12 +36,7 @@ from .formats import (
     write_metrics_csv,
     write_population,
 )
-from .game import (
-    SolverOptions,
-    baseline_uniform,
-    baseline_weighted,
-    server_solve,
-)
+from .game import baseline_uniform, baseline_weighted, server_solve
 
 SCHEMES = ("optimal", "uniform", "weighted")
 
@@ -239,23 +232,15 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
     return population, constants, local_optimum_losses(dataset, pilot_cfg)
 
 
-def solve_scheme(scheme: str, population: Population, constants: GameConstants, budget: float,
-                 opts: SolverOptions | None = None):
-    """Solve one pricing scheme and wrap it in the manifest record."""
-    opts = opts or SolverOptions()
-    if scheme == "optimal":
-        return server_solve(population, constants, budget, opts)
-    if scheme == "uniform":
-        price, q = baseline_uniform(population, constants, budget, opts)
-        prices = PricingVector([price] * len(population))
-    elif scheme == "weighted":
-        prices, q = baseline_weighted(population, constants, budget, opts)
-    else:
+def solve_scheme(scheme: str, population: Population, constants: GameConstants,
+                 budget: float) -> EquilibriumResult:
+    """Solve one pricing scheme's equilibrium."""
+    # Built per call, so that a solver rebound on this module, such as a timing
+    # wrapper, is the one called.
+    solvers = {"optimal": server_solve, "uniform": baseline_uniform, "weighted": baseline_weighted}
+    if scheme not in solvers:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    bound_value = (
-        convergence_gap_bound(q, population, constants) if min(q.q) > 0 else float("inf")
-    )
-    return baseline_as_result(prices, q, bound_value)
+    return solvers[scheme](population, constants, budget)
 
 
 def run_experiment(cfg: dict, out_dir: str) -> dict:

@@ -34,18 +34,6 @@ from .core import FederatedDataset, ParticipationVector, Population
 
 
 @dataclass(frozen=True)
-class ModelState:
-    """Multinomial logistic weights, classes x (features + 1), bias folded in."""
-
-    w: np.ndarray
-    round_index: int = 0
-
-    @classmethod
-    def zeros(cls, n_classes: int, dim: int) -> "ModelState":
-        return cls(w=np.zeros((n_classes, dim + 1)), round_index=0)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """One training run's knobs. ``batch=None`` means deterministic full-batch steps.
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import math
 import re
 
-from .core import EquilibriumResult, ParticipationVector, Population, PricingVector, make_population
+from .core import EquilibriumResult, Population, make_population
 
 METRICS_HEADER = ["run_id", "seed", "round", "sim_time", "participants", "loss", "accuracy"]
 
@@ -40,13 +39,24 @@ def write_population(path: str, population: Population, f_locals: list | None = 
         f.write("\n".join(lines) + "\n")
 
 
+def _number(path: str, section, key: str) -> float:
+    """The value of ``key`` in a population file section, as a float."""
+    raw = section.get(key)
+    if raw is None:
+        raise ValueError(f"{path}: [{section.name}] has no {key}")
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{path}: [{section.name}] {key}: expected a number, got {raw!r}") from None
+
+
 def read_population(path: str):
     """Returns (population, f_locals or None, meta dict)."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     with open(path) as f:
         cp.read_file(f)
-    meta = {k: float(v) for k, v in cp["meta"].items()} if cp.has_section("meta") else {}
+    meta = {k: _number(path, cp["meta"], k) for k in cp["meta"]} if cp.has_section("meta") else {}
     rows = []
     for name in cp.sections():
         m = _CLIENT_SECTION.match(name)
@@ -57,12 +67,12 @@ def read_population(path: str):
         sec = cp[name]
         rows.append((
             int(m.group(1)),
-            float(sec["d"]),
-            float(sec["G"]),
-            float(sec["c"]),
-            float(sec["v"]),
-            float(sec.get("q_max", "1.0")),
-            float(sec["F_local"]) if "F_local" in sec else None,
+            _number(path, sec, "d"),
+            _number(path, sec, "G"),
+            _number(path, sec, "c"),
+            _number(path, sec, "v"),
+            _number(path, sec, "q_max") if "q_max" in sec else 1.0,
+            _number(path, sec, "F_local") if "F_local" in sec else None,
         ))
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
@@ -92,30 +102,12 @@ def read_equilibrium_manifest(path: str):
     """Returns (result, scheme, budget)."""
     with open(path) as f:
         payload = json.load(f)
-    scheme = payload.pop("scheme")
-    budget = payload.pop("budget")
-    return EquilibriumResult.from_dict(payload), scheme, budget
-
-
-def baseline_as_result(prices: PricingVector, q: ParticipationVector,
-                       bound_value: float = float("nan")) -> EquilibriumResult:
-    """Wrap a baseline (prices, responses) pair in the manifest-friendly record.
-
-    Baselines have no dual value or threshold; those fields are filled with
-    placeholder values and flagged in diagnostics.
-    """
-    payments = tuple(p * qn for p, qn in zip(prices.p, q.q))
-    return EquilibriumResult(
-        q_star=q,
-        p_star=prices,
-        lambda_star=float("nan"),
-        v_threshold=float("nan"),
-        spend=math.fsum(payments),
-        bound_value=bound_value,
-        payments=payments,
-        interior=tuple(False for _ in q.q),
-        diagnostics={"solver": "baseline"},
-    )
+    try:
+        scheme = payload.pop("scheme")
+        budget = payload.pop("budget")
+        return EquilibriumResult.from_dict(payload), scheme, budget
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
 
 
 def write_metrics_csv(path: str, run_id: str, seed: int, metrics: list) -> None:

@@ -10,9 +10,12 @@ deterministic).
 Each solver call derives the game's columns from its ``Population`` once
 (``_Clients``) and runs both stages on whole arrays, so a Stage-II pass or a
 spend evaluation is a fixed number of numpy operations over N clients rather
-than N Python calls.
-The public per-client functions are calls into the same kernels on the
-one-client population of a ``ClientProfile`` row.
+than N Python calls. The public Stage-II and KKT functions run the same
+kernels over a whole population and return one entry per client. The three
+pricing schemes -- ``server_solve``, ``baseline_uniform`` and
+``baseline_weighted`` -- are calls of one shape,
+``(population, constants, budget) -> EquilibriumResult``, and every solver
+uses the fixed tolerances recorded in ``SolverOptions``.
 
 Clients with intrinsic preference above the payment threshold 1/(3*lambda)
 receive negative prices: they pay the server.
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import bound_terms, checked_levels, gap_bound_of, power
+from .bound import bound_terms, checked_levels, gap_bound_of, per_client, power
 from .core import (
-    ClientProfile,
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
@@ -57,17 +59,15 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical knobs for the equilibrium solvers."""
+    """The tolerances every equilibrium solver uses, as a record: the
+    solvers take no options."""
 
     lambda_tol: float = 1e-10     # relative width of the dual bisection interval
     max_iter: int = 200
     budget_tol: float = 1e-8      # |spend - B| <= budget_tol * max(1, B)
 
-    def __post_init__(self):
-        if self.lambda_tol <= 0 or self.budget_tol <= 0:
-            raise ValueError("solver tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+
+_OPTS = SolverOptions()
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +147,16 @@ def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
         hi = np.where(up, hi, mid)
 
 
-def client_best_response(p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
-    """Unique maximizer of the client's concave objective on [0, q_max].
+def client_best_response(prices, population: Population, constants: GameConstants) -> np.ndarray:
+    """Each client's unique maximizer of its concave objective on [0, q_max],
+    given its own price: one entry per client.
 
     Interior stationary points are found by monotone bisection on the
     first-order-condition residual (the closed-form cubic root is avoided for
-    numerical robustness). Monotone non-decreasing in the price.
+    numerical robustness). Monotone non-decreasing in each price.
     """
-    cl = _Clients.read(Population.of_client(profile), constants)
-    return float(_best_responses(np.array([p_n], dtype=float), cl)[0])
+    prices = per_client(prices, "prices", population)
+    return _best_responses(prices, _Clients.read(population, constants))
 
 
 # ---------------------------------------------------------------- certified sums
@@ -247,19 +248,29 @@ def _check_floor(cl: _Clients) -> None:
         raise ValueError(f"q_floor={cl.floor} must lie below the smallest cap {min_cap}")
 
 
-def inverse_price(q_n: float, profile: ClientProfile, constants: GameConstants) -> float:
-    """Price making q_n the client's interior stationary point.
+def _check_above_floor(levels: np.ndarray, constants: GameConstants) -> None:
+    below = np.flatnonzero(levels < constants.q_floor)
+    if below.size:
+        n = int(below[0])
+        raise ValueError(
+            f"client {n}: q={levels[n]} below the participation floor {constants.q_floor}"
+        )
+
+
+def inverse_price(levels, population: Population, constants: GameConstants) -> np.ndarray:
+    """The price making each client's level its interior stationary point:
+    one entry per client.
 
     P(q) = 2 c q - v (alpha/R) a^2 G^2 / q^2.
     """
-    if q_n < constants.q_floor:
-        raise ValueError(f"q_n={q_n} below the participation floor {constants.q_floor}")
-    cl = _Clients.read(Population.of_client(profile), constants)
-    return float(_inverse_prices(np.array([q_n], dtype=float), cl)[0])
+    levels = per_client(levels, "levels", population)
+    _check_above_floor(levels, constants)
+    return _inverse_prices(levels, _Clients.read(population, constants))
 
 
-def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstants) -> float:
-    """Stationary participation level for dual value lam, clipped to the box.
+def kkt_participation(lam: float, population: Population, constants: GameConstants) -> np.ndarray:
+    """Each client's stationary participation level for dual value lam,
+    clipped to the box: one entry per client.
 
     Inverts 1/lam = (4R/alpha) c q^3 / (a^2 G^2) + v; clients whose intrinsic
     preference meets or exceeds 1/lam have no interior stationary point and
@@ -267,7 +278,7 @@ def kkt_participation(lam: float, profile: ClientProfile, constants: GameConstan
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return float(_kkt_levels(lam, _Clients.read(Population.of_client(profile), constants))[0])
+    return _kkt_levels(lam, _Clients.read(population, constants))
 
 
 def total_spend(q: ParticipationVector, population: Population, constants: GameConstants) -> float:
@@ -277,12 +288,7 @@ def total_spend(q: ParticipationVector, population: Population, constants: GameC
     are clients paying the server.
     """
     levels = checked_levels(q, population)
-    below = np.flatnonzero(levels < constants.q_floor)
-    if below.size:
-        n = int(below[0])
-        raise ValueError(
-            f"client {n}: q={levels[n]} below the participation floor {constants.q_floor}"
-        )
+    _check_above_floor(levels, constants)
     return _spend(levels, _Clients.read(population, constants))
 
 
@@ -291,27 +297,6 @@ def payment_threshold(lambda_star: float) -> float:
     if lambda_star <= 0.0:
         raise ValueError(f"lambda must be positive, got {lambda_star}")
     return 1.0 / (3.0 * lambda_star)
-
-
-def price_closed_form(lambda_star: float, profile: ClientProfile, constants: GameConstants) -> float:
-    """Equilibrium price of an interior client, directly from the dual value.
-
-    P = (2 alpha c^2 a^2 G^2 / R)^(1/3) * [(1/lam - v)^(1/3) - 2 v (1/lam - v)^(-2/3)].
-    Must coincide with inverse_price(kkt_participation(lam)) whenever the
-    client is interior.
-    """
-    if lambda_star <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lambda_star}")
-    inv = 1.0 / lambda_star
-    v = profile.intrinsic_pref
-    if inv <= v:
-        raise ValueError(
-            f"client {profile.index} is not interior: 1/lambda={inv} <= intrinsic_pref={v}"
-        )
-    c, a, G = profile.cost_coeff, profile.weight, profile.grad_bound
-    coeff = (2.0 * constants.alpha * (c * c) * (a * a) * (G * G) / constants.rounds) ** (1.0 / 3.0)
-    gap = inv - v
-    return coeff * (gap ** (1.0 / 3.0) - 2.0 * v / gap ** (2.0 / 3.0))
 
 
 def _finish(
@@ -337,23 +322,44 @@ def _finish(
     )
 
 
-def server_solve(
+def _baseline_result(
+    prices: np.ndarray,
+    levels: np.ndarray,
     population: Population,
     constants: GameConstants,
-    budget: float,
-    opts: SolverOptions | None = None,
 ) -> EquilibriumResult:
+    """A baseline's prices and responses as an equilibrium record.
+
+    Baselines have no dual value, threshold or interior clients: the dual and
+    threshold are NaN, and the diagnostics name the solver. A client at q = 0
+    makes the gap bound infinite.
+    """
+    payments = prices * levels
+    bound = gap_bound_of(levels, population, constants) if np.all(levels > 0.0) else math.inf
+    return EquilibriumResult(
+        q_star=ParticipationVector(levels),
+        p_star=PricingVector(prices),
+        lambda_star=math.nan,
+        v_threshold=math.nan,
+        spend=math.fsum(payments),
+        bound_value=bound,
+        payments=tuple(payments.tolist()),
+        interior=(False,) * len(levels),
+        diagnostics={"solver": "baseline"},
+    )
+
+
+def server_solve(population: Population, constants: GameConstants, budget: float) -> EquilibriumResult:
     """Equilibrium prices and participation via bisection on the budget dual.
 
     Spend is monotone non-increasing in the dual value, so the budget-tight
     dual is found by plain bisection; the budget constraint is tight at the
     optimum unless the budget already buys every client's cap.
     """
-    opts = opts or SolverOptions()
     cl = _Clients.read(population, constants)
     _check_floor(cl)
     min_budget = _spend(np.full(len(population), cl.floor), cl)
-    tol = opts.budget_tol * max(1.0, abs(budget))
+    tol = _OPTS.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
 
@@ -375,7 +381,7 @@ def server_solve(
 
     lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
     lam_hi = lam_cap
-    for _ in range(opts.max_iter):
+    for _ in range(_OPTS.max_iter):
         lam_hi *= 2.0
         if spend_at(lam_hi).test(lambda s: s <= budget):
             break
@@ -386,7 +392,7 @@ def server_solve(
         )
 
     iterations = 0
-    while (lam_hi - lam_lo) > opts.lambda_tol * lam_hi and iterations < opts.max_iter:
+    while (lam_hi - lam_lo) > _OPTS.lambda_tol * lam_hi and iterations < _OPTS.max_iter:
         mid = 0.5 * (lam_lo + lam_hi)
         if spend_at(mid).test(lambda s: s > budget):
             lam_lo = mid
@@ -408,29 +414,21 @@ def server_solve(
 # ---------------------------------------------------------------- baselines
 
 
-def _bisect_budget_scale(
-    unit_prices: np.ndarray,
-    cl: _Clients,
-    budget: float,
-    opts: SolverOptions,
-):
-    """Bisect a nonnegative scale s so the best responses to the prices
-    s * unit_prices exhaust the budget; returns (s, responses)."""
+def _bisect_budget_scale(unit_prices: np.ndarray, cl: _Clients, budget: float) -> float:
+    """A nonnegative scale s, bisected so the best responses to the prices
+    s * unit_prices exhaust the budget."""
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-
-    def responses(scale: float) -> np.ndarray:
-        return _best_responses(scale * unit_prices, cl)
 
     def spend(scale: float) -> _Total:
         prices = scale * unit_prices
         return _Total(prices * _best_responses(prices, cl))
 
-    tol = opts.budget_tol * max(1.0, budget)
+    tol = _OPTS.budget_tol * max(1.0, budget)
     if budget == 0.0 or spend(0.0).test(lambda s: s >= budget - tol):
-        return 0.0, responses(0.0)
+        return 0.0
     hi = 1.0
-    for _ in range(opts.max_iter):
+    for _ in range(_OPTS.max_iter):
         if spend(hi).test(lambda s: s >= budget):
             break
         hi *= 2.0
@@ -439,7 +437,7 @@ def _bisect_budget_scale(
             f"baseline pricing cannot exhaust budget {budget}: spend({hi}) = {spend(hi).exact()}"
         )
     lo = 0.0
-    for _ in range(4 * opts.max_iter):
+    for _ in range(4 * _OPTS.max_iter):
         mid = 0.5 * (lo + hi)
         s = spend(mid)
         if _within(s, budget, tol):
@@ -449,34 +447,26 @@ def _bisect_budget_scale(
             lo = mid
         else:
             hi = mid
-    scale = 0.5 * (lo + hi)
-    return scale, responses(scale)
+    return 0.5 * (lo + hi)
 
 
-def baseline_uniform(
-    population: Population,
-    constants: GameConstants,
-    budget: float,
-    opts: SolverOptions | None = None,
-):
+def _scaled_baseline(
+    unit_prices: np.ndarray, population: Population, constants: GameConstants, budget: float
+) -> EquilibriumResult:
+    """The baseline whose prices are ``unit_prices`` scaled to exhaust the budget."""
+    cl = _Clients.read(population, constants)
+    prices = _bisect_budget_scale(unit_prices, cl, budget) * unit_prices
+    return _baseline_result(prices, _best_responses(prices, cl), population, constants)
+
+
+def baseline_uniform(population: Population, constants: GameConstants, budget: float) -> EquilibriumResult:
     """One nonnegative price for everyone, scaled until the budget is exhausted."""
-    opts = opts or SolverOptions()
-    cl = _Clients.read(population, constants)
-    price, q = _bisect_budget_scale(np.ones(len(population)), cl, budget, opts)
-    return price, ParticipationVector(q)
+    return _scaled_baseline(np.ones(len(population)), population, constants, budget)
 
 
-def baseline_weighted(
-    population: Population,
-    constants: GameConstants,
-    budget: float,
-    opts: SolverOptions | None = None,
-):
+def baseline_weighted(population: Population, constants: GameConstants, budget: float) -> EquilibriumResult:
     """Prices proportional to datasize, scaled until the budget is exhausted."""
-    opts = opts or SolverOptions()
-    cl = _Clients.read(population, constants)
-    scale, q = _bisect_budget_scale(cl.pop.d, cl, budget, opts)
-    return PricingVector(scale * cl.pop.d), ParticipationVector(q)
+    return _scaled_baseline(population.d, population, constants, budget)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ on the global loss. ``population_rows`` is the row-by-row population
 construction the columnar ``make_population`` replaced, ``write_population``
 the ``configparser`` writer of the population file, and
 ``verify_equilibrium`` the per-client loop over profile rows that the
-column version replaced. They only use the package's public functions.
+column version replaced. ``price_closed_form`` is the equilibrium price of an
+interior client written directly in the dual value. They only use the
+package's public functions.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from fedpricing.game import (
 )
 
 _INTERIOR_EPS = 1e-9
+_OPTS = SolverOptions()
 M_STEP = 5e-3          # M-search grid step, as a fraction of the M range
 M_REFINE_PASSES = 2    # extra M-grid passes, each shrinking the step 100x
 
@@ -119,6 +122,25 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
     return 0.5 * (lo + hi)
 
 
+def price_closed_form(lambda_star: float, profile: ClientProfile, constants: GameConstants) -> float:
+    """Equilibrium price of an interior client, directly from the dual value.
+
+    P = (2 alpha c^2 a^2 G^2 / R)^(1/3) * [(1/lam - v)^(1/3) - 2 v (1/lam - v)^(-2/3)].
+    Must coincide with the inverse price of the KKT level whenever the client
+    is interior.
+    """
+    if lambda_star <= 0.0:
+        raise ValueError(f"lambda must be positive, got {lambda_star}")
+    inv = 1.0 / lambda_star
+    v = profile.intrinsic_pref
+    if inv <= v:
+        raise ValueError(
+            f"client {profile.index} is not interior: 1/lambda={inv} <= intrinsic_pref={v}"
+        )
+    c, a, G = profile.cost_coeff, profile.weight, profile.grad_bound
+    coeff = (2.0 * constants.alpha * (c * c) * (a * a) * (G * G) / constants.rounds) ** (1.0 / 3.0)
+    gap = inv - v
+    return coeff * (gap ** (1.0 / 3.0) - 2.0 * v / gap ** (2.0 / 3.0))
 
 
 def client_utility(
@@ -184,7 +206,7 @@ def _finish(
     constants: GameConstants,
     diagnostics: dict,
 ) -> EquilibriumResult:
-    prices = [inverse_price(qn, p, constants) for qn, p in zip(q.q, profiles)]
+    prices = inverse_price(q.q, profiles, constants).tolist()
     payments = tuple(pr * qn for pr, qn in zip(prices, q.q))
     interior = tuple(
         constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS
@@ -208,7 +230,6 @@ def _solve_fixed_m(
     profiles: list,
     constants: GameConstants,
     budget: float,
-    opts: SolverOptions,
 ) -> ParticipationVector | None:
     """Minimize the gap bound at fixed total cost mass M = sum c_n q_n^2.
 
@@ -257,14 +278,14 @@ def _solve_fixed_m(
         log_t = brentq(
             lambda lt: mass(math.exp(lt), lam_b) - m_target,
             math.log(t_lo), math.log(t_hi),
-            xtol=1e-13, rtol=1e-12, maxiter=opts.max_iter,
+            xtol=1e-13, rtol=1e-12, maxiter=_OPTS.max_iter,
         )
         return levels(math.exp(log_t), lam_b)
 
     def spend_of(q: np.ndarray) -> float:
         return float(np.sum(2.0 * c * (q * q) - k * v / q))
 
-    tol = opts.budget_tol * max(1.0, abs(budget))
+    tol = _OPTS.budget_tol * max(1.0, abs(budget))
     q0 = match_mass(0.0)
     if spend_of(q0) <= budget + tol:
         return ParticipationVector(q0)
@@ -278,8 +299,8 @@ def _solve_fixed_m(
     lam = brentq(
         lambda lb: spend_of(match_mass(lb)) - budget,
         0.0, lam_hi,
-        xtol=opts.lambda_tol * max(lam_hi, 1e-30), rtol=8.9e-16,
-        maxiter=opts.max_iter,
+        xtol=_OPTS.lambda_tol * max(lam_hi, 1e-30), rtol=8.9e-16,
+        maxiter=_OPTS.max_iter,
     )
     q = match_mass(lam)
     if spend_of(q) > budget + tol:
@@ -293,22 +314,21 @@ def server_solve_m_search(
     profiles: list,
     constants: GameConstants,
     budget: float,
-    opts: SolverOptions | None = None,
 ) -> EquilibriumResult:
     """Cross-check solver: fixed-step linear search over the cost mass M.
 
     Scans M = sum c_n q_n^2 over its feasible range, solves the convex
     fixed-M subproblem at each grid point, and keeps the best; optional
     refinement passes re-grid around the incumbent with a 100x smaller step.
-    Exists to validate server_solve independently.
+    Exists to validate server_solve independently. It uses the package
+    solvers' fixed tolerances, ``SolverOptions()``.
     """
-    opts = opts or SolverOptions()
     if len(profiles) < 1:
         raise ValueError("population must contain at least one client")
     _check_floor(profiles, constants)
     floor_vec = ParticipationVector([constants.q_floor] * len(profiles))
     min_budget = total_spend(floor_vec, profiles, constants)
-    tol = opts.budget_tol * max(1.0, abs(budget))
+    tol = _OPTS.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
 
@@ -325,7 +345,7 @@ def server_solve_m_search(
         nonlocal best_q, best_obj, best_m
         n_points = max(2, int(round((hi - lo) / step)) + 1)
         for m_target in np.linspace(lo, hi, n_points):
-            q = _solve_fixed_m(float(m_target), profiles, constants, budget, opts)
+            q = _solve_fixed_m(float(m_target), profiles, constants, budget)
             if q is None:
                 continue
             obj = participation_penalty(q, profiles)

@@ -16,17 +16,15 @@ from fedpricing.data import power_law_sizes
 from fedpricing.experiment import build_config, run_experiment
 from fedpricing.fltrain import aggregate, sample_participants
 from fedpricing.game import (
-    SolverOptions,
     client_best_response,
     inverse_price,
     kkt_participation,
     payment_threshold,
-    price_closed_form,
     server_solve,
     total_spend,
     verify_equilibrium,
 )
-from oracles import server_solve_m_search
+from oracles import price_closed_form, server_solve_m_search
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -133,7 +131,7 @@ def test_02_best_response_grid_oracle():
             rounds=int(rng.integers(5, 40)), local_steps=5, q_floor=0.01,
         )
         price = float(rng.uniform(-2.0, 6.0))
-        solved = client_best_response(price, p, constants)
+        solved = client_best_response([price], profiles, constants)[0]
         grid = np.arange(step, p.q_max + step / 2, step)
         k = p.intrinsic_pref * constants.alpha / constants.rounds * p.weight**2 * p.grad_bound**2
         util = price * grid - p.cost_coeff * grid**2 - k * (1.0 - grid) / grid
@@ -196,9 +194,8 @@ def test_03_server_optimality_grid(small_instances):
 
 def test_04_solver_cross_check(small_instances):
     worst_obj = worst_q = 0.0
-    opts = SolverOptions()
     for profiles, constants, budget, result in small_instances:
-        other = server_solve_m_search(profiles, constants, budget, opts)
+        other = server_solve_m_search(profiles, constants, budget)
         worst_obj = max(
             worst_obj, abs(other.bound_value - result.bound_value) / abs(result.bound_value)
         )
@@ -253,11 +250,11 @@ def test_06_price_identity_and_threshold():
         lam = float(rng.uniform(0.05, 5.0))
         if 1.0 / lam <= p.intrinsic_pref:
             continue
-        q = kkt_participation(lam, p, constants)
+        q = kkt_participation(lam, profiles, constants)[0]
         if not constants.q_floor < q < p.q_max:
             continue
         direct = price_closed_form(lam, p, constants)
-        composed = inverse_price(q, p, constants)
+        composed = inverse_price([q], profiles, constants)[0]
         worst = max(worst, abs(direct - composed) / max(abs(composed), 1e-300))
         margin = payment_threshold(lam) - p.intrinsic_pref
         if abs(margin) > 1e-6 and math.copysign(1.0, direct) != math.copysign(1.0, margin):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -161,9 +162,90 @@ def run_module(args, env_vars=None):
     ("FEDPRICING_BUDGET", "x", "error: FEDPRICING_BUDGET: expected float, got 'x'"),
 ])
 def test_a_bad_environment_value_is_one_error_line(tmp_path, var, value, message):
-    proc = run_module(["report", "--run-dir", str(tmp_path)], {var: value})
+    # Each variable is read by a subcommand that has its flag.
+    args = {"FEDPRICING_SEED": ["gen-data", "--out", str(tmp_path)],
+            "FEDPRICING_BUDGET": ["solve", "--population", str(tmp_path / "population.ini"),
+                                  "--out", str(tmp_path)]}[var]
+    proc = run_module(args, {var: value})
     assert proc.returncode != 0
     assert proc.stderr.splitlines() == [message], proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    """A run directory of the fast config's experiment."""
+    root = tmp_path_factory.mktemp("fast")
+    out = str(root / "run")
+    assert main(["experiment", "--config", write_fast_config(root), "--out", out]) == 0
+    return out
+
+
+def test_report_reads_no_variable_of_another_subcommand(fast_run, capsys, monkeypatch):
+    monkeypatch.setenv("FEDPRICING_SEED", "abc")
+    monkeypatch.setenv("FEDPRICING_BUDGET", "x")
+    code, stdout, stderr = run_cli(["report", "--run-dir", fast_run], capsys)
+    assert (code, stderr) == (0, "")
+    assert "optimal" in stdout
+
+
+def one_error_line(stderr: str) -> str:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("key", ["scheme", "budget"])
+def test_a_manifest_without_its_scheme_or_budget_is_named(fast_run, tmp_path, capsys, key):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "equilibrium_optimal.json"
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    code, _, stderr = run_cli(["report", "--run-dir", str(run_dir)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: {path}: missing key '{key}'"
+
+
+def small_population_file(tmp_path) -> str:
+    path = str(tmp_path / "population.ini")
+    population = make_population([4, 2], [1.0, 2.0], [2.0, 1.0], [0.1, 0.0], [1.0, 1.0])
+    write_population(path, population, meta={"alpha": 1.0, "beta": 0.0, "rounds": 10.0,
+                                             "local_steps": 2.0, "q_floor": 0.01})
+    return path
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("G = 2.0", "G = two"), "[client 1] G: expected a number, got 'two'"),
+    (("G = 2.0\n", ""), "[client 1] has no G"),
+    (("alpha = 1.0", "alpha = "), "[meta] alpha: expected a number, got ''"),
+], ids=["not-a-number", "missing", "meta"])
+def test_a_population_value_that_is_not_a_number_is_named(tmp_path, capsys, edit, message):
+    path = small_population_file(tmp_path)
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text.replace(*edit))
+    code, _, stderr = run_cli(["solve", "--population", path, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: {path}: {message}"
+
+
+def test_a_malformed_config_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("n_clients: [3, 4\n")
+    code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert str(cfg) in one_error_line(stderr)
+
+
+def test_a_budget_that_cannot_be_bracketed_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text("budget: .nan\n")
+    code, _, stderr = run_cli(["solve", "--config", str(cfg),
+                               "--population", small_population_file(tmp_path),
+                               "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "could not bracket the budget dual" in one_error_line(stderr)
 
 
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),

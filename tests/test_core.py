@@ -113,8 +113,6 @@ def test_population_checks_its_columns():
         Population([1, 2], [0.5, 0.5], [1.0], [1, 1], [0, 0], [1, 1])
     with pytest.raises(PopulationError, match="client 1: q_max must be in"):
         Population([1, 2], [0.5, 0.5], [1, 1], [1, 1], [0, 0], [1, 0])
-    one = Population.of_client(make_population([1, 3], [1, 2], [1, 1], [0, 0], [1, 1])[1])
-    assert (len(one), one.a.tolist(), one.G.tolist()) == (1, [0.75], [2.0])
 
 
 def test_game_constants_invariants():
@@ -136,21 +134,7 @@ def test_participation_vector_range():
 
 
 class TestManifestRoundTrips:
-    """Every core type survives a trip through the manifest (JSON dict) form."""
-
-    def test_client_profile(self):
-        p = ClientProfile(0, 10, 1.0, 2.0, 3.0, 4.0, 0.9)
-        assert ClientProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
-
-    def test_game_constants(self):
-        c = GameConstants(alpha=2.0, beta=1.0, rounds=10, local_steps=5, q_floor=0.02)
-        assert GameConstants.from_dict(json.loads(json.dumps(c.to_dict()))) == c
-
-    def test_vectors(self):
-        q = ParticipationVector([0.1, 0.9])
-        p = PricingVector([-1.0, 2.5])
-        assert ParticipationVector.from_dict(json.loads(json.dumps(q.to_dict()))) == q
-        assert PricingVector.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+    """The equilibrium record survives a trip through the manifest (JSON dict) form."""
 
     def test_equilibrium_result(self):
         r = EquilibriumResult(

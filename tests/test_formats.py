@@ -1,17 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from fedpricing.core import (
-    EquilibriumResult,
-    GameConstants,
-    ParticipationVector,
-    PricingVector,
-    make_population,
-)
+from fedpricing.core import GameConstants, make_population
 from fedpricing.formats import (
     METRICS_HEADER,
-    baseline_as_result,
     read_equilibrium_manifest,
     read_metrics_csv,
     read_population,
@@ -20,7 +14,7 @@ from fedpricing.formats import (
     write_population,
 )
 from fedpricing.fltrain import RoundMetrics
-from fedpricing.game import server_solve
+from fedpricing.game import _baseline_result, server_solve
 
 
 def sample_profiles():
@@ -92,9 +86,10 @@ def test_equilibrium_manifest_round_trip(tmp_path):
 
 
 def test_baseline_as_result_wraps_fields():
-    prices = PricingVector([2.0, 4.0])
-    q = ParticipationVector([0.5, 0.25])
-    result = baseline_as_result(prices, q, bound_value=3.0)
+    # a^2 G^2 = 1/4 for both clients, so the penalty is 1/4 + 3/4 and the bound 1 + beta.
+    population = make_population([1, 1], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    constants = GameConstants(alpha=1.0, beta=2.0, rounds=1, local_steps=1)
+    result = _baseline_result(np.array([2.0, 4.0]), np.array([0.5, 0.25]), population, constants)
     assert result.payments == (1.0, 1.0)
     assert result.spend == pytest.approx(2.0)
     assert math.isnan(result.lambda_star)
@@ -103,9 +98,10 @@ def test_baseline_as_result_wraps_fields():
 
 
 def test_baseline_spend_is_the_exact_sum_of_payments():
-    prices = PricingVector([1.0, 1e100, 1.0, -1e100])
-    q = ParticipationVector([1.0] * 4)
-    result = baseline_as_result(prices, q)
+    population = make_population([1] * 4, [1.0] * 4, [1.0] * 4, [0.0] * 4, [1.0] * 4)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    result = _baseline_result(np.array([1.0, 1e100, 1.0, -1e100]), np.ones(4), population,
+                              constants)
     assert result.payments == (1.0, 1e100, 1.0, -1e100)
     assert result.spend == 2.0
 

@@ -6,25 +6,27 @@ import pytest
 from fedpricing.core import GameConstants, ParticipationVector, make_population
 from fedpricing.game import (
     InfeasibleBudgetError,
-    SolverOptions,
     baseline_uniform,
     baseline_weighted,
     client_best_response,
     inverse_price,
     kkt_participation,
     payment_threshold,
-    price_closed_form,
     server_solve,
     total_spend,
     verify_equilibrium,
 )
-from oracles import client_utility, server_solve_m_search
+from oracles import client_utility, price_closed_form, server_solve_m_search
 
 UNIT_CONSTANTS = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
 
 
+def unit_population(v=0.0, c=1.0, q_max=1.0):
+    return make_population([1], [1.0], [c], [v], [q_max])
+
+
 def unit_client(v=0.0, c=1.0, q_max=1.0):
-    return make_population([1], [1.0], [c], [v], [q_max])[0]
+    return unit_population(v, c, q_max)[0]
 
 
 def random_population(rng, n):
@@ -71,16 +73,15 @@ def test_client_utility_diverges_at_zero_with_positive_pref():
 
 
 def test_best_response_zero_pref_closed_form():
-    profile = unit_client(v=0.0, c=2.0)
-    assert client_best_response(1.0, profile, UNIT_CONSTANTS) == pytest.approx(0.25)
-    assert client_best_response(-1.0, profile, UNIT_CONSTANTS) == 0.0
-    assert client_best_response(100.0, profile, UNIT_CONSTANTS) == 1.0
+    population = unit_population(v=0.0, c=2.0)
+    assert client_best_response([1.0], population, UNIT_CONSTANTS)[0] == pytest.approx(0.25)
+    assert client_best_response([-1.0], population, UNIT_CONSTANTS)[0] == 0.0
+    assert client_best_response([100.0], population, UNIT_CONSTANTS)[0] == 1.0
 
 
 def test_best_response_known_cubic_root():
     # v=1, c=1, a=G=alpha=R=1, P=0: FOC 1/q^2 = 2q, q = 2^(-1/3).
-    profile = unit_client(v=1.0)
-    got = client_best_response(0.0, profile, UNIT_CONSTANTS)
+    got = client_best_response([0.0], unit_population(v=1.0), UNIT_CONSTANTS)[0]
     assert got == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-10)
 
 
@@ -92,7 +93,7 @@ def test_best_response_matches_grid_oracle():
         profile = profiles[0]
         constants = random_constants(rng)
         price = float(rng.uniform(-2.0, 6.0))
-        solved = client_best_response(price, profile, constants)
+        solved = client_best_response([price], profiles, constants)[0]
         k = profile.intrinsic_pref * constants.alpha / constants.rounds
         k *= profile.weight**2 * profile.grad_bound**2
         util = price * grid - profile.cost_coeff * grid**2 - k * (1.0 - grid) / grid
@@ -104,43 +105,58 @@ def test_best_response_matches_grid_oracle():
 
 def test_best_response_monotone_in_price():
     rng = np.random.default_rng(31)
-    profile = random_population(rng, 1)[0]
+    population = random_population(rng, 1)
     constants = random_constants(rng)
     prices = np.linspace(-1.0, 5.0, 50)
-    qs = [client_best_response(float(p), profile, constants) for p in prices]
+    qs = [client_best_response([float(p)], population, constants)[0] for p in prices]
     assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
 
 
 def test_inverse_price_inverts_best_response():
     rng = np.random.default_rng(37)
     for _ in range(50):
-        profile = random_population(rng, 1)[0]
+        population = random_population(rng, 1)
         constants = random_constants(rng)
         q_target = float(rng.uniform(constants.q_floor, 0.95))
-        price = inverse_price(q_target, profile, constants)
-        assert client_best_response(price, profile, constants) == pytest.approx(q_target, abs=1e-8)
+        price = inverse_price([q_target], population, constants)
+        assert client_best_response(price, population, constants)[0] == pytest.approx(q_target,
+                                                                                      abs=1e-8)
 
 
 def test_inverse_price_rejects_below_floor():
-    profile = unit_client()
     with pytest.raises(ValueError, match="floor"):
-        inverse_price(0.001, profile, UNIT_CONSTANTS)
+        inverse_price([0.001], unit_population(), UNIT_CONSTANTS)
+
+
+def test_client_functions_take_one_entry_per_client():
+    population = make_population([1, 2, 3], [1.0] * 3, [1.0] * 3, [0.0, 0.5, 1.0], [1.0] * 3)
+    with pytest.raises(ValueError, match="^prices has 2 entries for 3 clients$"):
+        client_best_response([1.0, 2.0], population, UNIT_CONSTANTS)
+    with pytest.raises(ValueError, match="^prices must be one-dimensional, got shape"):
+        client_best_response(1.0, population, UNIT_CONSTANTS)
+    with pytest.raises(ValueError, match="^levels has 1 entries for 3 clients$"):
+        inverse_price([0.5], population, UNIT_CONSTANTS)
+    with pytest.raises(ValueError, match=r"^client 1: q=0.001 below the participation floor 0.01$"):
+        inverse_price([0.5, 0.001, 0.0001], population, UNIT_CONSTANTS)
+    with pytest.raises(ValueError, match="^lambda must be positive"):
+        kkt_participation(0.0, population, UNIT_CONSTANTS)
+    assert len(kkt_participation(1.0, population, UNIT_CONSTANTS)) == 3
 
 
 # ---------------------------------------------------------------- KKT pieces
 
 
 def test_kkt_participation_regimes():
-    profile = unit_client(v=0.5)
+    population = unit_population(v=0.5)
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     # 1/lam <= v pins to the floor.
-    assert kkt_participation(4.0, profile, constants) == constants.q_floor
+    assert kkt_participation(4.0, population, constants)[0] == constants.q_floor
     # Large 1/lam clips at the cap.
-    assert kkt_participation(1e-6, profile, constants) == profile.q_max
+    assert kkt_participation(1e-6, population, constants)[0] == population[0].q_max
     # Interior: q^3 = alpha a^2 G^2 (1/lam - v) / (4 R c).
     lam = 0.5
     expected = ((2.0 - 0.5) / 4.0) ** (1.0 / 3.0)
-    assert kkt_participation(lam, profile, constants) == pytest.approx(expected)
+    assert kkt_participation(lam, population, constants)[0] == pytest.approx(expected)
 
 
 def test_total_spend_manual():
@@ -173,16 +189,17 @@ def test_price_closed_form_matches_composition():
     rng = np.random.default_rng(41)
     checked = 0
     while checked < 200:
-        profile = random_population(rng, 1)[0]
+        population = random_population(rng, 1)
+        profile = population[0]
         constants = random_constants(rng)
         lam = float(rng.uniform(0.05, 5.0))
         if 1.0 / lam <= profile.intrinsic_pref:
             continue
-        q = kkt_participation(lam, profile, constants)
+        q = kkt_participation(lam, population, constants)[0]
         if not constants.q_floor < q < profile.q_max:
             continue
         direct = price_closed_form(lam, profile, constants)
-        composed = inverse_price(q, profile, constants)
+        composed = inverse_price([q], population, constants)[0]
         assert direct == pytest.approx(composed, rel=1e-8)
         checked += 1
 
@@ -240,7 +257,6 @@ def test_infeasible_budget_reports_minimum():
 
 def test_solvers_agree_small_instances():
     rng = np.random.default_rng(47)
-    opts = SolverOptions()
     for _ in range(6):
         n = int(rng.integers(2, 4))
         profiles = random_population(rng, n)
@@ -253,7 +269,7 @@ def test_solvers_agree_small_instances():
         if budget <= floor_spend:
             continue
         a = server_solve(profiles, constants, budget)
-        b = server_solve_m_search(profiles, constants, budget, opts)
+        b = server_solve_m_search(profiles, constants, budget)
         assert b.bound_value == pytest.approx(a.bound_value, rel=1e-3)
         for qa, qb, flag in zip(a.q_star.q, b.q_star.q, a.interior):
             if flag:
@@ -298,7 +314,9 @@ def test_uniform_baseline_exhausts_budget_with_one_price():
     profiles = random_population(rng, 5)
     constants = random_constants(rng)
     budget = 0.3 * sum(2.0 * p.cost_coeff for p in profiles)
-    price, q = baseline_uniform(profiles, constants, budget)
+    result = baseline_uniform(profiles, constants, budget)
+    price, q = result.p_star.p[0], result.q_star
+    assert set(result.p_star.p) == {price}
     assert price >= 0.0
     spend = sum(price * qn for qn in q.q)
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
@@ -309,7 +327,8 @@ def test_weighted_baseline_prices_proportional_to_datasize():
     profiles = random_population(rng, 5)
     constants = random_constants(rng)
     budget = 0.3 * sum(2.0 * p.cost_coeff for p in profiles)
-    prices, q = baseline_weighted(profiles, constants, budget)
+    result = baseline_weighted(profiles, constants, budget)
+    prices, q = result.p_star, result.q_star
     ratios = {prices.p[n] / profiles[n].datasize for n in range(5)}
     assert max(ratios) - min(ratios) <= 1e-9 * max(1.0, max(ratios))
     spend = sum(pn * qn for pn, qn in zip(prices.p, q.q))
@@ -318,6 +337,7 @@ def test_weighted_baseline_prices_proportional_to_datasize():
 
 def test_baseline_zero_budget_means_zero_prices():
     profiles = make_population([1, 2], [1, 1], [1, 1], [0, 0], [1, 1])
-    price, q = baseline_uniform(profiles, UNIT_CONSTANTS, 0.0)
-    assert price == 0.0
-    assert q.q == (0.0, 0.0)
+    result = baseline_uniform(profiles, UNIT_CONSTANTS, 0.0)
+    assert result.p_star.p == (0.0, 0.0)
+    assert result.q_star.q == (0.0, 0.0)
+    assert result.bound_value == math.inf

@@ -100,7 +100,7 @@ def test_spend_is_non_increasing_in_lambda(rows, constants, log_lams):
     lo, hi = sorted(10.0**x for x in log_lams)
 
     def levels(lam):
-        return ParticipationVector([kkt_participation(lam, p, constants) for p in profiles])
+        return ParticipationVector(kkt_participation(lam, profiles, constants))
 
     q_lo, q_hi = levels(lo), levels(hi)
     assert all(a >= b for a, b in zip(q_lo.q, q_hi.q))
@@ -119,11 +119,13 @@ def test_spend_is_non_increasing_in_lambda(rows, constants, log_lams):
 def test_baseline_levels_are_the_reference_best_responses(rows, constants, share):
     profiles = build(rows)
     budget = share * sum(p.cost_coeff * p.q_max**2 for p in profiles)
-    price, q = baseline_uniform(profiles, constants, budget)
+    result = baseline_uniform(profiles, constants, budget)
+    price, q = result.p_star.p[0], result.q_star
     want = [oracles.client_best_response(price, p, constants) for p in profiles]
     np.testing.assert_array_equal(bits(q.q), bits(want))
 
-    prices, q = baseline_weighted(profiles, constants, budget)
+    result = baseline_weighted(profiles, constants, budget)
+    prices, q = result.p_star, result.q_star
     want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices.p, profiles)]
     np.testing.assert_array_equal(bits(q.q), bits(want))
 
@@ -208,7 +210,7 @@ def test_make_population_accepts_and_rejects_as_the_row_by_row_construction(args
     assert list(population.d) == list(want[1])
     for column, values in zip(population.columns[1:], want[2:]):
         np.testing.assert_array_equal(bits(column), bits(values))
-    assert [tuple(p.to_dict().values()) for p in population] == rows
+    assert [dataclasses.astuple(p) for p in population] == rows
 
 
 CLIENT_ANY_SCALE = st.tuples(GOOD[0], GOOD[1], GOOD[2], GOOD[3], GOOD[4])
