@@ -3,14 +3,12 @@ client participation: equilibrium solvers, convergence bounds, and a
 desk-scale training simulator."""
 
 from .core import (
-    ClientProfile,
     EquilibriumResult,
     FederatedDataset,
     GameConstants,
     ParticipationVector,
     Population,
     PopulationError,
-    PricingVector,
     make_population,
 )
 from .bound import bound_gradient, convergence_gap_bound
@@ -40,7 +38,6 @@ from .fltrain import (
 from .data import gen_synthetic, load_idx, partition_label_limited, subsample
 
 __all__ = [
-    "ClientProfile",
     "EquilibriumReport",
     "EquilibriumResult",
     "FederatedDataset",
@@ -49,7 +46,6 @@ __all__ = [
     "ParticipationVector",
     "Population",
     "PopulationError",
-    "PricingVector",
     "TrainConfig",
     "aggregate",
     "baseline_uniform",

@@ -41,7 +41,7 @@ def per_client(values, name: str, population: Population) -> np.ndarray:
 
 def checked_levels(q: ParticipationVector, population: Population) -> np.ndarray:
     """The levels of q as an array, after checking that there is one per client."""
-    return per_client(q.as_array(), "participation", population)
+    return per_client(q.q, "participation", population)
 
 
 def positive_levels(q: ParticipationVector, population: Population) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Domain types shared across the pricing game, bounds, and training simulator.
 
-All types are plain frozen dataclasses: immutable after construction and safe
-to share across concurrent workers. Construction validates every invariant so
+Per-client data lives in columns: a ``Population`` holds one read-only float
+array per client field, and results hold one tuple entry per client. The
+records are frozen dataclasses, immutable after construction and safe to
+share across concurrent workers. Construction validates every invariant so
 downstream numerics never have to re-check inputs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -19,18 +22,20 @@ class PopulationError(ValueError):
     """Invalid client population input (mismatched lengths, bad per-client value)."""
 
 
-# ClientProfile's per-client fields, and the names of Population's columns for them.
+# The per-client fields, and the names of Population's columns for them.
 _FIELDS = ("datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max")
 _COLUMNS = ("d", "a", "G", "c", "v", "q_max")
 
+# One client of a population, for iteration only: its index and its fields.
+_Row = namedtuple("_Row", ("index",) + _FIELDS)
 
-def _check_clients(columns: tuple, first_index: int = 0) -> None:
+
+def _check_clients(columns: tuple) -> None:
     """Raise ``PopulationError`` naming the first client that breaks a row invariant.
 
-    ``columns`` holds one float array per field of ``_FIELDS``; client n is
-    numbered ``first_index + n``. A client's checks run in a fixed order,
-    every field's finiteness first, so the message names the field a
-    row-by-row check would name.
+    ``columns`` holds one float array per field of ``_FIELDS``. A client's
+    checks run in a fixed order, every field's finiteness first, so the
+    message names the field a row-by-row check would name.
     """
     d, a, G, c, v, q_max = columns
     checks = [(name, "must be finite", ~np.isfinite(col)) for name, col in zip(_FIELDS, columns)]
@@ -51,40 +56,7 @@ def _check_clients(columns: tuple, first_index: int = 0) -> None:
         value = float(columns[_FIELDS.index(name)][n])
         if name == "datasize" and value.is_integer():
             value = int(value)
-        raise PopulationError(f"client {first_index + n}: {name} {rule}, got {value}")
-
-
-@dataclass(frozen=True)
-class ClientProfile:
-    """One client's data weight, gradient bound, and economic parameters:
-    one row of a ``Population``.
-
-    ``weight`` is the client's fraction of the total data and must sum to 1
-    across a population. ``cost_coeff`` prices the quadratic participation
-    cost; ``intrinsic_pref`` scales the client's internal valuation of global
-    model improvement.
-    """
-
-    index: int
-    datasize: int
-    weight: float
-    grad_bound: float
-    cost_coeff: float
-    intrinsic_pref: float
-    q_max: float = 1.0
-
-    def __post_init__(self):
-        _check_clients(tuple(np.array([getattr(self, name)], dtype=float) for name in _FIELDS),
-                       self.index)
-
-    @classmethod
-    def _checked(cls, index, *values) -> "ClientProfile":
-        """A row of a population whose columns were checked as a whole."""
-        row = object.__new__(cls)
-        object.__setattr__(row, "index", index)
-        for name, value in zip(_FIELDS, values):
-            object.__setattr__(row, name, value)
-        return row
+        raise PopulationError(f"client {n}: {name} {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,33 +116,17 @@ class ParticipationVector:
     def __len__(self) -> int:
         return len(self.q)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.q)
-
-
-@dataclass(frozen=True)
-class PricingVector:
-    """Per-client prices per unit of participation level. Negative prices mean
-    the client pays the server."""
-
-    p: tuple
-
-    def __init__(self, p):
-        object.__setattr__(self, "p", tuple(_float_array(p).tolist()))
-
-    def __len__(self) -> int:
-        return len(self.p)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.p)
-
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A solved game instance: strategies, dual value, threshold, and diagnostics."""
+    """A solved game instance: strategies, dual value, threshold, and diagnostics.
+
+    ``p_star`` holds each client's price per unit of participation level; a
+    negative price means the client pays the server.
+    """
 
     q_star: ParticipationVector
-    p_star: PricingVector
+    p_star: tuple
     lambda_star: float
     v_threshold: float
     spend: float
@@ -190,7 +146,7 @@ class EquilibriumResult:
                 {
                     "n": n,
                     "q": self.q_star.q[n],
-                    "P": self.p_star.p[n],
+                    "P": self.p_star[n],
                     "payment": self.payments[n],
                     "interior": bool(self.interior[n]),
                 }
@@ -203,7 +159,7 @@ class EquilibriumResult:
         clients = sorted(d["clients"], key=lambda c: c["n"])
         return cls(
             q_star=ParticipationVector([c["q"] for c in clients]),
-            p_star=PricingVector([c["P"] for c in clients]),
+            p_star=tuple(c["P"] for c in clients),
             lambda_star=d["lambda_star"],
             v_threshold=d["v_threshold"],
             spend=d["spend"],
@@ -257,12 +213,13 @@ class FederatedDataset:
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):
     """A client population as columns: one read-only float array per
-    ``ClientProfile`` field, in client order.
+    client field, in client order.
 
     The game, the bound and training compute on the columns, and every
     function of the game takes a whole population. The columns are checked
     once, as a whole, at construction. For iteration only, a population is
-    also a read-only sequence of ``ClientProfile`` rows, numbered from 0; the
+    also a read-only sequence of named-tuple rows ``(index, datasize, weight,
+    grad_bound, cost_coeff, intrinsic_pref, q_max)``, numbered from 0; the
     rows are built once, on first use.
     """
 
@@ -295,7 +252,7 @@ class Population(Sequence):
     def _rows(self) -> tuple:
         rows = zip(range(len(self)), map(int, self.d.tolist()),
                    *(col.tolist() for col in self.columns[1:]))
-        return tuple(ClientProfile._checked(*row) for row in rows)
+        return tuple(map(_Row._make, rows))
 
     def __len__(self) -> int:
         return len(self.d)

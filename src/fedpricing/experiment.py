@@ -360,10 +360,10 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     utilities = {}
     negative_payments = {}
     for scheme, (result, _, _budget) in manifests.items():
-        negative_payments[scheme] = sum(1 for p in result.p_star.p if p < 0.0)
+        negative_payments[scheme] = sum(1 for p in result.p_star if p < 0.0)
         if population is not None and f_locals is not None and scheme in mean_final_loss:
-            q = result.q_star.as_array()
-            terms = (result.p_star.as_array() * q - population.c * (q * q)
+            q = np.array(result.q_star.q)
+            terms = (np.array(result.p_star) * q - population.c * (q * q)
                      + population.v * (np.array(f_locals) - mean_final_loss[scheme]))
             utilities[scheme] = math.fsum(terms.tolist())
 

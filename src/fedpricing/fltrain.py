@@ -21,6 +21,8 @@ arrays, so the metrics are bit-identical to evaluating in place.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 import os
 import signal
 import sys
@@ -56,6 +58,16 @@ class TrainConfig:
     sim_t_comp: float = 0.001
 
     def __post_init__(self):
+        for name in ("local_steps", "rounds", "eval_stride", "batch"):
+            value = getattr(self, name)
+            if name == "batch" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("l2", "eta0", "decay", "sim_t_base", "sim_t_comp"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.local_steps < 0:
             raise ValueError(f"local_steps must be >= 0, got {self.local_steps}")
         if self.batch is not None and self.batch < 1:

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import bound_terms, checked_levels, gap_bound_of, per_client, power
-from .core import (
-    EquilibriumResult,
-    GameConstants,
-    ParticipationVector,
-    Population,
-    PricingVector,
-)
+from .core import EquilibriumResult, GameConstants, ParticipationVector, Population
 
 _INTERIOR_EPS = 1e-9
 _RESPONSE_WIDTH = 1e-12     # each client's Stage-II bisection stops at this interval width
@@ -156,6 +150,10 @@ def client_best_response(prices, population: Population, constants: GameConstant
     numerical robustness). Monotone non-decreasing in each price.
     """
     prices = per_client(prices, "prices", population)
+    bad = np.flatnonzero(~np.isfinite(prices))
+    if bad.size:
+        n = int(bad[0])
+        raise ValueError(f"client {n}: price must be finite, got {prices[n]}")
     return _best_responses(prices, _Clients.read(population, constants))
 
 
@@ -249,7 +247,7 @@ def _check_floor(cl: _Clients) -> None:
 
 
 def _check_above_floor(levels: np.ndarray, constants: GameConstants) -> None:
-    below = np.flatnonzero(levels < constants.q_floor)
+    below = np.flatnonzero(~(levels >= constants.q_floor))
     if below.size:
         n = int(below[0])
         raise ValueError(
@@ -276,7 +274,7 @@ def kkt_participation(lam: float, population: Population, constants: GameConstan
     preference meets or exceeds 1/lam have no interior stationary point and
     are pinned to the floor.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return _kkt_levels(lam, _Clients.read(population, constants))
 
@@ -294,7 +292,7 @@ def total_spend(q: ParticipationVector, population: Population, constants: GameC
 
 def payment_threshold(lambda_star: float) -> float:
     """Intrinsic-preference level at which the equilibrium price changes sign."""
-    if lambda_star <= 0.0:
+    if not lambda_star > 0.0:
         raise ValueError(f"lambda must be positive, got {lambda_star}")
     return 1.0 / (3.0 * lambda_star)
 
@@ -311,7 +309,7 @@ def _finish(
     interior = (cl.floor + _INTERIOR_EPS < levels) & (levels < cl.pop.q_max - _INTERIOR_EPS)
     return EquilibriumResult(
         q_star=ParticipationVector(levels),
-        p_star=PricingVector(prices),
+        p_star=tuple(prices.tolist()),
         lambda_star=lam,
         v_threshold=payment_threshold(lam),
         spend=math.fsum(payments),
@@ -338,7 +336,7 @@ def _baseline_result(
     bound = gap_bound_of(levels, population, constants) if np.all(levels > 0.0) else math.inf
     return EquilibriumResult(
         q_star=ParticipationVector(levels),
-        p_star=PricingVector(prices),
+        p_star=tuple(prices.tolist()),
         lambda_star=math.nan,
         v_threshold=math.nan,
         spend=math.fsum(payments),
@@ -490,10 +488,10 @@ def verify_equilibrium(
     """Check the equalities and sign/ordering structure an equilibrium must satisfy."""
     violations = []
     interior_idx = np.flatnonzero(np.array(result.interior, dtype=bool))
-    q = result.q_star.as_array()[interior_idx]
+    q = np.array(result.q_star.q)[interior_idx]
     c, a, G, v = (col[interior_idx] for col in (population.c, population.a, population.G,
                                                  population.v))
-    prices = result.p_star.as_array()[interior_idx]
+    prices = np.array(result.p_star)[interior_idx]
 
     thetas = (4.0 * constants.rounds * c * power(q, 3)
               / (constants.alpha * (a * a) * (G * G)) + v)

@@ -34,12 +34,10 @@ from scipy.optimize import brentq, minimize
 
 from fedpricing.bound import convergence_gap_bound, participation_penalty
 from fedpricing.core import (
-    ClientProfile,
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
     PopulationError,
-    PricingVector,
 )
 from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
 from fedpricing.game import (
@@ -58,13 +56,13 @@ M_STEP = 5e-3          # M-search grid step, as a fraction of the M range
 M_REFINE_PASSES = 2    # extra M-grid passes, each shrinking the step 100x
 
 
-def _bound_term(profile: ClientProfile, constants: GameConstants) -> float:
+def _bound_term(profile: tuple, constants: GameConstants) -> float:
     """(alpha/R) a_n^2 G_n^2, the client's coefficient in the gap bound."""
     a, G = profile.weight, profile.grad_bound
     return constants.alpha / constants.rounds * (a * a) * (G * G)
 
 
-def _foc_residual(q: float, p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
+def _foc_residual(q: float, p_n: float, profile: tuple, constants: GameConstants) -> float:
     # P + v*(alpha/R)*a^2 G^2 / q^2 - 2 c q: derivative of the client objective.
     return (
         p_n
@@ -73,7 +71,7 @@ def _foc_residual(q: float, p_n: float, profile: ClientProfile, constants: GameC
     )
 
 
-def inverse_price_of(q: float, profile: ClientProfile, constants: GameConstants) -> float:
+def inverse_price_of(q: float, profile: tuple, constants: GameConstants) -> float:
     """2 c q - v (alpha/R) a^2 G^2 / q^2, one client at a time."""
     return (
         2.0 * profile.cost_coeff * q
@@ -89,7 +87,7 @@ def penalty_of(levels, profiles) -> float:
     )
 
 
-def client_best_response(p_n: float, profile: ClientProfile, constants: GameConstants) -> float:
+def client_best_response(p_n: float, profile: tuple, constants: GameConstants) -> float:
     """Unique maximizer of the client's concave objective on [0, q_max].
 
     Interior stationary points are found by monotone bisection on the
@@ -122,7 +120,7 @@ def client_best_response(p_n: float, profile: ClientProfile, constants: GameCons
     return 0.5 * (lo + hi)
 
 
-def price_closed_form(lambda_star: float, profile: ClientProfile, constants: GameConstants) -> float:
+def price_closed_form(lambda_star: float, profile: tuple, constants: GameConstants) -> float:
     """Equilibrium price of an interior client, directly from the dual value.
 
     P = (2 alpha c^2 a^2 G^2 / R)^(1/3) * [(1/lam - v)^(1/3) - 2 v (1/lam - v)^(-2/3)].
@@ -146,7 +144,7 @@ def price_closed_form(lambda_star: float, profile: ClientProfile, constants: Gam
 def client_utility(
     q_n: float,
     p_n: float,
-    profile: ClientProfile,
+    profile: tuple,
     constants: GameConstants,
     profiles: list,
     q_others: ParticipationVector,
@@ -214,7 +212,7 @@ def _finish(
     )
     return EquilibriumResult(
         q_star=q,
-        p_star=PricingVector(prices),
+        p_star=tuple(prices),
         lambda_star=lam,
         v_threshold=payment_threshold(lam),
         spend=total_spend(q, profiles, constants),
@@ -530,7 +528,7 @@ def pilot_gradient_norms(dataset, cfg, pilot_rounds, seed):
 
 
 def _check_row(index, datasize, weight, grad_bound, cost_coeff, intrinsic_pref, q_max):
-    """A ClientProfile's checks, one field at a time."""
+    """A population row's checks, one field at a time."""
     values = {"datasize": datasize, "weight": weight, "grad_bound": grad_bound,
               "cost_coeff": cost_coeff, "intrinsic_pref": intrinsic_pref, "q_max": q_max}
     for name, value in values.items():
@@ -642,7 +640,7 @@ def verify_equilibrium(result, profiles, constants, budget):
     sign_ok = True
     for n in interior_idx:
         v = profiles[n].intrinsic_pref
-        price = result.p_star.p[n]
+        price = result.p_star[n]
         margin = 1e-9 * max(1.0, abs(vt))
         if v < vt - margin and price <= 0.0:
             sign_ok = False
@@ -661,7 +659,7 @@ def verify_equilibrium(result, profiles, constants, budget):
             strength_j = pj.cost_coeff * pj.weight * pj.grad_bound
             if strength_i <= strength_j:
                 continue
-            price_i, price_j = result.p_star.p[i], result.p_star.p[j]
+            price_i, price_j = result.p_star[i], result.p_star[j]
             if pi.intrinsic_pref < pj.intrinsic_pref < vt:
                 if not price_i > price_j > 0.0:
                     ordering_ok = False

@@ -303,7 +303,7 @@ def test_08_monotone_in_budget():
                 if result.interior[n] and prev.interior[n]:
                     if result.q_star.q[n] < prev.q_star.q[n] - 1e-9:
                         ok = False
-                    if result.p_star.p[n] < prev.p_star.p[n] - 1e-9:
+                    if result.p_star[n] < prev.p_star[n] - 1e-9:
                         ok = False
         prev = result
     _report(8, "interior q* and P* non-decreasing in the budget", ok)
@@ -329,7 +329,7 @@ def test_09_price_orderings():
     for budget in (0.5, 1.0):
         result = server_solve(profiles, constants, budget)
         vt = result.v_threshold
-        P = result.p_star.p
+        P = result.p_star
         hyp_positive = profiles[0].intrinsic_pref < profiles[1].intrinsic_pref < vt
         hyp_negative = profiles[2].intrinsic_pref > profiles[3].intrinsic_pref > vt
         if not (all(result.interior) and hyp_positive and hyp_negative):
@@ -360,7 +360,7 @@ def test_10_negative_payment_direction():
         )
         profiles = make_population(sizes, grad_bounds, costs, values, [1.0] * 40)
         result = server_solve(profiles, constants, 200.0)
-        counts.append(sum(1 for p in result.p_star.p if p < 0.0))
+        counts.append(sum(1 for p in result.p_star if p < 0.0))
     ok = counts[0] == 0 and counts[0] <= counts[1] <= counts[2]
     _report(10, f"negative-payment counts {counts} non-decreasing in mean value", ok)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -292,3 +293,52 @@ def test_truncated_dataset_is_one_error_line(tmp_path, capsys, where, message):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert message in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+def fast_config_with(tmp_path, line: str) -> str:
+    """The fast config with the key of ``line`` set by that line."""
+    path = pathlib.Path(write_fast_config(tmp_path))
+    key = line.split(":")[0] + ":"
+    kept = [old for old in path.read_text().splitlines() if not old.startswith(key)]
+    path.write_text("\n".join(kept + [line]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("rounds: abc", "error: rounds must be an integer, got 'abc'"),
+    ("rounds: true", "error: rounds must be an integer, got True"),
+    ("eta0: .inf", "error: eta0 must be a finite number, got inf"),
+], ids=["rounds-abc", "rounds-bool", "eta0-inf"])
+def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys, monkeypatch,
+                                                                line, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the gradient pilot ran")
+
+    monkeypatch.setattr(exp, "estimate_grad_bounds", never)
+    cfg = fast_config_with(tmp_path, line)
+    code, _, stderr = run_cli(["experiment", "--config", cfg, "--out", str(tmp_path / "run")],
+                              capsys)
+    assert code == 1
+    assert one_error_line(stderr) == message
+    assert "Traceback" not in stderr
+
+
+def test_the_subcommands_write_the_run_directory_experiment_writes(tmp_path, capsys):
+    cfg = fast_config_with(tmp_path, "repeats: 2")
+    staged, whole = tmp_path / "staged", tmp_path / "whole"
+    out = ["--out", str(staged)]
+    dataset, population = str(staged / "dataset.bin"), str(staged / "population.ini")
+    assert main(["gen-data", "--config", cfg] + out) == 0
+    assert main(["calibrate", "--config", cfg, "--dataset", dataset] + out) == 0
+    for scheme in exp.SCHEMES:
+        assert main(["solve", "--config", cfg, "--population", population,
+                     "--scheme", scheme] + out) == 0
+        assert main(["train", "--config", cfg, "--dataset", dataset, "--population", population,
+                     "--equilibrium", str(staged / f"equilibrium_{scheme}.json")] + out) == 0
+    assert main(["report", "--run-dir", str(staged)]) == 0
+    assert main(["experiment", "--config", cfg, "--out", str(whole)]) == 0
+    capsys.readouterr()
+    names = sorted(os.listdir(whole))
+    assert len(names) == 13 and sorted(os.listdir(staged)) == names
+    for name in names:
+        assert (staged / name).read_bytes() == (whole / name).read_bytes(), name

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from fedpricing.core import (
-    ClientProfile,
     EquilibriumResult,
     GameConstants,
     ParticipationVector,
     Population,
     PopulationError,
-    PricingVector,
     make_population,
 )
 
@@ -49,6 +47,15 @@ def test_weight_normalization_random_populations():
         assert abs(sum(p.weight for p in profiles) - 1.0) <= 1e-9
 
 
+ROW = dict(datasize=10, weight=1.0, grad_bound=1.0, cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
+
+
+def population_of_rows(n_clients, **last):
+    """A Population of n_clients copies of ROW, the last one with the fields in ``last``."""
+    rows = [ROW] * (n_clients - 1) + [{**ROW, **last}]
+    return Population(*([row[name] for row in rows] for name in ROW))
+
+
 @pytest.mark.parametrize(
     "kwargs,match",
     [
@@ -60,21 +67,15 @@ def test_weight_normalization_random_populations():
     ],
 )
 def test_profile_invariants(kwargs, match):
-    base = dict(index=0, datasize=10, weight=1.0, grad_bound=1.0,
-                cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
-    base.update(kwargs)
     with pytest.raises(PopulationError, match=match):
-        ClientProfile(**base)
+        population_of_rows(1, **kwargs)
 
 
 @pytest.mark.parametrize("field", ["datasize", "weight", "grad_bound", "cost_coeff", "intrinsic_pref", "q_max"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_profile_rejects_non_finite_values(field, value):
-    base = dict(index=3, datasize=10, weight=1.0, grad_bound=1.0,
-                cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
-    base[field] = value
     with pytest.raises(PopulationError, match=f"client 3: {field} must be finite"):
-        ClientProfile(**base)
+        population_of_rows(4, **{field: value})
 
 
 @pytest.mark.parametrize("column", range(5))
@@ -90,8 +91,7 @@ def test_non_integer_datasize_rejected_not_truncated():
     with pytest.raises(PopulationError, match=r"client 1: datasize must be an integer, got 2.5"):
         make_population([1, 2.5], [1, 1], [1, 1], [0, 0], [1, 1])
     with pytest.raises(PopulationError, match=r"client 4: datasize must be an integer"):
-        ClientProfile(index=4, datasize=2.5, weight=1.0, grad_bound=1.0, cost_coeff=1.0,
-                      intrinsic_pref=0.0)
+        population_of_rows(5, datasize=2.5)
     assert make_population([1.0, 3.0], [1, 1], [1, 1], [0, 0], [1, 1])[1].datasize == 3
 
 
@@ -103,8 +103,8 @@ def test_population_columns_are_read_only_and_rows_built_once():
     with pytest.raises(ValueError, match="read-only"):
         population.a[0] = 0.5
     assert population[0] is population[0]
-    assert population[1] == ClientProfile(index=1, datasize=1, weight=0.25, grad_bound=2.0,
-                                          cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
+    assert population[1]._asdict() == dict(index=1, datasize=1, weight=0.25, grad_bound=2.0,
+                                           cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
     assert [p.index for p in population] == [0, 1] and len(population) == 2
 
 
@@ -139,7 +139,7 @@ class TestManifestRoundTrips:
     def test_equilibrium_result(self):
         r = EquilibriumResult(
             q_star=ParticipationVector([0.5, 1.0]),
-            p_star=PricingVector([1.0, -2.0]),
+            p_star=(1.0, -2.0),
             lambda_star=0.25,
             v_threshold=4.0 / 3.0,
             spend=-0.5,

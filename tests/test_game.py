@@ -159,6 +159,36 @@ def test_kkt_participation_regimes():
     assert kkt_participation(lam, population, constants)[0] == pytest.approx(expected)
 
 
+NAN = float("nan")
+
+
+def nan_population():
+    """Two clients, one with v = 0 and one with v > 0."""
+    return make_population([1, 2], [1.0] * 2, [1.0] * 2, [0.0, 0.5], [1.0] * 2)
+
+
+def test_kkt_participation_rejects_a_nan_dual():
+    with pytest.raises(ValueError, match="^lambda must be positive, got nan$"):
+        kkt_participation(NAN, nan_population(), UNIT_CONSTANTS)
+
+
+def test_inverse_price_names_a_nan_level():
+    with pytest.raises(ValueError, match="^client 0: q=nan below the participation floor"):
+        inverse_price([NAN, 0.5], nan_population(), UNIT_CONSTANTS)
+
+
+def test_client_best_response_names_the_first_price_that_is_not_finite():
+    with pytest.raises(ValueError, match="^client 0: price must be finite, got nan$"):
+        client_best_response([NAN, NAN], nan_population(), UNIT_CONSTANTS)
+    with pytest.raises(ValueError, match="^client 1: price must be finite, got inf$"):
+        client_best_response([1.0, math.inf], nan_population(), UNIT_CONSTANTS)
+
+
+def test_payment_threshold_rejects_a_nan_dual():
+    with pytest.raises(ValueError, match="^lambda must be positive, got nan$"):
+        payment_threshold(NAN)
+
+
 def test_total_spend_manual():
     profiles = make_population([1, 1], [2.0, 2.0], [1.0, 1.0], [0.0, 1.0], [1, 1])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
@@ -225,7 +255,7 @@ def test_single_client_saturates_when_budget_allows():
     profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
     result = server_solve(profiles, UNIT_CONSTANTS, budget=10.0)
     assert result.q_star.q == (1.0,)
-    assert result.p_star.p[0] == pytest.approx(2.0)
+    assert result.p_star[0] == pytest.approx(2.0)
     assert result.spend == pytest.approx(2.0)
     assert result.diagnostics["caps_binding"] is True
 
@@ -288,7 +318,7 @@ def test_monotone_in_budget():
             for n, flag in enumerate(result.interior):
                 if flag and prev.interior[n]:
                     assert result.q_star.q[n] >= prev.q_star.q[n] - 1e-9
-                    assert result.p_star.p[n] >= prev.p_star.p[n] - 1e-9
+                    assert result.p_star[n] >= prev.p_star[n] - 1e-9
         prev = result
 
 
@@ -315,8 +345,8 @@ def test_uniform_baseline_exhausts_budget_with_one_price():
     constants = random_constants(rng)
     budget = 0.3 * sum(2.0 * p.cost_coeff for p in profiles)
     result = baseline_uniform(profiles, constants, budget)
-    price, q = result.p_star.p[0], result.q_star
-    assert set(result.p_star.p) == {price}
+    price, q = result.p_star[0], result.q_star
+    assert set(result.p_star) == {price}
     assert price >= 0.0
     spend = sum(price * qn for qn in q.q)
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
@@ -329,15 +359,15 @@ def test_weighted_baseline_prices_proportional_to_datasize():
     budget = 0.3 * sum(2.0 * p.cost_coeff for p in profiles)
     result = baseline_weighted(profiles, constants, budget)
     prices, q = result.p_star, result.q_star
-    ratios = {prices.p[n] / profiles[n].datasize for n in range(5)}
+    ratios = {prices[n] / profiles[n].datasize for n in range(5)}
     assert max(ratios) - min(ratios) <= 1e-9 * max(1.0, max(ratios))
-    spend = sum(pn * qn for pn, qn in zip(prices.p, q.q))
+    spend = sum(pn * qn for pn, qn in zip(prices, q.q))
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
 
 
 def test_baseline_zero_budget_means_zero_prices():
     profiles = make_population([1, 2], [1, 1], [1, 1], [0, 0], [1, 1])
     result = baseline_uniform(profiles, UNIT_CONSTANTS, 0.0)
-    assert result.p_star.p == (0.0, 0.0)
+    assert result.p_star == (0.0, 0.0)
     assert result.q_star.q == (0.0, 0.0)
     assert result.bound_value == math.inf

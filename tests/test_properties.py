@@ -24,7 +24,6 @@ from fedpricing.core import (
     GameConstants,
     ParticipationVector,
     PopulationError,
-    PricingVector,
     make_population,
 )
 from fedpricing.fltrain import _Shards
@@ -120,13 +119,13 @@ def test_baseline_levels_are_the_reference_best_responses(rows, constants, share
     profiles = build(rows)
     budget = share * sum(p.cost_coeff * p.q_max**2 for p in profiles)
     result = baseline_uniform(profiles, constants, budget)
-    price, q = result.p_star.p[0], result.q_star
+    price, q = result.p_star[0], result.q_star
     want = [oracles.client_best_response(price, p, constants) for p in profiles]
     np.testing.assert_array_equal(bits(q.q), bits(want))
 
     result = baseline_weighted(profiles, constants, budget)
     prices, q = result.p_star, result.q_star
-    want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices.p, profiles)]
+    want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices, profiles)]
     np.testing.assert_array_equal(bits(q.q), bits(want))
 
 
@@ -144,7 +143,7 @@ def test_verify_equilibrium_is_the_per_client_loop(rows, constants, share, data)
     if data.draw(st.booleans()):     # scrambled prices and flags, so that checks fail
         result = dataclasses.replace(
             result,
-            p_star=PricingVector(data.draw(st.lists(PRICE, min_size=n, max_size=n))),
+            p_star=tuple(data.draw(st.lists(PRICE, min_size=n, max_size=n))),
             interior=tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
         )
     got = verify_equilibrium(result, profiles, constants, budget)
@@ -210,7 +209,7 @@ def test_make_population_accepts_and_rejects_as_the_row_by_row_construction(args
     assert list(population.d) == list(want[1])
     for column, values in zip(population.columns[1:], want[2:]):
         np.testing.assert_array_equal(bits(column), bits(values))
-    assert [dataclasses.astuple(p) for p in population] == rows
+    assert [tuple(p) for p in population] == rows
 
 
 CLIENT_ANY_SCALE = st.tuples(GOOD[0], GOOD[1], GOOD[2], GOOD[3], GOOD[4])
