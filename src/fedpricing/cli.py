@@ -17,15 +17,8 @@ import yaml
 
 from . import experiment as exp
 from . import data as datamod
-from .core import GameConstants, PopulationError
-from .formats import (
-    read_equilibrium_manifest,
-    read_population,
-    write_equilibrium_manifest,
-    write_metrics_csv,
-    write_population,
-)
-from .fltrain import train_runs
+from .core import PopulationError
+from .formats import read_equilibrium_manifest, read_population
 from .game import BracketError, InfeasibleBudgetError
 
 ENV_PREFIX = "FEDPRICING_"
@@ -76,11 +69,7 @@ def _config_from(args, **extra) -> dict:
 
 def cmd_gen_data(args) -> int:
     cfg = _config_from(args, data_seed=args.seed)
-    dataset = exp.generate_dataset(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "dataset.bin")
-    datamod.save_dataset(path, dataset)
-    exp.save_config(cfg, os.path.join(args.out, "config.yaml"))
+    path, dataset = exp.write_dataset(cfg, args.out)
     print(f"wrote {path}: {dataset.n_clients} clients, {dataset.total_samples} samples, "
           f"{len(dataset.test_labels)} test samples")
     return 0
@@ -89,32 +78,16 @@ def cmd_gen_data(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _config_from(args)
     dataset = datamod.load_dataset(args.dataset)
-    population, constants, f_locals = exp.calibrate_population(dataset, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "population.ini")
-    write_population(path, population, f_locals, meta=constants.to_dict())
+    path, _population, constants = exp.write_calibration(dataset, cfg, args.out)
     print(f"wrote {path}: alpha={constants.alpha:.6g}")
     return 0
-
-
-def _constants_from_meta(meta: dict, cfg: dict) -> GameConstants:
-    return GameConstants(
-        alpha=meta.get("alpha", cfg["alpha_floor"]),
-        beta=meta.get("beta", cfg["beta"]),
-        rounds=int(meta.get("rounds", cfg["rounds"])),
-        local_steps=int(meta.get("local_steps", cfg["local_steps"])),
-        q_floor=meta.get("q_floor", cfg["q_floor"]),
-    )
 
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args, budget=args.budget)
     population, _f_locals, meta = read_population(args.population)
-    constants = _constants_from_meta(meta, cfg)
-    result = exp.solve_scheme(args.scheme, population, constants, cfg["budget"])
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"equilibrium_{args.scheme}.json")
-    write_equilibrium_manifest(path, result, args.scheme, cfg["budget"])
+    path, result = exp.write_equilibrium(args.scheme, population, exp.game_constants(cfg, meta),
+                                         cfg["budget"], args.out)
     print(f"wrote {path}: spend={result.spend:.6g}, bound={result.bound_value:.6g}")
     return 0
 
@@ -134,18 +107,11 @@ def _check_population_matches(population, dataset, population_path: str,
 
 def cmd_train(args) -> int:
     cfg = _config_from(args, repeats=args.repeats)
-    if cfg["repeats"] < 1:
-        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     dataset = datamod.load_dataset(args.dataset)
     population, _f_locals, _meta = read_population(args.population)
     _check_population_matches(population, dataset, args.population, args.dataset)
     result, scheme, _budget = read_equilibrium_manifest(args.equilibrium)
-    os.makedirs(args.out, exist_ok=True)
-    seeds = [cfg["seed"] + k for k in range(cfg["repeats"])]
-    run_cfgs = [exp.train_config(cfg, seed=seed, q=result.q_star) for seed in seeds]
-    for seed, metrics in zip(seeds, train_runs(dataset, run_cfgs)):
-        path = os.path.join(args.out, f"metrics_{scheme}_seed{seed}.csv")
-        write_metrics_csv(path, run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics)
+    for path, metrics in exp.write_runs(dataset, cfg, {scheme: result.q_star}, args.out):
         print(f"wrote {path}: final loss {metrics[-1].loss:.6g}")
     return 0
 

@@ -3,14 +3,19 @@
 Everything is driven by a flat key/value config (YAML on disk); run
 directories contain a config snapshot, the dataset container, the calibrated
 population, one equilibrium manifest per pricing scheme, one metrics CSV per
-(scheme, seed), and a summary recomputable from those files alone.
+(scheme, seed), and a summary recomputable from those files alone. Each
+stage writes its files through one ``write_*`` function here, which both
+``run_experiment`` and the CLI's staged subcommands call.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
 import glob
 import json
 import math
+import numbers
 import os
 import re
 
@@ -118,9 +123,43 @@ PRESETS = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping which sets a key twice."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # "<<: *anchor" keys may be set again
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, collections.abc.Hashable):
+                continue  # SafeLoader rejects it, with its own message
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def _check_kinds(cfg: dict) -> None:
+    """Each numeric key must be of its default's kind: an integer (not a bool)
+    where the default is an int, a finite real (not a bool) where it is a float."""
+    for key, default in DEFAULT_CONFIG.items():
+        value = cfg[key]
+        if isinstance(default, int) and not (key == "batch" and value is None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        elif isinstance(default, float):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if cfg["repeats"] < 1:
+        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
+
+
 def build_config(preset: str | None = None, config_path: str | None = None,
                  overrides: dict | None = None) -> dict:
-    """Defaults < preset < config file < explicit overrides."""
+    """Defaults < preset < config file < explicit overrides, checked once merged."""
     cfg = dict(DEFAULT_CONFIG)
     if preset:
         if preset not in PRESETS:
@@ -128,7 +167,7 @@ def build_config(preset: str | None = None, config_path: str | None = None,
         cfg.update(PRESETS[preset])
     if config_path:
         with open(config_path) as f:
-            loaded = yaml.safe_load(f) or {}
+            loaded = yaml.load(f, Loader=_UniqueKeyLoader) or {}
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -136,28 +175,25 @@ def build_config(preset: str | None = None, config_path: str | None = None,
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
+    _check_kinds(cfg)
     return cfg
 
 
-def save_config(cfg: dict, path: str) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(cfg, f, sort_keys=True)
-
-
 def train_config(cfg: dict, seed: int, q: ParticipationVector | None = None) -> TrainConfig:
-    return TrainConfig(
-        local_steps=cfg["local_steps"],
-        batch=cfg["batch"],
-        rounds=cfg["rounds"],
-        seed=seed,
-        l2=cfg["l2"],
-        lr_schedule=cfg["lr_schedule"],
-        eta0=cfg["eta0"],
-        decay=cfg["decay"],
-        participation=q,
-        eval_stride=cfg["eval_stride"],
-        sim_t_base=cfg["sim_t_base"],
-        sim_t_comp=cfg["sim_t_comp"],
+    knobs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)
+             if f.name not in ("seed", "participation")}
+    return TrainConfig(**knobs, seed=seed, participation=q)
+
+
+def game_constants(cfg: dict, meta: dict) -> GameConstants:
+    """The game constants: each from ``meta`` where it is set, else from the
+    config (α from ``alpha_floor``)."""
+    return GameConstants(
+        alpha=meta.get("alpha", cfg["alpha_floor"]),
+        beta=meta.get("beta", cfg["beta"]),
+        rounds=int(meta.get("rounds", cfg["rounds"])),
+        local_steps=int(meta.get("local_steps", cfg["local_steps"])),
+        q_floor=meta.get("q_floor", cfg["q_floor"]),
     )
 
 
@@ -225,10 +261,7 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
     losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
     alpha = max(estimate_alpha(q_vectors, losses, population, cfg["rounds"]), cfg["alpha_floor"])
 
-    constants = GameConstants(
-        alpha=alpha, beta=cfg["beta"], rounds=cfg["rounds"],
-        local_steps=cfg["local_steps"], q_floor=cfg["q_floor"],
-    )
+    constants = game_constants(cfg, {"alpha": alpha})
     return population, constants, local_optimum_losses(dataset, pilot_cfg)
 
 
@@ -243,39 +276,65 @@ def solve_scheme(scheme: str, population: Population, constants: GameConstants,
     return solvers[scheme](population, constants, budget)
 
 
+def _run_file(out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def write_dataset(cfg: dict, out_dir: str):
+    """Generate the dataset into ``config.yaml`` and ``dataset.bin``; returns (path, dataset)."""
+    dataset = generate_dataset(cfg)
+    with open(_run_file(out_dir, "config.yaml"), "w") as f:
+        yaml.safe_dump(cfg, f, sort_keys=True)
+    path = _run_file(out_dir, "dataset.bin")
+    datamod.save_dataset(path, dataset)
+    return path, dataset
+
+
+def write_calibration(dataset: FederatedDataset, cfg: dict, out_dir: str):
+    """Calibrate into ``population.ini``, with the game constants as its ``[meta]``;
+    returns (path, population, constants)."""
+    population, constants, f_locals = calibrate_population(dataset, cfg)
+    path = _run_file(out_dir, "population.ini")
+    write_population(path, population, f_locals, meta=constants.to_dict())
+    return path, population, constants
+
+
+def write_equilibrium(scheme: str, population: Population, constants: GameConstants,
+                      budget: float, out_dir: str):
+    """Solve one scheme into ``equilibrium_<scheme>.json``; returns (path, result)."""
+    result = solve_scheme(scheme, population, constants, budget)
+    path = _run_file(out_dir, f"equilibrium_{scheme}.json")
+    write_equilibrium_manifest(path, result, scheme, budget)
+    return path, result
+
+
+def write_runs(dataset: FederatedDataset, cfg: dict, levels: dict, out_dir: str) -> list:
+    """Train ``repeats`` seeds of every scheme in ``levels`` (scheme → participation
+    levels) as one stack, each run into ``metrics_<scheme>_seed<S>.csv``; returns
+    (path, metrics) per run."""
+    runs = [(scheme, cfg["seed"] + k) for scheme in levels for k in range(cfg["repeats"])]
+    run_cfgs = [train_config(cfg, seed=seed, q=levels[scheme]) for scheme, seed in runs]
+    written = []
+    for (scheme, seed), metrics in zip(runs, train_runs(dataset, run_cfgs)):
+        path = _run_file(out_dir, f"metrics_{scheme}_seed{seed}.csv")
+        write_metrics_csv(path, run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics)
+        written.append((path, metrics))
+    return written
+
+
 def run_experiment(cfg: dict, out_dir: str) -> dict:
     """Full pipeline: data, calibration, per-scheme equilibria and training runs.
 
     Writes every artifact into ``out_dir`` and returns the summary.
     """
-    if cfg["repeats"] < 1:
-        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.yaml"))
-
-    dataset = generate_dataset(cfg)
-    datamod.save_dataset(os.path.join(out_dir, "dataset.bin"), dataset)
-
-    population, constants, f_locals = calibrate_population(dataset, cfg)
-    write_population(os.path.join(out_dir, "population.ini"), population, f_locals,
-                     meta=constants.to_dict())
-
-    results = {}
+    _, dataset = write_dataset(cfg, out_dir)
+    _, population, constants = write_calibration(dataset, cfg, out_dir)
+    levels = {}
     for scheme in SCHEMES:
-        result = solve_scheme(scheme, population, constants, cfg["budget"])
-        results[scheme] = result
-        write_equilibrium_manifest(
-            os.path.join(out_dir, f"equilibrium_{scheme}.json"), result, scheme, cfg["budget"]
-        )
-
-    runs = [(scheme, cfg["seed"] + k) for scheme in SCHEMES for k in range(cfg["repeats"])]
-    run_cfgs = [train_config(cfg, seed=seed, q=results[scheme].q_star) for scheme, seed in runs]
-    for (scheme, seed), metrics in zip(runs, train_runs(dataset, run_cfgs)):
-        write_metrics_csv(
-            os.path.join(out_dir, f"metrics_{scheme}_seed{seed}.csv"),
-            run_id=f"{scheme}-{seed}", seed=seed, metrics=metrics,
-        )
-
+        _, result = write_equilibrium(scheme, population, constants, cfg["budget"], out_dir)
+        levels[scheme] = result.q_star
+    write_runs(dataset, cfg, levels, out_dir)
     return build_report(out_dir, write=True)
 
 

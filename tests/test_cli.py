@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from fedpricing import experiment as exp
-from fedpricing.cli import _constants_from_meta, main
+from fedpricing.cli import main
 from fedpricing.core import GameConstants, make_population
 from fedpricing.formats import read_population, write_population
+from fedpricing.game import BracketError
 
 
 def run_cli(args, capsys):
@@ -103,7 +104,7 @@ def test_population_meta_is_the_game_constants(tmp_path, capsys):
     for run_dir in (exp_dir, cal_dir):
         _, _, meta = read_population(str(run_dir / "population.ini"))
         assert list(meta) == [f.name for f in dataclasses.fields(GameConstants)]
-        assert _constants_from_meta(meta, fallback) == constants
+        assert exp.game_constants(fallback, meta) == constants
 
 
 def test_missing_file_is_reported_not_raised(tmp_path, capsys):
@@ -246,7 +247,19 @@ def test_a_budget_that_cannot_be_bracketed_is_one_error_line(tmp_path, capsys):
                                "--population", small_population_file(tmp_path),
                                "--out", str(tmp_path)], capsys)
     assert code == 1
-    assert "could not bracket the budget dual" in one_error_line(stderr)
+    assert "budget must be a finite number, got nan" in one_error_line(stderr)
+
+
+def test_a_bracket_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def unbracketed(*args, **kwargs):
+        raise BracketError("could not bracket the budget dual")
+
+    monkeypatch.setattr(exp, "solve_scheme", unbracketed)
+    code, _, stderr = run_cli(["solve", "--population", small_population_file(tmp_path),
+                               "--out", str(tmp_path / "solve")], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == "error: could not bracket the budget dual"
+    assert not (tmp_path / "solve").exists()
 
 
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),
@@ -321,6 +334,52 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
     assert code == 1
     assert one_error_line(stderr) == message
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("line,message", [
+    ("seed: abc", "error: seed must be an integer, got 'abc'"),
+    ("n_clients: abc", "error: n_clients must be an integer, got 'abc'"),
+    ("pilot_rounds: abc", "error: pilot_rounds must be an integer, got 'abc'"),
+    ("budget: .nan", "error: budget must be a finite number, got nan"),
+    ("repeats: true", "error: repeats must be an integer, got True"),
+    ("repeats: 0", "error: repeats must be >= 1, got 0"),
+], ids=["seed-abc", "n_clients-abc", "pilot_rounds-abc", "budget-nan", "repeats-bool",
+        "repeats-0"])
+def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              line, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was generated")
+
+    monkeypatch.setattr(exp, "generate_dataset", never)
+    out = tmp_path / "run"
+    code, _, stderr = run_cli(["experiment", "--config", fast_config_with(tmp_path, line),
+                               "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == message
+    assert not out.exists()
+
+
+def test_train_rejects_zero_repeats(fast_run, tmp_path, capsys):
+    out = tmp_path / "train"
+    code, _, stderr = run_cli(
+        ["train", "--dataset", os.path.join(fast_run, "dataset.bin"),
+         "--population", os.path.join(fast_run, "population.ini"),
+         "--equilibrium", os.path.join(fast_run, "equilibrium_optimal.json"),
+         "--repeats", "0", "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == "error: repeats must be >= 1, got 0"
+    assert not out.exists()
+
+
+def test_a_config_key_set_twice_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.yaml"
+    cfg.write_text("rounds: 6\nbudget: 20.0\nrounds: 7\n")
+    out = tmp_path / "run"
+    code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    line = one_error_line(stderr)
+    assert str(cfg) in line and "duplicate key 'rounds'" in line
+    assert not out.exists()
 
 
 def test_the_subcommands_write_the_run_directory_experiment_writes(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import fnmatch
 import os
 import re
+import shlex
+
+from fedpricing.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -12,3 +16,28 @@ def test_the_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
+
+
+def test_the_step_by_step_cli_block_writes_what_the_cli_table_names(tmp_path, capsys):
+    with open(README) as f:
+        text = f.read()
+    section = text[text.index("## CLI"):text.index("### Configuration")]
+    # The files each subcommand's row names, as globs: `equilibrium_<scheme>.json`
+    # matches equilibrium_*.json.
+    named = {}
+    for command, what in re.findall(r"^\| `([\w-]+)`\s*\| (.*) \|$", section, re.MULTILINE):
+        named[command] = [re.sub(r"<\w+>", "*", name)
+                          for name in re.findall(r"`([^`]+\.\w+)`", what)]
+    block = re.search(r"Step by step:\n\n```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        argv = shlex.split(line.replace("runs/demo", str(tmp_path)))
+        assert argv[0] == "fedpricing"
+        before = set(os.listdir(tmp_path))
+        assert main(argv[1:]) == 0, line
+        capsys.readouterr()
+        written = set(os.listdir(tmp_path)) - before
+        assert named[argv[1]], argv[1]
+        for pattern in named[argv[1]]:
+            assert fnmatch.filter(written, pattern), (line, pattern, sorted(written))
