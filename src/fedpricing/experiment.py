@@ -22,6 +22,7 @@ import re
 import numpy as np
 import yaml
 
+from . import _fork
 from . import data as datamod
 from .calibrate import estimate_alpha, estimate_grad_bounds, local_optimum_losses
 from .core import (
@@ -141,20 +142,47 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# Keys whose default is None: a test of a set value, and what it must be.
+_OPTIONAL_KINDS = {
+    "target_loss": (_is_finite, "a finite number"),
+    "subsample": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
+    "label_filter": (lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+                     "a list of integers"),
+    **{key: (lambda v: isinstance(v, str), "a path")
+       for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")},
+}
+
+
 def _check_kinds(cfg: dict) -> None:
     """Each numeric key must be of its default's kind: an integer (not a bool)
-    where the default is an int, a finite real (not a bool) where it is a float."""
+    where the default is an int, a finite real (not a bool) where it is a float.
+    A key whose default is None must be null or of its ``_OPTIONAL_KINDS`` kind.
+    The training keys must then make a ``TrainConfig``, which checks their
+    ranges and ``lr_schedule``."""
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         if isinstance(default, int) and not (key == "batch" and value is None):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         elif isinstance(default, float):
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
+            if not _is_finite(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        elif default is None and value is not None:
+            is_kind, kind = _OPTIONAL_KINDS[key]
+            if not is_kind(value):
+                raise ValueError(f"{key} must be {kind} or null, got {value!r}")
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
+    train_config(cfg, seed=cfg["seed"])
 
 
 def build_config(preset: str | None = None, config_path: str | None = None,
@@ -258,11 +286,18 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
         for q in (q_full, q_low)
     ]
     q_vectors = [run_cfg.participation for run_cfg in pilots]
-    losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
-    alpha = max(estimate_alpha(q_vectors, losses, population, cfg["rounds"]), cfg["alpha_floor"])
+    # The local-optimum fits do not depend on the pilots, which never fork an
+    # evaluation helper: where a second CPU is free, a forked helper fits them
+    # while the pilots train. scipy is imported first, so the helper does not
+    # import it again.
+    import scipy.optimize  # noqa: F401
 
-    constants = game_constants(cfg, {"alpha": alpha})
-    return population, constants, local_optimum_losses(dataset, pilot_cfg)
+    with _fork.call("fedpricing-optima", "local-optimum",
+                    local_optimum_losses, dataset, pilot_cfg) as f_locals:
+        losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
+        alpha = max(estimate_alpha(q_vectors, losses, population, cfg["rounds"]),
+                    cfg["alpha_floor"])
+        return population, game_constants(cfg, {"alpha": alpha}), f_locals()
 
 
 def solve_scheme(scheme: str, population: Population, constants: GameConstants,

@@ -21,17 +21,14 @@ arrays, so the metrics are bit-identical to evaluating in place.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
-import os
-import signal
-import sys
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _fork
 from .core import FederatedDataset, ParticipationVector, Population
 
 
@@ -340,23 +337,15 @@ _BATCHES_IN_FLIGHT = 4
 def _fork_helper(cfg: TrainConfig, runs: int, rows: int) -> bool:
     """Whether train_runs evaluates in a forked helper process.
 
-    Only on Linux, where forking is safe with the BLAS in use (macOS
-    Accelerate is not fork-safe); only with a second CPU to run the helper
-    on; and only when the evaluations of ``runs`` models on ``rows`` pooled
-    rows each fill more than one batch. The last batch is evaluated after the
-    last round, so a lone batch overlaps nothing: runs evaluated at their
-    last round only (``eval_stride >= rounds``) never fork. A process with a
-    second Python thread evaluates in place, since a fork copies no thread
-    but every lock it holds, and so does a daemonic multiprocessing worker,
-    which may start no children.
+    Only where ``_fork.second_cpu`` allows one, and only when the
+    evaluations of ``runs`` models on ``rows`` pooled rows each fill more
+    than one batch. The last batch is evaluated after the last round, so a
+    lone batch overlaps nothing: runs evaluated at their last round only
+    (``eval_stride >= rounds``) never fork.
     """
-    import multiprocessing      # here, not at the top: it adds 0.5 MB to every process
-
     evaluations = -(-cfg.rounds // cfg.eval_stride)
     rounds_per_batch = -(-_BATCH_ROWS // (runs * rows))
-    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
-            and evaluations > rounds_per_batch and threading.active_count() == 1
-            and not multiprocessing.current_process().daemon)
+    return evaluations > rounds_per_batch and _fork.second_cpu()
 
 
 class _InlineEvaluator:
@@ -376,24 +365,14 @@ class _InlineEvaluator:
         pass
 
 
-def _serve(evaluate, conn, parent_end) -> None:
-    """The helper's loop: evaluate each received batch of rounds, reply in order.
-
-    An exception is sent back as its text, and the helper then exits. The
-    helper ignores SIGINT, which a terminal sends to the whole process group:
-    the parent handles it and stops the helper.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()          # so that the parent's exit reads as EOF here
-    try:
-        while True:
-            try:
-                batch = conn.recv()
-            except EOFError:
-                return
-            conn.send([evaluate(models) for models in batch])
-    except Exception as exc:
-        conn.send(f"{type(exc).__name__}: {exc}")
+def _serve(evaluate, conn) -> None:
+    """The helper's loop: evaluate each received batch of rounds, reply in order."""
+    while True:
+        try:
+            batch = conn.recv()
+        except EOFError:
+            return
+        conn.send([evaluate(models) for models in batch])
 
 
 class _ForkedEvaluator:
@@ -407,14 +386,8 @@ class _ForkedEvaluator:
 
     def __init__(self, evaluate, rows: int):
         """``rows``: the pooled training rows each model is evaluated on."""
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        self._conn, child_end = context.Pipe()
-        self._process = context.Process(target=_serve, args=(evaluate, child_end, self._conn),
-                                        name="fedpricing-eval", daemon=True)
-        self._process.start()
-        child_end.close()
+        self._helper = _fork.Helper("fedpricing-eval", "evaluation",
+                                    functools.partial(_serve, evaluate))
         self._rows = rows
         self._batch = []
         self._results = []
@@ -433,35 +406,24 @@ class _ForkedEvaluator:
         return self._results
 
     def close(self) -> None:
-        self._conn.close()
-        self._process.terminate()
-        self._process.join()
+        self._helper.close()
 
     def _send(self) -> None:
-        while self._in_flight and (self._in_flight >= _BATCHES_IN_FLIGHT or self._conn.poll()):
+        conn = self._helper.conn
+        while self._in_flight and (self._in_flight >= _BATCHES_IN_FLIGHT or conn.poll()):
             self._receive()
         try:
-            self._conn.send(self._batch)
+            conn.send(self._batch)
         except OSError:         # the helper is gone: raise its last reply's error, if any
             while self._in_flight:
                 self._receive()
-            raise self._exited() from None
+            raise self._helper.exited() from None
         self._batch = []
         self._in_flight += 1
 
     def _receive(self) -> None:
-        try:
-            reply = self._conn.recv()
-        except (EOFError, OSError):      # OSError: reset, when it died with our data unread
-            raise self._exited() from None
-        if isinstance(reply, str):
-            raise RuntimeError(f"evaluation helper failed: {reply}")
-        self._results.extend(reply)
+        self._results.extend(self._helper.receive())
         self._in_flight -= 1
-
-    def _exited(self) -> RuntimeError:
-        self._process.join()
-        return RuntimeError(f"evaluation helper exited with code {self._process.exitcode}")
 
 
 def train(dataset: FederatedDataset, cfg: TrainConfig, *, record_states: bool = False):

@@ -343,8 +343,18 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
     ("budget: .nan", "error: budget must be a finite number, got nan"),
     ("repeats: true", "error: repeats must be an integer, got True"),
     ("repeats: 0", "error: repeats must be >= 1, got 0"),
+    ("target_loss: abc", "error: target_loss must be a finite number or null, got 'abc'"),
+    ("target_loss: .inf", "error: target_loss must be a finite number or null, got inf"),
+    ("subsample: 0", "error: subsample must be a positive integer or null, got 0"),
+    ("subsample: 2.5", "error: subsample must be a positive integer or null, got 2.5"),
+    ("label_filter: 3", "error: label_filter must be a list of integers or null, got 3"),
+    ("label_filter: [1, a]",
+     "error: label_filter must be a list of integers or null, got [1, 'a']"),
+    ("idx_images: 5", "error: idx_images must be a path or null, got 5"),
+    ("idx_test_labels: [x]", "error: idx_test_labels must be a path or null, got ['x']"),
 ], ids=["seed-abc", "n_clients-abc", "pilot_rounds-abc", "budget-nan", "repeats-bool",
-        "repeats-0"])
+        "repeats-0", "target_loss-abc", "target_loss-inf", "subsample-0", "subsample-real",
+        "label_filter-int", "label_filter-str", "idx_images-int", "idx_test_labels-list"])
 def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, monkeypatch,
                                                               line, message):
     def never(*args, **kwargs):
@@ -357,6 +367,20 @@ def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, 
     assert code == 1
     assert one_error_line(stderr) == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("lr_schedule: 5", "error: unknown lr_schedule 5"),
+    ("lr_schedule: cosine", "error: unknown lr_schedule 'cosine'"),
+], ids=["int", "unknown-name"])
+def test_a_bad_lr_schedule_is_one_error_line_before_any_file(tmp_path, capsys, line, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    code, _, stderr = run_cli(["experiment", "--config", fast_config_with(tmp_path, line),
+                               "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == message
+    assert list(out.iterdir()) == []
 
 
 def test_train_rejects_zero_repeats(fast_run, tmp_path, capsys):

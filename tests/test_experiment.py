@@ -1,11 +1,17 @@
 import json
 import math
+import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedpricing import _blas
+from fedpricing import _blas, _fork, calibrate
+from fedpricing import experiment as exp
 from fedpricing.calibrate import estimate_alpha
 from fedpricing.core import GameConstants, ParticipationVector, make_population
 from fedpricing.experiment import (
@@ -101,6 +107,127 @@ def test_calibrate_population_alpha_equals_pilots_run_one_by_one():
     expected = max(estimate_alpha(q_vectors, losses, profiles, cfg["rounds"]), cfg["alpha_floor"])
     assert expected > cfg["alpha_floor"]
     assert constants.alpha == expected
+
+
+# ---------------------------------------------------------------- local optima in a forked helper
+
+LINUX = sys.platform.startswith("linux")
+linux_only = pytest.mark.skipif(not LINUX, reason="the local-optimum helper is forked on Linux only")
+
+
+def count_process_starts(mp):
+    starts = []
+    real = multiprocessing.process.BaseProcess.start
+    mp.setattr(multiprocessing.process.BaseProcess, "start",
+               lambda self: starts.append(self.name) or real(self))
+    return starts
+
+
+def calibrated(ds, cfg):
+    """calibrate_population's outputs, as text that is equal only when every bit is."""
+    population, constants, f_locals = calibrate_population(ds, cfg)
+    return repr(([col.tolist() for col in population.columns], constants, f_locals))
+
+
+@linux_only
+@settings(max_examples=5, deadline=None)
+@given(data_seed=st.integers(0, 2**16), n_clients=st.integers(2, 4),
+       total_samples=st.integers(40, 90), l2=st.sampled_from([1e-4, 1e-2]))
+def test_forked_local_optima_equal_the_in_process_ones_bit_for_bit(data_seed, n_clients,
+                                                                    total_samples, l2):
+    cfg = fast_config(data_seed=data_seed, n_clients=n_clients, total_samples=total_samples,
+                      l2=l2, mean_value=3.0)
+    ds = generate_dataset(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fork, "second_cpu", lambda: False)
+        starts = count_process_starts(mp)
+        inline = calibrated(ds, cfg)
+    assert starts == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fork, "second_cpu", lambda: True)
+        starts = count_process_starts(mp)
+        forked = calibrated(ds, cfg)
+    assert starts == ["fedpricing-optima"]
+    assert multiprocessing.active_children() == []
+    assert forked == inline
+
+
+def pretend_two_cpus(mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@linux_only
+def test_a_fit_error_in_the_helper_is_raised_in_the_parent(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def fail(*args):
+        raise ValueError(f"no fit in process {'parent' if os.getpid() == parent else 'helper'}")
+
+    monkeypatch.setattr(calibrate, "_minimize_logistic", fail)
+    cfg = fast_config()
+    with pytest.raises(RuntimeError,
+                       match="local-optimum helper failed: ValueError: no fit in process helper"):
+        calibrate_population(generate_dataset(cfg), cfg)
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_local_optimum_helper_that_dies_is_reported_with_its_exit_code(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() == parent:
+            raise AssertionError("fitted in the parent")
+        os._exit(7)
+
+    monkeypatch.setattr(calibrate, "_minimize_logistic", die)
+    cfg = fast_config()
+    with pytest.raises(RuntimeError, match="local-optimum helper exited with code 7"):
+        calibrate_population(generate_dataset(cfg), cfg)
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_pilot_error_stops_and_reaps_the_helper(monkeypatch):
+    pretend_two_cpus(monkeypatch)
+    starts = count_process_starts(monkeypatch)
+
+    def fail(dataset, cfgs):
+        raise ValueError("no pilots")
+
+    monkeypatch.setattr(exp, "train_runs", fail)
+    cfg = fast_config()
+    with pytest.raises(ValueError, match="no pilots"):
+        calibrate_population(generate_dataset(cfg), cfg)
+    assert starts == ["fedpricing-optima"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("why", ["one CPU", "a second thread"])
+def test_no_local_optimum_helper_on_one_cpu_or_beside_a_second_thread(monkeypatch, why):
+    cfg = fast_config()
+    ds = generate_dataset(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fork, "second_cpu", lambda: False)
+        inline = calibrated(ds, cfg)
+    cpus = {0} if why == "one CPU" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    starts = count_process_starts(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "a second thread":
+        thread.start()
+    try:
+        got = calibrated(ds, cfg)
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert starts == []
+    assert got == inline
 
 
 def test_solve_scheme_all_schemes_and_unknown():
