@@ -89,7 +89,7 @@ def convergence_gap_bound(
 
 def bound_gradient(
     q: ParticipationVector, population: Population, constants: GameConstants
-) -> list:
+) -> np.ndarray:
     """Analytic per-client derivative of the gap bound: -(alpha/R) a_n^2 G_n^2 / q_n^2.
 
     Strictly negative in every component: more participation always tightens
@@ -98,4 +98,4 @@ def bound_gradient(
     levels = positive_levels(q, population)
     scale = constants.alpha / constants.rounds
     a, G = population.a, population.G
-    return (-scale * (a * a) * (G * G) / (levels * levels)).tolist()
+    return -scale * (a * a) * (G * G) / (levels * levels)

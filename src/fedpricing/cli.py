@@ -96,9 +96,7 @@ def _check_population_matches(population, dataset, population_path: str,
                               dataset_path: str) -> None:
     """Training takes a_n from the dataset's shards, so the population file
     must describe the same clients: the same count and every d_n."""
-    if len(population) != dataset.n_clients:
-        raise ValueError(f"{population_path} has {len(population)} clients, but "
-                         f"{dataset_path} has {dataset.n_clients}")
+    exp.check_same_clients(population_path, len(population), dataset_path, dataset.n_clients)
     for n, (d, size) in enumerate(zip(population.d.tolist(), dataset.datasizes)):
         if d != size:
             raise ValueError(f"{population_path}: client {n} has d = {int(d)}, but its shard "
@@ -111,6 +109,7 @@ def cmd_train(args) -> int:
     population, _f_locals, _meta = read_population(args.population)
     _check_population_matches(population, dataset, args.population, args.dataset)
     result, scheme, _budget = read_equilibrium_manifest(args.equilibrium)
+    exp.check_same_clients(args.equilibrium, len(result.q_star), args.population, len(population))
     for path, metrics in exp.write_runs(dataset, cfg, {scheme: result.q_star}, args.out):
         print(f"wrote {path}: final loss {metrics[-1].loss:.6g}")
     return 0

@@ -1,10 +1,11 @@
 """Domain types shared across the pricing game, bounds, and training simulator.
 
 Per-client data lives in columns: a ``Population`` holds one read-only float
-array per client field, and results hold one tuple entry per client. The
-records are frozen dataclasses, immutable after construction and safe to
-share across concurrent workers. Construction validates every invariant so
-downstream numerics never have to re-check inputs.
+array per client field, and a result holds one read-only array per
+per-client output. The records are frozen dataclasses, immutable after
+construction and safe to share across concurrent workers, and equal when
+their fields are. Construction validates every invariant so downstream
+numerics never have to re-check inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -90,84 +91,78 @@ class GameConstants:
         return asdict(self)
 
 
-def _float_array(values) -> np.ndarray:
-    """Any iterable of numbers as a 1-D float array."""
-    if not isinstance(values, np.ndarray):
-        return np.fromiter(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence of numbers, got shape {values.shape}")
-    return values.astype(float, copy=False)
+def _read_only(values, dtype=float) -> np.ndarray:
+    """Any 1-D iterable of numbers as a read-only array of its own."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"expected a 1-D sequence of numbers, got shape {values.shape}")
+        array = values.astype(dtype)
+    else:
+        array = np.fromiter(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
-class ParticipationVector:
-    """Per-client participation probabilities."""
+class _FieldwiseEq:
+    """Equality of two records of one type, field by field: arrays are compared
+    whole, and other values as a tuple compares them. The records that hold
+    arrays share it, since a dataclass's own ``__eq__`` cannot compare them."""
 
-    q: tuple
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x is y or x == y
+                   for x, y in pairs)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class ParticipationVector(_FieldwiseEq):
+    """Per-client participation probabilities, as a read-only float array."""
+
+    q: np.ndarray
 
     def __init__(self, q):
-        levels = _float_array(q)
+        levels = _read_only(q)
         outside = np.flatnonzero(~((levels >= 0.0) & (levels <= 1.0)))
         if outside.size:
             n = int(outside[0])
             raise ValueError(f"client {n}: participation probability {levels[n]} outside [0, 1]")
-        object.__setattr__(self, "q", tuple(levels.tolist()))
+        object.__setattr__(self, "q", levels)
 
     def __len__(self) -> int:
         return len(self.q)
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+@dataclass(frozen=True, eq=False)
+class EquilibriumResult(_FieldwiseEq):
     """A solved game instance: strategies, dual value, threshold, and diagnostics.
 
-    ``p_star`` holds each client's price per unit of participation level; a
-    negative price means the client pays the server.
+    ``p_star``, ``payments`` and ``interior`` are read-only arrays with one
+    entry per client, as ``q_star.q`` is. ``p_star`` holds each client's
+    price per unit of participation level; a negative price means the client
+    pays the server.
     """
 
     q_star: ParticipationVector
-    p_star: tuple
+    p_star: np.ndarray
     lambda_star: float
     v_threshold: float
     spend: float
     bound_value: float
-    payments: tuple
-    interior: tuple
+    payments: np.ndarray
+    interior: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "v_threshold": self.v_threshold,
-            "spend": self.spend,
-            "bound_value": self.bound_value,
-            "diagnostics": dict(self.diagnostics),
-            "clients": [
-                {
-                    "n": n,
-                    "q": self.q_star.q[n],
-                    "P": self.p_star[n],
-                    "payment": self.payments[n],
-                    "interior": bool(self.interior[n]),
-                }
-                for n in range(len(self.q_star))
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquilibriumResult":
-        clients = sorted(d["clients"], key=lambda c: c["n"])
-        return cls(
-            q_star=ParticipationVector([c["q"] for c in clients]),
-            p_star=tuple(c["P"] for c in clients),
-            lambda_star=d["lambda_star"],
-            v_threshold=d["v_threshold"],
-            spend=d["spend"],
-            bound_value=d["bound_value"],
-            payments=tuple(c["payment"] for c in clients),
-            interior=tuple(bool(c["interior"]) for c in clients),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
+    def __post_init__(self):
+        for name, dtype in (("p_star", float), ("payments", float), ("interior", bool)):
+            values = _read_only(getattr(self, name), dtype)
+            if len(values) != len(self.q_star):
+                raise ValueError(f"{name} has {len(values)} entries for "
+                                 f"{len(self.q_star)} clients")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,7 @@ class FederatedDataset:
 
 
 @dataclass(frozen=True, eq=False)
-class Population(Sequence):
+class Population(_FieldwiseEq, Sequence):
     """A client population as columns: one read-only float array per
     client field, in client order.
 
@@ -262,11 +257,6 @@ class Population(Sequence):
 
     def __iter__(self):
         return iter(self._rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Population):
-            return NotImplemented
-        return all(np.array_equal(x, y) for x, y in zip(self.columns, other.columns))
 
 
 def make_population(

@@ -165,9 +165,7 @@ _OPTIONAL_KINDS = {
 def _check_kinds(cfg: dict) -> None:
     """Each numeric key must be of its default's kind: an integer (not a bool)
     where the default is an int, a finite real (not a bool) where it is a float.
-    A key whose default is None must be null or of its ``_OPTIONAL_KINDS`` kind.
-    The training keys must then make a ``TrainConfig``, which checks their
-    ranges and ``lr_schedule``."""
+    A key whose default is None must be null or of its ``_OPTIONAL_KINDS`` kind."""
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         if isinstance(default, int) and not (key == "batch" and value is None):
@@ -180,9 +178,27 @@ def _check_kinds(cfg: dict) -> None:
             is_kind, kind = _OPTIONAL_KINDS[key]
             if not is_kind(value):
                 raise ValueError(f"{key} must be {kind} or null, got {value!r}")
+
+
+def _check_ranges(cfg: dict) -> None:
+    """The training keys must make a ``TrainConfig`` and the game keys a
+    ``GameConstants``, each of which checks its ranges, and the economics keys
+    must describe a population the game can solve. Each error names its key."""
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     train_config(cfg, seed=cfg["seed"])
+    if not cfg["alpha_floor"] > 0.0:
+        raise ValueError(f"alpha_floor must be positive, got {cfg['alpha_floor']}")
+    game_constants(cfg, {})
+    for key, holds, rule in (
+        ("alpha_pilot_q", 0.0 < cfg["alpha_pilot_q"] <= 1.0, "in (0, 1]"),
+        ("q_max", 0.0 < cfg["q_max"] <= 1.0, "in (0, 1]"),
+        ("q_max", cfg["q_max"] > cfg["q_floor"], f"above q_floor {cfg['q_floor']}"),
+        ("mean_cost", cfg["mean_cost"] > 0.0, "positive"),
+        ("mean_value", cfg["mean_value"] >= 0.0, "nonnegative"),
+    ):
+        if not holds:
+            raise ValueError(f"{key} must be {rule}, got {cfg[key]}")
 
 
 def build_config(preset: str | None = None, config_path: str | None = None,
@@ -204,6 +220,7 @@ def build_config(preset: str | None = None, config_path: str | None = None,
         if value is not None:
             cfg[key] = value
     _check_kinds(cfg)
+    _check_ranges(cfg)
     return cfg
 
 
@@ -389,6 +406,12 @@ def _load_runs(run_dir: str) -> dict:
     return runs
 
 
+def check_same_clients(path: str, count: int, other_path: str, other_count: int) -> None:
+    """Two run files that describe the same clients must have as many of them."""
+    if count != other_count:
+        raise ValueError(f"{path} has {count} clients, but {other_path} has {other_count}")
+
+
 def rounds_to_target(rows: list, target_loss: float):
     """(round, sim_time) of the first evaluated round at or below the target,
     or (None, None) if never reached."""
@@ -406,19 +429,26 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     payment counts. Recomputing over the same files is byte-identical.
     """
     runs = _load_runs(run_dir)
-    with open(os.path.join(run_dir, "config.yaml")) as f:
+    cfg_path = os.path.join(run_dir, "config.yaml")
+    with open(cfg_path) as f:
         cfg = yaml.safe_load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{cfg_path}: expected a mapping of config keys, "
+                         f"got {type(cfg).__name__}")
+
+    population = f_locals = None
+    pop_path = os.path.join(run_dir, "population.ini")
+    if os.path.exists(pop_path):
+        population, f_locals, _meta = read_population(pop_path)
 
     manifests = {}
     for scheme in runs:
         path = os.path.join(run_dir, f"equilibrium_{scheme}.json")
         if os.path.exists(path):
             manifests[scheme] = read_equilibrium_manifest(path)
-
-    population = f_locals = None
-    pop_path = os.path.join(run_dir, "population.ini")
-    if os.path.exists(pop_path):
-        population, f_locals, _meta = read_population(pop_path)
+            if population is not None:
+                check_same_clients(path, len(manifests[scheme][0].q_star), pop_path,
+                                   len(population))
 
     final = {
         scheme: {seed: rows[-1] for seed, rows in sorted(by_seed.items())}
@@ -454,10 +484,10 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     utilities = {}
     negative_payments = {}
     for scheme, (result, _, _budget) in manifests.items():
-        negative_payments[scheme] = sum(1 for p in result.p_star if p < 0.0)
+        negative_payments[scheme] = int(np.count_nonzero(result.p_star < 0.0))
         if population is not None and f_locals is not None and scheme in mean_final_loss:
-            q = np.array(result.q_star.q)
-            terms = (np.array(result.p_star) * q - population.c * (q * q)
+            q = result.q_star.q
+            terms = (result.p_star * q - population.c * (q * q)
                      + population.v * (np.array(f_locals) - mean_final_loss[scheme]))
             utilities[scheme] = math.fsum(terms.tolist())
 

@@ -246,7 +246,7 @@ def local_sgd(
 
 def sample_participants(q: ParticipationVector, rng: np.random.Generator) -> list:
     """Independent Bernoulli inclusion per client; any subset can occur."""
-    return np.flatnonzero(rng.random(len(q)) < np.asarray(q.q)).tolist()
+    return np.flatnonzero(rng.random(len(q)) < q.q).tolist()
 
 
 def _aggregate(w_prev: np.ndarray, models, coefs) -> np.ndarray:

@@ -13,7 +13,7 @@ import csv
 import json
 import re
 
-from .core import EquilibriumResult, Population, make_population
+from .core import EquilibriumResult, ParticipationVector, Population, make_population
 
 METRICS_HEADER = ["run_id", "seed", "round", "sim_time", "participants", "loss", "accuracy"]
 
@@ -90,24 +90,66 @@ def read_population(path: str):
     return population, f_locals, meta
 
 
+# A manifest's scalars, each the result's field of that name.
+_MANIFEST_SCALARS = ("lambda_star", "v_threshold", "spend", "bound_value")
+
+
 def write_equilibrium_manifest(path: str, result: EquilibriumResult, scheme: str,
                                budget: float) -> None:
-    payload = {"scheme": scheme, "budget": budget}
-    payload.update(result.to_dict())
+    """The result as the manifest the README FORMATS section states."""
+    rows = zip(result.q_star.q.tolist(), result.p_star.tolist(), result.payments.tolist(),
+               result.interior.tolist())
+    payload = {"scheme": scheme, "budget": budget, "diagnostics": dict(result.diagnostics),
+               **{key: getattr(result, key) for key in _MANIFEST_SCALARS},
+               "clients": [{"n": n, "q": q, "P": price, "payment": payment, "interior": flag}
+                           for n, (q, price, payment, flag) in enumerate(rows)]}
     with open(path, "w") as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _client_field(path: str, client: dict, key: str):
+    """The value of ``key`` in a manifest's client entry: true or false for
+    ``interior``, and a number for the others."""
+    value = client[key]
+    if key == "interior":
+        ok, kind = isinstance(value, bool), "true or false"
+    else:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    if not ok:
+        raise ValueError(f"{path}: client {client['n']}: {key}: expected {kind}, got {value!r}")
+    return value
 
 
 def read_equilibrium_manifest(path: str):
     """Returns (result, scheme, budget)."""
     with open(path) as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     try:
-        scheme = payload.pop("scheme")
-        budget = payload.pop("budget")
-        return EquilibriumResult.from_dict(payload), scheme, budget
+        scheme, budget = payload["scheme"], payload["budget"]
+        clients = sorted(payload["clients"], key=lambda c: c["n"])
+        if [c["n"] for c in clients] != list(range(len(clients))):
+            raise ValueError(f"{path}: client numbers must run from 0 to "
+                             f"{len(clients) - 1}, each once")
+        q, prices, payments, interior = ([_client_field(path, c, key) for c in clients]
+                                         for key in ("q", "P", "payment", "interior"))
+        scalars = {key: payload[key] for key in _MANIFEST_SCALARS}
+        diagnostics = dict(payload.get("diagnostics", {}))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        result = EquilibriumResult(q_star=ParticipationVector(q), p_star=prices,
+                                   payments=payments, interior=interior,
+                                   diagnostics=diagnostics, **scalars)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return result, scheme, budget
 
 
 def write_metrics_csv(path: str, run_id: str, seed: int, metrics: list) -> None:
@@ -126,21 +168,32 @@ def write_metrics_csv(path: str, run_id: str, seed: int, metrics: list) -> None:
             ])
 
 
+# How each metrics CSV field is read, in header order, and what it must be.
+_METRICS_KINDS = ((str, "text"), (int, "an integer"), (int, "an integer"), (float, "a number"),
+                  (int, "an integer"), (float, "a number"), (float, "a number"))
+
+
 def read_metrics_csv(path: str) -> list:
-    """Rows as dicts with numeric fields parsed."""
+    """Rows as dicts with numeric fields parsed. A row with the wrong number
+    of fields, or a field that does not parse, is named by its line."""
     rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {reader.fieldnames}")
-        for row in reader:
-            rows.append({
-                "run_id": row["run_id"],
-                "seed": int(row["seed"]),
-                "round": int(row["round"]),
-                "sim_time": float(row["sim_time"]),
-                "participants": int(row["participants"]),
-                "loss": float(row["loss"]),
-                "accuracy": float(row["accuracy"]),
-            })
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != METRICS_HEADER:
+            raise ValueError(f"{path}: unexpected metrics header {header}")
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(fields) != len(METRICS_HEADER):
+                raise ValueError(f"{where}: expected {len(METRICS_HEADER)} fields, "
+                                 f"got {len(fields)}")
+            row = {}
+            for name, raw, (parse, kind) in zip(METRICS_HEADER, fields, _METRICS_KINDS):
+                try:
+                    row[name] = parse(raw)
+                except ValueError:
+                    raise ValueError(f"{where}: {name}: expected {kind}, got {raw!r}") from None
+            rows.append(row)
     return rows

@@ -297,54 +297,19 @@ def payment_threshold(lambda_star: float) -> float:
     return 1.0 / (3.0 * lambda_star)
 
 
-def _finish(
-    levels: np.ndarray,
-    lam: float,
-    cl: _Clients,
-    constants: GameConstants,
-    diagnostics: dict,
-) -> EquilibriumResult:
-    prices = _inverse_prices(levels, cl)
-    payments = prices * levels
-    interior = (cl.floor + _INTERIOR_EPS < levels) & (levels < cl.pop.q_max - _INTERIOR_EPS)
-    return EquilibriumResult(
-        q_star=ParticipationVector(levels),
-        p_star=tuple(prices.tolist()),
-        lambda_star=lam,
-        v_threshold=payment_threshold(lam),
-        spend=math.fsum(payments),
-        bound_value=gap_bound_of(levels, cl.pop, constants),
-        payments=tuple(payments.tolist()),
-        interior=tuple(interior.tolist()),
-        diagnostics=diagnostics,
-    )
-
-
-def _baseline_result(
-    prices: np.ndarray,
-    levels: np.ndarray,
-    population: Population,
-    constants: GameConstants,
-) -> EquilibriumResult:
-    """A baseline's prices and responses as an equilibrium record.
-
-    Baselines have no dual value, threshold or interior clients: the dual and
-    threshold are NaN, and the diagnostics name the solver. A client at q = 0
-    makes the gap bound infinite.
-    """
+def _result(prices: np.ndarray, levels: np.ndarray, population: Population,
+            constants: GameConstants, *, lambda_star: float, v_threshold: float,
+            interior: np.ndarray, diagnostics: dict) -> EquilibriumResult:
+    """Every solver's prices and levels as an equilibrium record, with the
+    payments P q, their exact sum as the spend, and the gap bound, which is
+    infinite when some client's q is 0. The solver gives its own dual value,
+    threshold, interior mask and diagnostics."""
     payments = prices * levels
     bound = gap_bound_of(levels, population, constants) if np.all(levels > 0.0) else math.inf
     return EquilibriumResult(
-        q_star=ParticipationVector(levels),
-        p_star=tuple(prices.tolist()),
-        lambda_star=math.nan,
-        v_threshold=math.nan,
-        spend=math.fsum(payments),
-        bound_value=bound,
-        payments=tuple(payments.tolist()),
-        interior=(False,) * len(levels),
-        diagnostics={"solver": "baseline"},
-    )
+        q_star=ParticipationVector(levels), p_star=prices, lambda_star=lambda_star,
+        v_threshold=v_threshold, spend=math.fsum(payments), bound_value=bound,
+        payments=payments, interior=interior, diagnostics=diagnostics)
 
 
 def server_solve(population: Population, constants: GameConstants, budget: float) -> EquilibriumResult:
@@ -364,49 +329,43 @@ def server_solve(population: Population, constants: GameConstants, budget: float
     caps = cl.pop.q_max
     cap_spend = _spend(caps, cl)
     lam_cap = _cap_lambda(cl)
-    if cap_spend <= budget + tol:
-        return _finish(
-            caps,
-            lam_cap,
-            cl,
-            constants,
-            {"solver": "lambda_bisection", "caps_binding": True, "iterations": 0,
-             "budget_residual": max(0.0, cap_spend - budget)},
-        )
 
     def spend_at(lam: float) -> _Total:
         return _Total(_payments(_kkt_levels(lam, cl), cl))
 
-    lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
-    lam_hi = lam_cap
-    for _ in range(_OPTS.max_iter):
-        lam_hi *= 2.0
-        if spend_at(lam_hi).test(lambda s: s <= budget):
-            break
+    if cap_spend <= budget + tol:
+        lam, q = lam_cap, caps
+        diagnostics = {"caps_binding": True, "iterations": 0,
+                       "budget_residual": max(0.0, cap_spend - budget)}
     else:
-        raise BracketError(
-            f"could not bracket the budget dual: spend({lam_hi}) = {spend_at(lam_hi).exact()} "
-            f"> {budget}"
-        )
-
-    iterations = 0
-    while (lam_hi - lam_lo) > _OPTS.lambda_tol * lam_hi and iterations < _OPTS.max_iter:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if spend_at(mid).test(lambda s: s > budget):
-            lam_lo = mid
+        lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
+        lam_hi = lam_cap
+        for _ in range(_OPTS.max_iter):
+            lam_hi *= 2.0
+            if spend_at(lam_hi).test(lambda s: s <= budget):
+                break
         else:
-            lam_hi = mid
-        iterations += 1
-    lam = 0.5 * (lam_lo + lam_hi)
-    q = _kkt_levels(lam, cl)
-    return _finish(
-        q,
-        lam,
-        cl,
-        constants,
-        {"solver": "lambda_bisection", "caps_binding": False, "iterations": iterations,
-         "budget_residual": abs(_spend(q, cl) - budget)},
-    )
+            raise BracketError(
+                f"could not bracket the budget dual: spend({lam_hi}) = "
+                f"{spend_at(lam_hi).exact()} > {budget}"
+            )
+
+        iterations = 0
+        while (lam_hi - lam_lo) > _OPTS.lambda_tol * lam_hi and iterations < _OPTS.max_iter:
+            mid = 0.5 * (lam_lo + lam_hi)
+            if spend_at(mid).test(lambda s: s > budget):
+                lam_lo = mid
+            else:
+                lam_hi = mid
+            iterations += 1
+        lam = 0.5 * (lam_lo + lam_hi)
+        q = _kkt_levels(lam, cl)
+        diagnostics = {"caps_binding": False, "iterations": iterations,
+                       "budget_residual": abs(_spend(q, cl) - budget)}
+    return _result(_inverse_prices(q, cl), q, population, constants, lambda_star=lam,
+                   v_threshold=payment_threshold(lam),
+                   interior=(cl.floor + _INTERIOR_EPS < q) & (q < caps - _INTERIOR_EPS),
+                   diagnostics={"solver": "lambda_bisection", **diagnostics})
 
 
 # ---------------------------------------------------------------- baselines
@@ -451,10 +410,17 @@ def _bisect_budget_scale(unit_prices: np.ndarray, cl: _Clients, budget: float) -
 def _scaled_baseline(
     unit_prices: np.ndarray, population: Population, constants: GameConstants, budget: float
 ) -> EquilibriumResult:
-    """The baseline whose prices are ``unit_prices`` scaled to exhaust the budget."""
+    """The baseline whose prices are ``unit_prices`` scaled to exhaust the budget.
+
+    Baselines have no dual value, threshold or interior clients: the dual and
+    threshold are NaN, and the diagnostics name the solver.
+    """
     cl = _Clients.read(population, constants)
     prices = _bisect_budget_scale(unit_prices, cl, budget) * unit_prices
-    return _baseline_result(prices, _best_responses(prices, cl), population, constants)
+    return _result(prices, _best_responses(prices, cl), population, constants,
+                   lambda_star=math.nan, v_threshold=math.nan,
+                   interior=np.zeros(len(population), dtype=bool),
+                   diagnostics={"solver": "baseline"})
 
 
 def baseline_uniform(population: Population, constants: GameConstants, budget: float) -> EquilibriumResult:
@@ -487,11 +453,9 @@ def verify_equilibrium(
 ) -> EquilibriumReport:
     """Check the equalities and sign/ordering structure an equilibrium must satisfy."""
     violations = []
-    interior_idx = np.flatnonzero(np.array(result.interior, dtype=bool))
-    q = np.array(result.q_star.q)[interior_idx]
-    c, a, G, v = (col[interior_idx] for col in (population.c, population.a, population.G,
-                                                 population.v))
-    prices = np.array(result.p_star)[interior_idx]
+    interior_idx = np.flatnonzero(result.interior)
+    q, prices, c, a, G, v = (col[interior_idx] for col in (
+        result.q_star.q, result.p_star, population.c, population.a, population.G, population.v))
 
     thetas = (4.0 * constants.rounds * c * power(q, 3)
               / (constants.alpha * (a * a) * (G * G)) + v)

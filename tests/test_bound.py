@@ -97,6 +97,13 @@ def test_gradient_unit_plug_in():
     assert grad == [pytest.approx(-1.0)]
 
 
+def test_gradient_is_an_array():
+    profiles = make_population([1, 3], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    grad = bound_gradient(ParticipationVector([0.5, 1.0]), profiles, constants)
+    assert isinstance(grad, np.ndarray) and grad.shape == (2,)
+
+
 def test_gradient_always_negative():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -208,6 +208,94 @@ def test_a_manifest_without_its_scheme_or_budget_is_named(fast_run, tmp_path, ca
     assert one_error_line(stderr) == f"error: {path}: missing key '{key}'"
 
 
+def damage_manifest(run_dir, edit):
+    path = run_dir / "equilibrium_optimal.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def damage_metrics(run_dir, edit):
+    path = run_dir / "metrics_optimal_seed100.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def report_error(run_dir, capsys) -> str:
+    code, _, stderr = run_cli(["report", "--run-dir", str(run_dir)], capsys)
+    assert code == 1
+    return one_error_line(stderr)
+
+
+def test_report_names_a_malformed_manifest(fast_run, tmp_path, capsys):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "equilibrium_optimal.json"
+    path.write_text(path.read_text().replace('"scheme"', "scheme", 1))
+    assert report_error(run_dir, capsys).startswith(f"error: {path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("q", "x", ": client 1: q: expected a number, got 'x'"),
+    ("P", "x", ": client 1: P: expected a number, got 'x'"),
+    ("payment", "x", ": client 1: payment: expected a number, got 'x'"),
+    ("q", 1.5, ": client 1: participation probability 1.5 outside [0, 1]"),
+    ("interior", "no", ": client 1: interior: expected true or false, got 'no'"),
+    ("n", 0, ": client numbers must run from 0 to 2, each once"),
+], ids=["q", "P", "payment", "q-above-1", "interior", "n-twice"])
+def test_report_names_a_bad_manifest_value(fast_run, tmp_path, capsys, key, value, message):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = damage_manifest(run_dir, lambda payload: payload["clients"][1].update({key: value}))
+    assert report_error(run_dir, capsys) == f"error: {path}{message}"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda payload: payload["clients"].pop(), " has 2 clients, but {population} has 3"),
+    (lambda payload: payload.update(clients=[1, 2, 3]), ": 'int' object is not subscriptable"),
+], ids=["too-few", "not-objects"])
+def test_report_names_a_manifest_with_bad_clients(fast_run, tmp_path, capsys, edit, message):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = damage_manifest(run_dir, edit)
+    message = message.format(population=run_dir / "population.ini")
+    assert report_error(run_dir, capsys) == f"error: {path}{message}"
+
+
+def test_train_rejects_a_manifest_with_too_few_clients(fast_run, tmp_path, capsys):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = damage_manifest(run_dir, lambda payload: payload["clients"].pop())
+    out = tmp_path / "train"
+    code, _, stderr = run_cli(["train", "--dataset", str(run_dir / "dataset.bin"),
+                               "--population", str(run_dir / "population.ini"),
+                               "--equilibrium", str(path), "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == (
+        f"error: {path} has 2 clients, but {run_dir / 'population.ini'} has 3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda row: ",".join(row.split(",")[:5] + ["abc"] + row.split(",")[6:]),
+     "loss: expected a number, got 'abc'"),
+    (lambda row: ",".join(row.split(",")[:2] + ["zero"] + row.split(",")[3:]),
+     "round: expected an integer, got 'zero'"),
+    (lambda row: ",".join(row.split(",")[:5]), "expected 7 fields, got 5"),
+], ids=["loss-abc", "round-zero", "short-row"])
+def test_report_names_a_bad_metrics_row(fast_run, tmp_path, capsys, edit, message):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = damage_metrics(run_dir, edit)
+    assert report_error(run_dir, capsys) == f"error: {path}: line 2: {message}"
+
+
+def test_report_names_a_config_that_is_not_a_mapping(fast_run, tmp_path, capsys):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "config.yaml"
+    path.write_text("- rounds\n- 6\n")
+    assert report_error(run_dir, capsys) == (
+        f"error: {path}: expected a mapping of config keys, got list")
+
+
 def small_population_file(tmp_path) -> str:
     path = str(tmp_path / "population.ini")
     population = make_population([4, 2], [1.0, 2.0], [2.0, 1.0], [0.1, 0.0], [1.0, 1.0])
@@ -352,9 +440,21 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
      "error: label_filter must be a list of integers or null, got [1, 'a']"),
     ("idx_images: 5", "error: idx_images must be a path or null, got 5"),
     ("idx_test_labels: [x]", "error: idx_test_labels must be a path or null, got ['x']"),
+    ("alpha_pilot_q: 1.5", "error: alpha_pilot_q must be in (0, 1], got 1.5"),
+    ("alpha_pilot_q: 0.0", "error: alpha_pilot_q must be in (0, 1], got 0.0"),
+    ("q_max: 1.5", "error: q_max must be in (0, 1], got 1.5"),
+    ("q_max: 0.001", "error: q_max must be above q_floor 0.01, got 0.001"),
+    ("q_floor: 2.0", "error: q_floor must be in (0, 1), got 2.0"),
+    ("mean_cost: -5.0", "error: mean_cost must be positive, got -5.0"),
+    ("mean_value: -1.0", "error: mean_value must be nonnegative, got -1.0"),
+    ("alpha_floor: 0.0", "error: alpha_floor must be positive, got 0.0"),
+    ("beta: -1.0", "error: beta must be nonnegative, got -1.0"),
 ], ids=["seed-abc", "n_clients-abc", "pilot_rounds-abc", "budget-nan", "repeats-bool",
         "repeats-0", "target_loss-abc", "target_loss-inf", "subsample-0", "subsample-real",
-        "label_filter-int", "label_filter-str", "idx_images-int", "idx_test_labels-list"])
+        "label_filter-int", "label_filter-str", "idx_images-int", "idx_test_labels-list",
+        "alpha_pilot_q-above-1", "alpha_pilot_q-0", "q_max-above-1", "q_max-below-floor",
+        "q_floor-above-1", "mean_cost-negative", "mean_value-negative", "alpha_floor-0",
+        "beta-negative"])
 def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, monkeypatch,
                                                               line, message):
     def never(*args, **kwargs):

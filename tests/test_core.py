@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from fedpricing.core import (
     PopulationError,
     make_population,
 )
+from fedpricing.formats import read_equilibrium_manifest, write_equilibrium_manifest
 
 
 def test_equal_datasizes_give_equal_weights():
@@ -133,10 +132,18 @@ def test_participation_vector_range():
         ParticipationVector([0.5, 1.2])
 
 
+def test_participation_vector_keeps_its_own_copy():
+    levels = np.array([0.5, 0.25])
+    q = ParticipationVector(levels)
+    levels[0] = 1.0
+    assert q.q.tolist() == [0.5, 0.25] and levels.flags.writeable
+    assert q == ParticipationVector([0.5, 0.25]) and q != ParticipationVector([0.5, 0.5])
+
+
 class TestManifestRoundTrips:
     """The equilibrium record survives a trip through the manifest (JSON dict) form."""
 
-    def test_equilibrium_result(self):
+    def test_equilibrium_result(self, tmp_path):
         r = EquilibriumResult(
             q_star=ParticipationVector([0.5, 1.0]),
             p_star=(1.0, -2.0),
@@ -148,5 +155,7 @@ class TestManifestRoundTrips:
             interior=(True, False),
             diagnostics={"solver": "test"},
         )
-        back = EquilibriumResult.from_dict(json.loads(json.dumps(r.to_dict())))
+        path = str(tmp_path / "equilibrium_test.json")
+        write_equilibrium_manifest(path, r, "test", 1.0)
+        back, _scheme, _budget = read_equilibrium_manifest(path)
         assert back == r

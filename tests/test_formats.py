@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedpricing.core import GameConstants, make_population
+from fedpricing.experiment import SCHEMES, solve_scheme
 from fedpricing.formats import (
     METRICS_HEADER,
     read_equilibrium_manifest,
@@ -14,7 +15,7 @@ from fedpricing.formats import (
     write_population,
 )
 from fedpricing.fltrain import RoundMetrics
-from fedpricing.game import _baseline_result, server_solve
+from fedpricing.game import _result, server_solve
 
 
 def sample_profiles():
@@ -85,24 +86,48 @@ def test_equilibrium_manifest_round_trip(tmp_path):
     assert back == result
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_manifest_written_again_from_what_was_read_has_the_same_bytes(tmp_path, scheme):
+    constants = GameConstants(alpha=2.0, beta=1.0, rounds=50, local_steps=10)
+    result = solve_scheme(scheme, sample_profiles(), constants, 5.0)
+    assert math.isnan(result.lambda_star) == (scheme != "optimal")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_equilibrium_manifest(str(first), result, scheme, 5.0)
+    back, back_scheme, budget = read_equilibrium_manifest(str(first))
+    write_equilibrium_manifest(str(second), back, back_scheme, budget)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_result_holds_read_only_arrays():
+    constants = GameConstants(alpha=2.0, beta=1.0, rounds=50, local_steps=10)
+    result = server_solve(sample_profiles(), constants, budget=5.0)
+    for column in (result.p_star, result.payments, result.interior, result.q_star.q):
+        assert isinstance(column, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+
 def test_baseline_as_result_wraps_fields():
     # a^2 G^2 = 1/4 for both clients, so the penalty is 1/4 + 3/4 and the bound 1 + beta.
     population = make_population([1, 1], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
     constants = GameConstants(alpha=1.0, beta=2.0, rounds=1, local_steps=1)
-    result = _baseline_result(np.array([2.0, 4.0]), np.array([0.5, 0.25]), population, constants)
-    assert result.payments == (1.0, 1.0)
+    result = _result(np.array([2.0, 4.0]), np.array([0.5, 0.25]), population, constants,
+                     lambda_star=math.nan, v_threshold=math.nan,
+                     interior=np.zeros(2, dtype=bool), diagnostics={"solver": "baseline"})
+    assert result.payments.tolist() == [1.0, 1.0]
     assert result.spend == pytest.approx(2.0)
     assert math.isnan(result.lambda_star)
-    assert result.interior == (False, False)
+    assert result.interior.tolist() == [False, False]
     assert result.bound_value == 3.0
 
 
 def test_baseline_spend_is_the_exact_sum_of_payments():
     population = make_population([1] * 4, [1.0] * 4, [1.0] * 4, [0.0] * 4, [1.0] * 4)
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    result = _baseline_result(np.array([1.0, 1e100, 1.0, -1e100]), np.ones(4), population,
-                              constants)
-    assert result.payments == (1.0, 1e100, 1.0, -1e100)
+    result = _result(np.array([1.0, 1e100, 1.0, -1e100]), np.ones(4), population, constants,
+                     lambda_star=math.nan, v_threshold=math.nan,
+                     interior=np.zeros(4, dtype=bool), diagnostics={"solver": "baseline"})
+    assert result.payments.tolist() == [1.0, 1e100, 1.0, -1e100]
     assert result.spend == 2.0
 
 

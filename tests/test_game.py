@@ -368,6 +368,6 @@ def test_weighted_baseline_prices_proportional_to_datasize():
 def test_baseline_zero_budget_means_zero_prices():
     profiles = make_population([1, 2], [1, 1], [1, 1], [0, 0], [1, 1])
     result = baseline_uniform(profiles, UNIT_CONSTANTS, 0.0)
-    assert result.p_star == (0.0, 0.0)
-    assert result.q_star.q == (0.0, 0.0)
+    assert result.p_star.tolist() == [0.0, 0.0]
+    assert result.q_star.q.tolist() == [0.0, 0.0]
     assert result.bound_value == math.inf
