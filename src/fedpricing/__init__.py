@@ -6,7 +6,6 @@ from .core import (
     EquilibriumResult,
     FederatedDataset,
     GameConstants,
-    ParticipationVector,
     Population,
     PopulationError,
     make_population,
@@ -43,7 +42,6 @@ __all__ = [
     "FederatedDataset",
     "GameConstants",
     "InfeasibleBudgetError",
-    "ParticipationVector",
     "Population",
     "PopulationError",
     "TrainConfig",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import GameConstants, ParticipationVector, Population
+from .core import GameConstants, Population, participation_levels
 
 
 def power(x, y):
@@ -29,25 +29,9 @@ def power(x, y):
     return np.float_power(x, y)
 
 
-def per_client(values, name: str, population: Population) -> np.ndarray:
-    """``values`` as a float array, after checking that there is one per client."""
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
-    if len(array) != len(population):
-        raise ValueError(f"{name} has {len(array)} entries for {len(population)} clients")
-    return array
-
-
-def checked_levels(q: ParticipationVector, population: Population) -> np.ndarray:
-    """The levels of q as an array, after checking that there is one per client."""
-    return per_client(q.q, "participation", population)
-
-
-def positive_levels(q: ParticipationVector, population: Population) -> np.ndarray:
-    """The levels of q as an array, after checking that there is one per client
-    and that each is positive."""
-    levels = checked_levels(q, population)
+def positive_levels(q, population: Population) -> np.ndarray:
+    """The checked levels of q, one per client, after checking that each is positive."""
+    levels = participation_levels(q, len(population))
     bad = np.flatnonzero(~(levels > 0.0))
     if bad.size:
         n = int(bad[0])
@@ -72,14 +56,12 @@ def bound_terms(population: Population, constants: GameConstants) -> np.ndarray:
     return constants.alpha / constants.rounds * (a * a) * (G * G)
 
 
-def participation_penalty(q: ParticipationVector, population: Population) -> float:
+def participation_penalty(q, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, the data-weighted participation deficit."""
     return penalty_of(positive_levels(q, population), population)
 
 
-def convergence_gap_bound(
-    q: ParticipationVector, population: Population, constants: GameConstants
-) -> float:
+def convergence_gap_bound(q, population: Population, constants: GameConstants) -> float:
     """Upper bound on the optimality gap after the full round budget.
 
     Returns (1/R) * (alpha * sum_n (1 - q_n) a_n^2 G_n^2 / q_n + beta).
@@ -87,15 +69,11 @@ def convergence_gap_bound(
     return gap_bound_of(positive_levels(q, population), population, constants)
 
 
-def bound_gradient(
-    q: ParticipationVector, population: Population, constants: GameConstants
-) -> np.ndarray:
+def bound_gradient(q, population: Population, constants: GameConstants) -> np.ndarray:
     """Analytic per-client derivative of the gap bound: -(alpha/R) a_n^2 G_n^2 / q_n^2.
 
     Strictly negative in every component: more participation always tightens
     the bound.
     """
     levels = positive_levels(q, population)
-    scale = constants.alpha / constants.rounds
-    a, G = population.a, population.G
-    return -scale * (a * a) * (G * G) / (levels * levels)
+    return -bound_terms(population, constants) / (levels * levels)

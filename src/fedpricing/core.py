@@ -11,6 +11,7 @@ numerics never have to re-check inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
@@ -29,6 +30,24 @@ _COLUMNS = ("d", "a", "G", "c", "v", "q_max")
 
 # One client of a population, for iteration only: its index and its fields.
 _Row = namedtuple("_Row", ("index",) + _FIELDS)
+
+
+def is_integer(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_rules(values, rules) -> None:
+    """Raise ``ValueError`` for the first ``(key, holds, rule)`` that does not
+    hold: ``<key> must be <rule>, got <values[key]>``."""
+    for key, holds, rule in rules:
+        if not holds:
+            raise ValueError(f"{key} must be {rule}, got {values[key]}")
 
 
 def _check_clients(columns: tuple) -> None:
@@ -76,31 +95,41 @@ class GameConstants:
     q_floor: float = 0.01
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if not 0.0 < self.q_floor < 1.0:
-            raise ValueError(f"q_floor must be in (0, 1), got {self.q_floor}")
+        check_rules(vars(self), (
+            ("alpha", self.alpha > 0.0, "positive"),
+            ("beta", self.beta >= 0.0, "nonnegative"),
+            ("rounds", self.rounds >= 1, ">= 1"),
+            ("local_steps", self.local_steps >= 1, ">= 1"),
+            ("q_floor", 0.0 < self.q_floor < 1.0, "in (0, 1)"),
+        ))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _read_only(values, dtype=float) -> np.ndarray:
-    """Any 1-D iterable of numbers as a read-only array of its own."""
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise ValueError(f"expected a 1-D sequence of numbers, got shape {values.shape}")
-        array = values.astype(dtype)
-    else:
-        array = np.fromiter(values, dtype=dtype)
+def per_client(values, name: str, clients: int | None = None, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of its own, after checking that it is
+    1-D and, when ``clients`` is given, has one entry per client."""
+    array = np.array(values, dtype=dtype)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
+    if clients is not None and len(array) != clients:
+        raise ValueError(f"{name} has {len(array)} entries for {clients} clients")
     array.flags.writeable = False
     return array
+
+
+def participation_levels(q, clients: int | None = None) -> np.ndarray:
+    """Participation levels as a read-only float array of their own, after
+    checking that they are 1-D, one per client when ``clients`` is given, and
+    each in [0, 1]; NaN fails. Every library function that takes levels
+    checks them here."""
+    levels = per_client(q, "participation", clients)
+    outside = np.flatnonzero(~((levels >= 0.0) & (levels <= 1.0)))
+    if outside.size:
+        n = int(outside[0])
+        raise ValueError(f"client {n}: participation probability {levels[n]} outside [0, 1]")
+    return levels
 
 
 class _FieldwiseEq:
@@ -120,33 +149,30 @@ class _FieldwiseEq:
 
 @dataclass(frozen=True, eq=False)
 class ParticipationVector(_FieldwiseEq):
-    """Per-client participation probabilities, as a read-only float array."""
+    """Participation levels wrapped in a record, ``q`` being the checked
+    array. No library function needs one: each takes the levels as any
+    array-like, this record included."""
 
     q: np.ndarray
 
     def __init__(self, q):
-        levels = _read_only(q)
-        outside = np.flatnonzero(~((levels >= 0.0) & (levels <= 1.0)))
-        if outside.size:
-            n = int(outside[0])
-            raise ValueError(f"client {n}: participation probability {levels[n]} outside [0, 1]")
-        object.__setattr__(self, "q", levels)
+        object.__setattr__(self, "q", participation_levels(q))
 
-    def __len__(self) -> int:
-        return len(self.q)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.q, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult(_FieldwiseEq):
     """A solved game instance: strategies, dual value, threshold, and diagnostics.
 
-    ``p_star``, ``payments`` and ``interior`` are read-only arrays with one
-    entry per client, as ``q_star.q`` is. ``p_star`` holds each client's
+    ``q_star``, ``p_star``, ``payments`` and ``interior`` are read-only
+    arrays with one entry per client. ``p_star`` holds each client's
     price per unit of participation level; a negative price means the client
     pays the server.
     """
 
-    q_star: ParticipationVector
+    q_star: np.ndarray
     p_star: np.ndarray
     lambda_star: float
     v_threshold: float
@@ -157,11 +183,9 @@ class EquilibriumResult(_FieldwiseEq):
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "q_star", participation_levels(self.q_star))
         for name, dtype in (("p_star", float), ("payments", float), ("interior", bool)):
-            values = _read_only(getattr(self, name), dtype)
-            if len(values) != len(self.q_star):
-                raise ValueError(f"{name} has {len(values)} entries for "
-                                 f"{len(self.q_star)} clients")
+            values = per_client(getattr(self, name), name, len(self.q_star), dtype)
             object.__setattr__(self, name, values)
 
 

@@ -70,6 +70,9 @@ def gen_synthetic(
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if total_samples < n_clients:
         raise ValueError(f"total_samples={total_samples} below n_clients={n_clients}")
+    for name, spread in (("alpha", alpha), ("beta", beta)):
+        if not spread >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {spread}")
     rng = np.random.default_rng(seed)
     sizes = power_law_sizes(n_clients, total_samples, power_exponent, rng)
     cov_diag = np.arange(1, dim + 1, dtype=float) ** (-1.2)
@@ -144,17 +147,6 @@ def load_idx(images_path: str, labels_path: str):
     if count != label_count:
         raise IdxFormatError(f"count mismatch: {count} images but {label_count} labels")
     return images.astype(np.float64) / 255.0, labels
-
-
-def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np.ndarray, rows: int, cols: int) -> None:
-    """Write an IDX pair (testing and tooling convenience; inverse of load_idx)."""
-    count = len(labels)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
-        f.write(np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, count))
-        f.write(labels.astype(np.uint8).tobytes())
 
 
 def subsample(samples: np.ndarray, labels: np.ndarray, n: int, seed: int = 0):

@@ -15,7 +15,6 @@ import dataclasses
 import glob
 import json
 import math
-import numbers
 import os
 import re
 
@@ -29,12 +28,15 @@ from .core import (
     EquilibriumResult,
     FederatedDataset,
     GameConstants,
-    ParticipationVector,
     Population,
+    check_rules,
+    is_finite,
+    is_integer,
     make_population,
 )
 from .fltrain import TrainConfig, train_runs
 from .formats import (
+    SCHEMES,
     read_equilibrium_manifest,
     read_metrics_csv,
     read_population,
@@ -43,8 +45,6 @@ from .formats import (
     write_population,
 )
 from .game import baseline_uniform, baseline_weighted, server_solve
-
-SCHEMES = ("optimal", "uniform", "weighted")
 
 DEFAULT_CONFIG = {
     "setup": "custom",
@@ -142,20 +142,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # Keys whose default is None: a test of a set value, and what it must be.
 _OPTIONAL_KINDS = {
-    "target_loss": (_is_finite, "a finite number"),
-    "subsample": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
-    "label_filter": (lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    "target_loss": (is_finite, "a finite number"),
+    "subsample": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "label_filter": (lambda v: isinstance(v, list) and all(map(is_integer, v)),
                      "a list of integers"),
     **{key: (lambda v: isinstance(v, str), "a path")
        for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")},
@@ -169,10 +160,10 @@ def _check_kinds(cfg: dict) -> None:
     for key, default in DEFAULT_CONFIG.items():
         value = cfg[key]
         if isinstance(default, int) and not (key == "batch" and value is None):
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         elif isinstance(default, float):
-            if not _is_finite(value):
+            if not is_finite(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
         elif default is None and value is not None:
             is_kind, kind = _OPTIONAL_KINDS[key]
@@ -181,24 +172,27 @@ def _check_kinds(cfg: dict) -> None:
 
 
 def _check_ranges(cfg: dict) -> None:
-    """The training keys must make a ``TrainConfig`` and the game keys a
+    """The counts, seeds and data keys must be in range, the
+    training keys must make a ``TrainConfig`` and the game keys a
     ``GameConstants``, each of which checks its ranges, and the economics keys
     must describe a population the game can solve. Each error names its key."""
-    if cfg["repeats"] < 1:
-        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
+    check_rules(cfg, (
+        *((key, cfg[key] >= 1, ">= 1")
+          for key in ("n_clients", "dim", "repeats", "pilot_rounds", "alpha_pilot_seeds")),
+        *((key, cfg[key] >= 0, ">= 0") for key in ("seed", "data_seed", "economics_seed")),
+        ("classes", cfg["classes"] >= 2, ">= 2"),
+        *((key, cfg[key] >= 0.0, "nonnegative") for key in ("synth_alpha", "synth_beta")),
+        ("alpha_floor", cfg["alpha_floor"] > 0.0, "positive"),
+    ))
     train_config(cfg, seed=cfg["seed"])
-    if not cfg["alpha_floor"] > 0.0:
-        raise ValueError(f"alpha_floor must be positive, got {cfg['alpha_floor']}")
     game_constants(cfg, {})
-    for key, holds, rule in (
+    check_rules(cfg, (
         ("alpha_pilot_q", 0.0 < cfg["alpha_pilot_q"] <= 1.0, "in (0, 1]"),
         ("q_max", 0.0 < cfg["q_max"] <= 1.0, "in (0, 1]"),
         ("q_max", cfg["q_max"] > cfg["q_floor"], f"above q_floor {cfg['q_floor']}"),
         ("mean_cost", cfg["mean_cost"] > 0.0, "positive"),
         ("mean_value", cfg["mean_value"] >= 0.0, "nonnegative"),
-    ):
-        if not holds:
-            raise ValueError(f"{key} must be {rule}, got {cfg[key]}")
+    ))
 
 
 def build_config(preset: str | None = None, config_path: str | None = None,
@@ -224,7 +218,7 @@ def build_config(preset: str | None = None, config_path: str | None = None,
     return cfg
 
 
-def train_config(cfg: dict, seed: int, q: ParticipationVector | None = None) -> TrainConfig:
+def train_config(cfg: dict, seed: int, q=None) -> TrainConfig:
     knobs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)
              if f.name not in ("seed", "participation")}
     return TrainConfig(**knobs, seed=seed, participation=q)
@@ -294,15 +288,12 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
 
     # Alpha from matched-seed pilot pairs at two participation settings. Only
     # each pilot's final loss is read, and the last round is always evaluated.
-    q_full = ParticipationVector([1.0] * n)
-    q_low = ParticipationVector([cfg["alpha_pilot_q"]] * n)
     final_only = {**cfg, "eval_stride": cfg["rounds"]}
     pilots = [
         train_config(final_only, seed=cfg["data_seed"] + 1000 + s, q=q)
         for s in range(cfg["alpha_pilot_seeds"])
-        for q in (q_full, q_low)
+        for q in ([1.0] * n, [cfg["alpha_pilot_q"]] * n)
     ]
-    q_vectors = [run_cfg.participation for run_cfg in pilots]
     # The local-optimum fits do not depend on the pilots, which never fork an
     # evaluation helper: where a second CPU is free, a forked helper fits them
     # while the pilots train. scipy is imported first, so the helper does not
@@ -312,8 +303,8 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
     with _fork.call("fedpricing-optima", "local-optimum",
                     local_optimum_losses, dataset, pilot_cfg) as f_locals:
         losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
-        alpha = max(estimate_alpha(q_vectors, losses, population, cfg["rounds"]),
-                    cfg["alpha_floor"])
+        levels = [run_cfg.participation for run_cfg in pilots]
+        alpha = max(estimate_alpha(levels, losses, population, cfg["rounds"]), cfg["alpha_floor"])
         return population, game_constants(cfg, {"alpha": alpha}), f_locals()
 
 
@@ -378,8 +369,12 @@ def write_runs(dataset: FederatedDataset, cfg: dict, levels: dict, out_dir: str)
 def run_experiment(cfg: dict, out_dir: str) -> dict:
     """Full pipeline: data, calibration, per-scheme equilibria and training runs.
 
-    Writes every artifact into ``out_dir`` and returns the summary.
+    Writes every artifact into ``out_dir`` and returns the summary. The
+    budget must be nonnegative, as the baselines require; it is checked here,
+    before any work, since ``server_solve`` alone may take a negative one.
     """
+    if cfg["budget"] < 0.0:
+        raise ValueError(f"budget must be nonnegative, got {cfg['budget']}")
     _, dataset = write_dataset(cfg, out_dir)
     _, population, constants = write_calibration(dataset, cfg, out_dir)
     levels = {}
@@ -486,7 +481,7 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     for scheme, (result, _, _budget) in manifests.items():
         negative_payments[scheme] = int(np.count_nonzero(result.p_star < 0.0))
         if population is not None and f_locals is not None and scheme in mean_final_loss:
-            q = result.q_star.q
+            q = result.q_star
             terms = (result.p_star * q - population.c * (q * q)
                      + population.v * (np.array(f_locals) - mean_final_loss[scheme]))
             utilities[scheme] = math.fsum(terms.tolist())

@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _blas, _fork
-from .core import FederatedDataset, ParticipationVector, Population
+from .core import (FederatedDataset, Population, _FieldwiseEq, check_rules, is_finite,
+                   is_integer, participation_levels)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@dataclass(frozen=True, eq=False)
+class TrainConfig(_FieldwiseEq):
     """One training run's knobs. ``batch=None`` means deterministic full-batch steps.
+
+    ``participation`` is None or the levels, any array-like, held as a
+    checked read-only array. Two configs are equal when every field is.
 
     ``lr_schedule`` is "exponential" (eta0 * decay^r) or "theoretical"
     (2 / (max(8L, mu*E) + mu*r) with mu the regularization strength and L
@@ -49,34 +51,31 @@ class TrainConfig:
     lr_schedule: str = "exponential"
     eta0: float = 0.1
     decay: float = 0.996
-    participation: ParticipationVector | None = None
+    participation: np.ndarray | None = None
     eval_stride: int = 1
     sim_t_base: float = 1.0
     sim_t_comp: float = 0.001
 
     def __post_init__(self):
-        for name in ("local_steps", "rounds", "eval_stride", "batch"):
-            value = getattr(self, name)
-            if name == "batch" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("l2", "eta0", "decay", "sim_t_base", "sim_t_comp"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.local_steps < 0:
-            raise ValueError(f"local_steps must be >= 0, got {self.local_steps}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        for names, is_kind, kind in (
+            (("local_steps", "rounds", "eval_stride", "batch"), is_integer, "an integer"),
+            (("l2", "eta0", "decay", "sim_t_base", "sim_t_comp"), is_finite, "a finite number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not (is_kind(value) or name == "batch" and value is None):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
+        check_rules(vars(self), (
+            ("local_steps", self.local_steps >= 0, ">= 0"),
+            ("batch", self.batch is None or self.batch >= 1, ">= 1"),
+            ("rounds", self.rounds >= 1, ">= 1"),
+            ("l2", self.l2 >= 0.0, "nonnegative"),
+            ("eval_stride", self.eval_stride >= 1, ">= 1"),
+        ))
         if self.lr_schedule not in ("exponential", "theoretical"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.eval_stride < 1:
-            raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+        if self.participation is not None:
+            object.__setattr__(self, "participation", participation_levels(self.participation))
 
 
 @dataclass(frozen=True)
@@ -244,9 +243,13 @@ def local_sgd(
     return models[0]
 
 
-def sample_participants(q: ParticipationVector, rng: np.random.Generator) -> list:
+def _sample(levels: np.ndarray, rng: np.random.Generator) -> list:
+    return np.flatnonzero(rng.random(len(levels)) < levels).tolist()
+
+
+def sample_participants(q, rng: np.random.Generator) -> list:
     """Independent Bernoulli inclusion per client; any subset can occur."""
-    return np.flatnonzero(rng.random(len(q)) < q.q).tolist()
+    return _sample(participation_levels(q), rng)
 
 
 def _aggregate(w_prev: np.ndarray, models, coefs) -> np.ndarray:
@@ -260,7 +263,7 @@ def _aggregate(w_prev: np.ndarray, models, coefs) -> np.ndarray:
 def aggregate(
     w_prev: np.ndarray,
     local_updates: dict,
-    q: ParticipationVector,
+    q,
     population: Population,
 ) -> np.ndarray:
     """Inverse-probability-weighted update over the participant set.
@@ -268,12 +271,13 @@ def aggregate(
     w_next = w_prev + sum_{n in S} (a_n / q_n) (w_n - w_prev). An empty
     participant set leaves the model unchanged.
     """
+    levels = participation_levels(q, len(population))
     order = sorted(local_updates)
     for n in order:
-        if q.q[n] == 0.0:
+        if levels[n] == 0.0:
             raise ValueError(f"client {n}: update received but participation probability is 0")
     return _aggregate(w_prev, [local_updates[n] for n in order],
-                      [population.a[n] / q.q[n] for n in order])
+                      [population.a[n] / levels[n] for n in order])
 
 
 def global_loss(w: np.ndarray, dataset: FederatedDataset, l2: float = 0.0) -> float:
@@ -456,16 +460,14 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("train_runs needs at least one config")
-    if len({replace(c, seed=0, participation=None) for c in cfgs}) > 1:
+    cfg = cfgs[0]
+    shared = replace(cfg, seed=0, participation=None)
+    if any(replace(c, seed=0, participation=None) != shared for c in cfgs[1:]):
         raise ValueError("the configs of train_runs may differ only in seed and participation")
     for c in cfgs:
         if c.participation is None:
             raise ValueError("cfg.participation must be set")
-        if len(c.participation) != dataset.n_clients:
-            raise ValueError(
-                f"participation has {len(c.participation)} entries for {dataset.n_clients} clients"
-            )
-    cfg = cfgs[0]
+        participation_levels(c.participation, dataset.n_clients)
 
     shards = _Shards(dataset.shards)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -489,7 +491,7 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
 
     with _blas.one_thread(), contextlib.closing(start_evaluator()) as evaluator:
         for r in range(cfg.rounds):
-            participants = [sample_participants(c.participation, rng) for c, rng in zip(cfgs, rngs)]
+            participants = [_sample(c.participation, rng) for c, rng in zip(cfgs, rngs)]
             owners = [k for k, p in enumerate(participants) for _ in p]
             if owners:
                 models = np.stack(ws)[owners]
@@ -499,9 +501,8 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
             first = 0
             for k, (c, p) in enumerate(zip(cfgs, participants)):
                 if p:
-                    q = c.participation.q
                     ws[k] = _aggregate(ws[k], models[first:first + len(p)],
-                                       [shards.weights[n] / q[n] for n in p])
+                                       [shards.weights[n] / c.participation[n] for n in p])
                     first += len(p)
                     max_shard = max(shards.sizes[n] for n in p)
                     batch = cfg.batch if cfg.batch is not None else max_shard

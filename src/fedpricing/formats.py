@@ -13,7 +13,10 @@ import csv
 import json
 import re
 
-from .core import EquilibriumResult, ParticipationVector, Population, make_population
+from .core import EquilibriumResult, Population, is_finite, make_population
+
+# The pricing schemes, by the name a manifest and its metrics CSVs carry.
+SCHEMES = ("optimal", "uniform", "weighted")
 
 METRICS_HEADER = ["run_id", "seed", "round", "sim_time", "participants", "loss", "accuracy"]
 
@@ -97,7 +100,7 @@ _MANIFEST_SCALARS = ("lambda_star", "v_threshold", "spend", "bound_value")
 def write_equilibrium_manifest(path: str, result: EquilibriumResult, scheme: str,
                                budget: float) -> None:
     """The result as the manifest the README FORMATS section states."""
-    rows = zip(result.q_star.q.tolist(), result.p_star.tolist(), result.payments.tolist(),
+    rows = zip(result.q_star.tolist(), result.p_star.tolist(), result.payments.tolist(),
                result.interior.tolist())
     payload = {"scheme": scheme, "budget": budget, "diagnostics": dict(result.diagnostics),
                **{key: getattr(result, key) for key in _MANIFEST_SCALARS},
@@ -121,7 +124,8 @@ def _client_field(path: str, client: dict, key: str):
 
 
 def read_equilibrium_manifest(path: str):
-    """Returns (result, scheme, budget)."""
+    """Returns (result, scheme, budget): the scheme one of ``SCHEMES``, and the
+    budget a finite number."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -143,8 +147,12 @@ def read_equilibrium_manifest(path: str):
         raise ValueError(f"{path}: missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if scheme not in SCHEMES:
+        raise ValueError(f"{path}: scheme: expected one of {', '.join(SCHEMES)}, got {scheme!r}")
+    if not is_finite(budget):
+        raise ValueError(f"{path}: budget: expected a finite number, got {budget!r}")
     try:
-        result = EquilibriumResult(q_star=ParticipationVector(q), p_star=prices,
+        result = EquilibriumResult(q_star=q, p_star=prices,
                                    payments=payments, interior=interior,
                                    diagnostics=diagnostics, **scalars)
     except ValueError as exc:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import bound_terms, checked_levels, gap_bound_of, per_client, power
-from .core import EquilibriumResult, GameConstants, ParticipationVector, Population
+from .bound import bound_terms, gap_bound_of, power
+from .core import EquilibriumResult, GameConstants, Population, participation_levels, per_client
 
 _INTERIOR_EPS = 1e-9
 _RESPONSE_WIDTH = 1e-12     # each client's Stage-II bisection stops at this interval width
@@ -149,7 +149,7 @@ def client_best_response(prices, population: Population, constants: GameConstant
     first-order-condition residual (the closed-form cubic root is avoided for
     numerical robustness). Monotone non-decreasing in each price.
     """
-    prices = per_client(prices, "prices", population)
+    prices = per_client(prices, "prices", len(population))
     bad = np.flatnonzero(~np.isfinite(prices))
     if bad.size:
         n = int(bad[0])
@@ -261,7 +261,7 @@ def inverse_price(levels, population: Population, constants: GameConstants) -> n
 
     P(q) = 2 c q - v (alpha/R) a^2 G^2 / q^2.
     """
-    levels = per_client(levels, "levels", population)
+    levels = per_client(levels, "levels", len(population))
     _check_above_floor(levels, constants)
     return _inverse_prices(levels, _Clients.read(population, constants))
 
@@ -279,13 +279,13 @@ def kkt_participation(lam: float, population: Population, constants: GameConstan
     return _kkt_levels(lam, _Clients.read(population, constants))
 
 
-def total_spend(q: ParticipationVector, population: Population, constants: GameConstants) -> float:
+def total_spend(q, population: Population, constants: GameConstants) -> float:
     """Server's total payment when each level is supported by its inverse price.
 
     sum_n (2 c_n q_n^2 - (alpha/R) v_n a_n^2 G_n^2 / q_n); negative summands
     are clients paying the server.
     """
-    levels = checked_levels(q, population)
+    levels = participation_levels(q, len(population))
     _check_above_floor(levels, constants)
     return _spend(levels, _Clients.read(population, constants))
 
@@ -307,7 +307,7 @@ def _result(prices: np.ndarray, levels: np.ndarray, population: Population,
     payments = prices * levels
     bound = gap_bound_of(levels, population, constants) if np.all(levels > 0.0) else math.inf
     return EquilibriumResult(
-        q_star=ParticipationVector(levels), p_star=prices, lambda_star=lambda_star,
+        q_star=levels, p_star=prices, lambda_star=lambda_star,
         v_threshold=v_threshold, spend=math.fsum(payments), bound_value=bound,
         payments=payments, interior=interior, diagnostics=diagnostics)
 
@@ -455,7 +455,7 @@ def verify_equilibrium(
     violations = []
     interior_idx = np.flatnonzero(result.interior)
     q, prices, c, a, G, v = (col[interior_idx] for col in (
-        result.q_star.q, result.p_star, population.c, population.a, population.G, population.v))
+        result.q_star, result.p_star, population.c, population.a, population.G, population.v))
 
     thetas = (4.0 * constants.rounds * c * power(q, 3)
               / (constants.alpha * (a * a) * (G * G)) + v)

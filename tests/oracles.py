@@ -20,14 +20,16 @@ construction the columnar ``make_population`` replaced, ``write_population``
 the ``configparser`` writer of the population file, and
 ``verify_equilibrium`` the per-client loop over profile rows that the
 column version replaced. ``price_closed_form`` is the equilibrium price of an
-interior client written directly in the dual value. They only use the
-package's public functions.
+interior client written directly in the dual value. ``write_idx`` writes
+an IDX pair, the inverse of ``data.load_idx``. They only use the package's
+public functions.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import struct
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -36,9 +38,9 @@ from fedpricing.bound import convergence_gap_bound, participation_penalty
 from fedpricing.core import (
     EquilibriumResult,
     GameConstants,
-    ParticipationVector,
     PopulationError,
 )
+from fedpricing.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
 from fedpricing.game import (
     BracketError,
@@ -147,7 +149,7 @@ def client_utility(
     profile: tuple,
     constants: GameConstants,
     profiles: list,
-    q_others: ParticipationVector,
+    q_others,
     value_offset: float = 0.0,
 ) -> float:
     """Client profit at participation q_n given price p_n and the others' levels.
@@ -164,7 +166,7 @@ def client_utility(
     v = profile.intrinsic_pref
     if v == 0.0:
         return base
-    levels = list(q_others.q)
+    levels = list(q_others)
     levels[profile.index] = q_n
     if any(qm == 0.0 for qm in levels):
         return -math.inf
@@ -198,17 +200,17 @@ def _cap_lambda(profiles: list, constants: GameConstants) -> float:
 
 
 def _finish(
-    q: ParticipationVector,
+    q,
     lam: float,
     profiles: list,
     constants: GameConstants,
     diagnostics: dict,
 ) -> EquilibriumResult:
-    prices = inverse_price(q.q, profiles, constants).tolist()
-    payments = tuple(pr * qn for pr, qn in zip(prices, q.q))
+    prices = inverse_price(q, profiles, constants).tolist()
+    payments = tuple(pr * qn for pr, qn in zip(prices, q))
     interior = tuple(
         constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS
-        for qn, p in zip(q.q, profiles)
+        for qn, p in zip(q, profiles)
     )
     return EquilibriumResult(
         q_star=q,
@@ -228,7 +230,7 @@ def _solve_fixed_m(
     profiles: list,
     constants: GameConstants,
     budget: float,
-) -> ParticipationVector | None:
+) -> np.ndarray | None:
     """Minimize the gap bound at fixed total cost mass M = sum c_n q_n^2.
 
     Nested dual bisection: the inner loop matches the cost-mass equality via
@@ -286,7 +288,7 @@ def _solve_fixed_m(
     tol = _OPTS.budget_tol * max(1.0, abs(budget))
     q0 = match_mass(0.0)
     if spend_of(q0) <= budget + tol:
-        return ParticipationVector(q0)
+        return q0
     if np.all(v == 0.0):
         return None  # spend is 2M regardless of the split; this M is infeasible
     # Beyond 1/min(v>0) every value-driven client is pinned at the floor, so
@@ -305,7 +307,7 @@ def _solve_fixed_m(
         q = match_mass(min(lam * (1.0 + 1e-9) + 1e-15, lam_hi))
     if spend_of(q) > budget + tol:
         return None
-    return ParticipationVector(q)
+    return q
 
 
 def server_solve_m_search(
@@ -324,7 +326,7 @@ def server_solve_m_search(
     if len(profiles) < 1:
         raise ValueError("population must contain at least one client")
     _check_floor(profiles, constants)
-    floor_vec = ParticipationVector([constants.q_floor] * len(profiles))
+    floor_vec = [constants.q_floor] * len(profiles)
     min_budget = total_spend(floor_vec, profiles, constants)
     tol = _OPTS.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
@@ -365,7 +367,7 @@ def server_solve_m_search(
     # Recover the dual value from the tight-budget KKT identity on an interior
     # client if one exists; fall back to the cap-regime dual otherwise.
     lam = None
-    for qn, p in zip(best_q.q, profiles):
+    for qn, p in zip(best_q, profiles):
         if constants.q_floor + _INTERIOR_EPS < qn < p.q_max - _INTERIOR_EPS:
             inv = (
                 4.0 * constants.rounds * p.cost_coeff * qn**3
@@ -408,13 +410,13 @@ def local_sgd(w, shard, local_steps, batch, lr, l2, rng):
 
 def sample_participants(q, rng):
     draws = rng.random(len(q))
-    return [n for n, (u, qn) in enumerate(zip(draws, q.q)) if u < qn]
+    return [n for n, (u, qn) in enumerate(zip(draws, q)) if u < qn]
 
 
 def aggregate(w_prev, local_updates, q, weights):
     w = w_prev.copy()
     for n in sorted(local_updates):
-        qn = q.q[n]
+        qn = q[n]
         if qn == 0.0:
             raise ValueError(f"client {n}: update received but participation probability is 0")
         w += weights[n] / qn * (local_updates[n] - w_prev)
@@ -501,7 +503,7 @@ def pilot_gradient_norms(dataset, cfg, pilot_rounds, seed):
     """Every local gradient norm of a full-participation pilot, per client, in step order."""
     rng = np.random.default_rng(seed)
     weights = [len(x) / dataset.total_samples for x, _ in dataset.shards]
-    q_full = ParticipationVector([1.0] * dataset.n_clients)
+    q_full = [1.0] * dataset.n_clients
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     norms = [[] for _ in range(dataset.n_clients)]
     learning_rate = learning_rate_schedule(cfg, dataset)
@@ -622,7 +624,7 @@ def verify_equilibrium(result, profiles, constants, budget):
     thetas = []
     for n in interior_idx:
         p = profiles[n]
-        qn = result.q_star.q[n]
+        qn = result.q_star[n]
         thetas.append(
             4.0 * constants.rounds * p.cost_coeff * qn**3
             / (constants.alpha * (p.weight * p.weight) * (p.grad_bound * p.grad_bound))
@@ -677,3 +679,15 @@ def verify_equilibrium(result, profiles, constants, budget):
         ordering_ok=ordering_ok,
         violations=tuple(violations),
     )
+
+
+def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np.ndarray,
+              rows: int, cols: int) -> None:
+    """Write an IDX pair, the inverse of ``data.load_idx``."""
+    count = len(labels)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
+        f.write(np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8).tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABELS_MAGIC, count))
+        f.write(labels.astype(np.uint8).tobytes())

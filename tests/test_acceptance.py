@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedpricing.bound import bound_gradient, convergence_gap_bound
-from fedpricing.core import GameConstants, ParticipationVector, make_population
+from fedpricing.core import GameConstants, make_population
 from fedpricing.data import power_law_sizes
 from fedpricing.experiment import build_config, run_experiment
 from fedpricing.fltrain import aggregate, sample_participants
@@ -50,9 +50,9 @@ def _random_small_instance(rng):
         alpha=float(rng.uniform(0.5, 4.0)), beta=0.0,
         rounds=int(rng.integers(5, 40)), local_steps=5, q_floor=0.01,
     )
-    cap_spend = total_spend(ParticipationVector([1.0] * n), profiles, constants)
+    cap_spend = total_spend([1.0] * n, profiles, constants)
     floor_spend = total_spend(
-        ParticipationVector([constants.q_floor] * n), profiles, constants
+        [constants.q_floor] * n, profiles, constants
     )
     budget = floor_spend + float(rng.uniform(0.2, 0.6)) * (cap_spend - floor_spend)
     return profiles, constants, budget
@@ -88,7 +88,7 @@ def test_01_unbiased_aggregation():
     profiles = make_population(
         rng.integers(10, 100, size=n).tolist(), [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n
     )
-    q = ParticipationVector([0.2, 0.4, 0.5, 0.8, 1.0])
+    q = [0.2, 0.4, 0.5, 0.8, 1.0]
     w_prev = rng.normal(size=dim)
     updates = {m: rng.normal(size=dim) for m in range(n)}
     full_avg = w_prev + sum(profiles[m].weight * (updates[m] - w_prev) for m in range(n))
@@ -199,7 +199,7 @@ def test_04_solver_cross_check(small_instances):
         worst_obj = max(
             worst_obj, abs(other.bound_value - result.bound_value) / abs(result.bound_value)
         )
-        for qa, qb, interior in zip(result.q_star.q, other.q_star.q, result.interior):
+        for qa, qb, interior in zip(result.q_star, other.q_star, result.interior):
             if interior:
                 worst_q = max(worst_q, abs(qa - qb))
     ok = worst_obj <= 1e-3 and worst_q <= 1e-3
@@ -301,7 +301,7 @@ def test_08_monotone_in_budget():
         if prev is not None:
             for n in range(10):
                 if result.interior[n] and prev.interior[n]:
-                    if result.q_star.q[n] < prev.q_star.q[n] - 1e-9:
+                    if result.q_star[n] < prev.q_star[n] - 1e-9:
                         ok = False
                     if result.p_star[n] < prev.p_star[n] - 1e-9:
                         ok = False
@@ -429,7 +429,7 @@ def test_13_bound_sanity():
             alpha=float(rng.uniform(0.5, 4.0)), beta=float(rng.uniform(0.0, 3.0)),
             rounds=int(rng.integers(1, 50)), local_steps=5,
         )
-        full = convergence_gap_bound(ParticipationVector([1.0] * n), profiles, constants)
+        full = convergence_gap_bound([1.0] * n, profiles, constants)
         if full != constants.beta / constants.rounds:
             exact_ok = False
 
@@ -447,14 +447,14 @@ def test_13_bound_sanity():
             rounds=int(rng.integers(1, 50)), local_steps=5,
         )
         q = rng.uniform(0.05, 0.95, size=n)
-        analytic = bound_gradient(ParticipationVector(q), profiles, constants)
+        analytic = bound_gradient(q, profiles, constants)
         for m in range(n):
             up, down = q.copy(), q.copy()
             up[m] += h
             down[m] -= h
             fd = (
-                convergence_gap_bound(ParticipationVector(up), profiles, constants)
-                - convergence_gap_bound(ParticipationVector(down), profiles, constants)
+                convergence_gap_bound(up, profiles, constants)
+                - convergence_gap_bound(down, profiles, constants)
             ) / (2 * h)
             worst = max(worst, abs(fd - analytic[m]) / abs(analytic[m]))
     ok = exact_ok and worst <= 1e-4

@@ -4,7 +4,6 @@ import pytest
 import scipy.optimize  # noqa: F401  (loads scipy's OpenBLAS beside numpy's)
 
 from fedpricing import _blas
-from fedpricing.core import ParticipationVector
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import TrainConfig, train
 
@@ -66,5 +65,5 @@ def test_without_a_maps_file_nothing_is_found(tmp_path, monkeypatch):
 def test_train_leaves_the_counts_as_it_found_them(pools_at_two):
     ds = gen_synthetic(n_clients=2, dim=3, n_classes=2, total_samples=40, seed=0)
     train(ds, TrainConfig(local_steps=2, batch=4, rounds=3,
-                          participation=ParticipationVector([1.0, 0.5])))
+                          participation=[1.0, 0.5]))
     assert counts(pools_at_two) == [2] * len(pools_at_two)

@@ -8,7 +8,7 @@ from fedpricing.bound import (
     convergence_gap_bound,
     participation_penalty,
 )
-from fedpricing.core import GameConstants, ParticipationVector, make_population
+from fedpricing.core import GameConstants, make_population
 
 
 def random_instance(rng, n=None):
@@ -27,19 +27,19 @@ def random_instance(rng, n=None):
         local_steps=int(rng.integers(1, 20)),
         q_floor=0.01,
     )
-    q = ParticipationVector(rng.uniform(0.02, 1.0, size=n))
+    q = rng.uniform(0.02, 1.0, size=n)
     return profiles, constants, q
 
 
 def test_participation_penalty_zero_at_full_participation():
     profiles = make_population([1, 2, 3], [1, 2, 3], [1, 1, 1], [0, 0, 0], [1, 1, 1])
-    q = ParticipationVector([1.0, 1.0, 1.0])
+    q = [1.0, 1.0, 1.0]
     assert participation_penalty(q, profiles) == 0.0
 
 
 def test_participation_penalty_single_client_value():
     profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
-    q = ParticipationVector([0.5])
+    q = [0.5]
     # (1 - 0.5) * 1 * 1 / 0.5 = 1
     assert participation_penalty(q, profiles) == 1.0
 
@@ -55,7 +55,7 @@ def test_participation_penalty_quadratic_in_grad_bounds():
 
 def test_gap_bound_rejects_nonpositive_q():
     profiles = make_population([1, 1], [1, 1], [1, 1], [0, 0], [1, 1])
-    q = ParticipationVector([0.5, 0.0])
+    q = [0.5, 0.0]
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     with pytest.raises(ValueError, match="client 1"):
         convergence_gap_bound(q, profiles, constants)
@@ -64,7 +64,7 @@ def test_gap_bound_rejects_nonpositive_q():
 def test_gap_bound_full_participation_is_beta_over_rounds():
     profiles = make_population([1, 4], [2.0, 1.0], [1, 1], [0, 0], [1, 1])
     constants = GameConstants(alpha=7.0, beta=3.0, rounds=6, local_steps=2)
-    q = ParticipationVector([1.0, 1.0])
+    q = [1.0, 1.0]
     assert convergence_gap_bound(q, profiles, constants) == pytest.approx(0.5)
 
 
@@ -73,7 +73,7 @@ def test_gap_bound_two_term_example():
     # (1-0.5)*0.25*4/0.5 + 0 = 1
     profiles = make_population([1, 1], [2.0, 1.0], [1, 1], [0, 0], [1, 1])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    q = ParticipationVector([0.5, 1.0])
+    q = [0.5, 1.0]
     assert convergence_gap_bound(q, profiles, constants) == pytest.approx(1.0)
 
 
@@ -83,24 +83,24 @@ def test_gap_bound_strictly_decreasing_per_coordinate():
         profiles, constants, q = random_instance(rng)
         base = convergence_gap_bound(q, profiles, constants)
         n = int(rng.integers(0, len(profiles)))
-        if q.q[n] >= 0.999:
+        if q[n] >= 0.999:
             continue
-        bumped = list(q.q)
+        bumped = list(q)
         bumped[n] = min(1.0, bumped[n] + 0.05)
-        assert convergence_gap_bound(ParticipationVector(bumped), profiles, constants) < base
+        assert convergence_gap_bound(bumped, profiles, constants) < base
 
 
 def test_gradient_unit_plug_in():
     profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    grad = bound_gradient(ParticipationVector([1.0]), profiles, constants)
+    grad = bound_gradient([1.0], profiles, constants)
     assert grad == [pytest.approx(-1.0)]
 
 
 def test_gradient_is_an_array():
     profiles = make_population([1, 3], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    grad = bound_gradient(ParticipationVector([0.5, 1.0]), profiles, constants)
+    grad = bound_gradient([0.5, 1.0], profiles, constants)
     assert isinstance(grad, np.ndarray) and grad.shape == (2,)
 
 
@@ -118,13 +118,13 @@ def test_gradient_matches_central_differences():
         profiles, constants, q = random_instance(rng)
         analytic = bound_gradient(q, profiles, constants)
         for n in range(len(profiles)):
-            up = list(q.q)
-            down = list(q.q)
+            up = list(q)
+            down = list(q)
             up[n] += h
             down[n] -= h
             fd = (
-                convergence_gap_bound(ParticipationVector(up), profiles, constants)
-                - convergence_gap_bound(ParticipationVector(down), profiles, constants)
+                convergence_gap_bound(up, profiles, constants)
+                - convergence_gap_bound(down, profiles, constants)
             ) / (2 * h)
             scale = max(abs(g) for g in analytic)
             assert fd == pytest.approx(analytic[n], rel=1e-4, abs=1e-7 * scale)
@@ -143,7 +143,7 @@ def test_penalty_sum_keeps_small_terms_beside_a_large_one():
     # Adding them left to right rounds every 2^54 + 1 back to 2^54; the exact
     # sum rounds to 2^54 + 4.
     profiles = make_population([3, 1, 1, 1], [2.0**28, 6.0, 6.0, 6.0], [1] * 4, [0] * 4, [1] * 4)
-    q = ParticipationVector([0.5] * 4)
+    q = [0.5] * 4
     terms = [p.weight**2 * p.grad_bound**2 for p in profiles]
     assert participation_penalty(q, profiles) == math.fsum(terms)
     assert math.fsum(terms) != sum(terms)
@@ -157,4 +157,15 @@ def test_bounds_reject_a_participation_of_the_wrong_length(bound, levels):
     args = (profiles,) if bound is participation_penalty else (profiles, constants)
     message = f"^participation has {len(levels)} entries for 3 clients$"
     with pytest.raises(ValueError, match=message):
-        bound(ParticipationVector(levels), *args)
+        bound(levels, *args)
+
+
+@pytest.mark.parametrize("levels", [[0.5, 1.5], [0.5, math.nan]], ids=["above-1", "nan"])
+@pytest.mark.parametrize("bound", [participation_penalty, convergence_gap_bound, bound_gradient])
+def test_bounds_reject_a_level_outside_the_unit_interval(bound, levels):
+    profiles = make_population([1, 2], [1.0] * 2, [1.0] * 2, [0.0] * 2, [1.0] * 2)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    args = (profiles,) if bound is participation_penalty else (profiles, constants)
+    message = rf"^client 1: participation probability {levels[1]} outside \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        bound(levels, *args)

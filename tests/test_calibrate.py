@@ -15,7 +15,7 @@ from fedpricing.calibrate import (
     estimate_grad_bounds,
     local_optimum_losses,
 )
-from fedpricing.core import FederatedDataset, ParticipationVector, make_population
+from fedpricing.core import FederatedDataset, make_population
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import TrainConfig, global_loss, loss_and_grad
 
@@ -99,7 +99,7 @@ def test_estimate_alpha_recovers_planted_slope():
     base = 0.7
     q_vectors, losses = [], []
     for _ in range(8):
-        q = ParticipationVector(rng.uniform(0.2, 1.0, size=3))
+        q = rng.uniform(0.2, 1.0, size=3)
         q_vectors.append(q)
         losses.append(base + true_alpha * participation_penalty(q, profiles) / rounds)
     got = estimate_alpha(q_vectors, losses, profiles, rounds)
@@ -108,7 +108,7 @@ def test_estimate_alpha_recovers_planted_slope():
 
 def test_estimate_alpha_clamps_negative_slope():
     profiles = make_population([1, 1], [1.0, 1.0], [1, 1], [0, 0], [1, 1])
-    qs = [ParticipationVector([0.2, 0.2]), ParticipationVector([1.0, 1.0])]
+    qs = [[0.2, 0.2], [1.0, 1.0]]
     # Loss *increases* with participation here: slope would be negative.
     losses = [0.5, 1.5]
     assert estimate_alpha(qs, losses, profiles, rounds=10) == 0.0
@@ -116,7 +116,7 @@ def test_estimate_alpha_clamps_negative_slope():
 
 def test_estimate_alpha_rejects_degenerate_design():
     profiles = make_population([1], [1.0], [1], [0], [1])
-    qs = [ParticipationVector([0.5]), ParticipationVector([0.5])]
+    qs = [[0.5], [0.5]]
     with pytest.raises(ValueError, match="ill-conditioned"):
         estimate_alpha(qs, [1.0, 2.0], profiles, rounds=10)
 
@@ -124,7 +124,7 @@ def test_estimate_alpha_rejects_degenerate_design():
 def test_estimate_alpha_needs_two_runs():
     profiles = make_population([1], [1.0], [1], [0], [1])
     with pytest.raises(ValueError, match="two"):
-        estimate_alpha([ParticipationVector([0.5])], [1.0], profiles, rounds=10)
+        estimate_alpha([[0.5]], [1.0], profiles, rounds=10)
 
 
 # ---------------------------------------------------------------- local optima

@@ -1,12 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpricing import experiment as exp
 from fedpricing.cli import main
@@ -262,6 +269,25 @@ def test_report_names_a_manifest_with_bad_clients(fast_run, tmp_path, capsys, ed
     assert report_error(run_dir, capsys) == f"error: {path}{message}"
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("scheme", "nope", "scheme: expected one of optimal, uniform, weighted, got 'nope'"),
+    ("budget", "x", "budget: expected a finite number, got 'x'"),
+    ("budget", float("nan"), "budget: expected a finite number, got nan"),
+    ("budget", True, "budget: expected a finite number, got True"),
+], ids=["scheme-nope", "budget-x", "budget-nan", "budget-bool"])
+def test_train_rejects_a_manifest_scheme_or_budget(fast_run, tmp_path, capsys, key, value,
+                                                   message):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = damage_manifest(run_dir, lambda payload: payload.update({key: value}))
+    out = tmp_path / "train"
+    code, _, stderr = run_cli(["train", "--dataset", str(run_dir / "dataset.bin"),
+                               "--population", str(run_dir / "population.ini"),
+                               "--equilibrium", str(path), "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: {path}: {message}"
+    assert not out.exists()
+
+
 def test_train_rejects_a_manifest_with_too_few_clients(fast_run, tmp_path, capsys):
     run_dir = shutil.copytree(fast_run, tmp_path / "run")
     path = damage_manifest(run_dir, lambda payload: payload["clients"].pop())
@@ -449,12 +475,24 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
     ("mean_value: -1.0", "error: mean_value must be nonnegative, got -1.0"),
     ("alpha_floor: 0.0", "error: alpha_floor must be positive, got 0.0"),
     ("beta: -1.0", "error: beta must be nonnegative, got -1.0"),
+    ("synth_alpha: -1.0", "error: synth_alpha must be nonnegative, got -1.0"),
+    ("synth_beta: -1.0", "error: synth_beta must be nonnegative, got -1.0"),
+    ("seed: -1", "error: seed must be >= 0, got -1"),
+    ("data_seed: -1", "error: data_seed must be >= 0, got -1"),
+    ("economics_seed: -1", "error: economics_seed must be >= 0, got -1"),
+    ("alpha_pilot_seeds: 0", "error: alpha_pilot_seeds must be >= 1, got 0"),
+    ("pilot_rounds: 0", "error: pilot_rounds must be >= 1, got 0"),
+    ("classes: 1", "error: classes must be >= 2, got 1"),
+    ("classes: 0", "error: classes must be >= 2, got 0"),
+    ("budget: -5.0", "error: budget must be nonnegative, got -5.0"),
 ], ids=["seed-abc", "n_clients-abc", "pilot_rounds-abc", "budget-nan", "repeats-bool",
         "repeats-0", "target_loss-abc", "target_loss-inf", "subsample-0", "subsample-real",
         "label_filter-int", "label_filter-str", "idx_images-int", "idx_test_labels-list",
         "alpha_pilot_q-above-1", "alpha_pilot_q-0", "q_max-above-1", "q_max-below-floor",
         "q_floor-above-1", "mean_cost-negative", "mean_value-negative", "alpha_floor-0",
-        "beta-negative"])
+        "beta-negative", "synth_alpha-negative", "synth_beta-negative", "seed-negative",
+        "data_seed-negative", "economics_seed-negative", "alpha_pilot_seeds-0", "pilot_rounds-0",
+        "classes-1", "classes-0", "budget-negative"])
 def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, monkeypatch,
                                                               line, message):
     def never(*args, **kwargs):
@@ -525,3 +563,29 @@ def test_the_subcommands_write_the_run_directory_experiment_writes(tmp_path, cap
     assert len(names) == 13 and sorted(os.listdir(staged)) == names
     for name in names:
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+NUMERIC_KEYS = sorted(key for key, default in exp.DEFAULT_CONFIG.items()
+                      if isinstance(default, (int, float)) and not isinstance(default, bool))
+# Wrong kinds, non-finite values, and small values at or below 0: a value the
+# config accepts runs the whole 3-client pipeline, in a fraction of a second.
+FUZZ_VALUES = ["abc", True, [1], 0.5, math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from(NUMERIC_KEYS), value=st.sampled_from(FUZZ_VALUES))
+def test_a_numeric_config_value_runs_or_stops_before_any_file(key, value):
+    with tempfile.TemporaryDirectory() as root:
+        root = pathlib.Path(root)
+        cfg = yaml.safe_load(pathlib.Path(write_fast_config(root)).read_text())
+        cfg[key] = value
+        path = root / "fuzz.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = root / "run"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["experiment", "--config", str(path), "--out", str(out)])
+        if code != 0:
+            assert code == 1
+            one_error_line(stderr.getvalue())
+            assert not out.exists()

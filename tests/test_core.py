@@ -145,7 +145,7 @@ class TestManifestRoundTrips:
 
     def test_equilibrium_result(self, tmp_path):
         r = EquilibriumResult(
-            q_star=ParticipationVector([0.5, 1.0]),
+            q_star=[0.5, 1.0],
             p_star=(1.0, -2.0),
             lambda_star=0.25,
             v_threshold=4.0 / 3.0,
@@ -156,6 +156,6 @@ class TestManifestRoundTrips:
             diagnostics={"solver": "test"},
         )
         path = str(tmp_path / "equilibrium_test.json")
-        write_equilibrium_manifest(path, r, "test", 1.0)
+        write_equilibrium_manifest(path, r, "optimal", 1.0)
         back, _scheme, _budget = read_equilibrium_manifest(path)
         assert back == r

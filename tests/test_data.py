@@ -11,8 +11,8 @@ from fedpricing.data import (
     power_law_sizes,
     save_dataset,
     subsample,
-    write_idx,
 )
+from oracles import write_idx
 
 
 # ---------------------------------------------------------------- shard sizes
@@ -77,6 +77,14 @@ def test_gen_synthetic_zero_spread_shares_generating_parameters():
         return float(np.std(means, axis=0).mean())
 
     assert mean_spread(het) > 5 * mean_spread(iid)
+
+
+@pytest.mark.parametrize("spread", [{"alpha": -1.0}, {"beta": -1.0}, {"alpha": float("nan")}],
+                         ids=["alpha-negative", "beta-negative", "alpha-nan"])
+def test_gen_synthetic_rejects_a_negative_spread(spread):
+    (name, value), = spread.items()
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got {value}$"):
+        gen_synthetic(n_clients=3, dim=5, n_classes=3, total_samples=90, **spread)
 
 
 # ---------------------------------------------------------------- IDX format

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fedpricing import _blas, _fork, calibrate
 from fedpricing import experiment as exp
 from fedpricing.calibrate import estimate_alpha
-from fedpricing.core import GameConstants, ParticipationVector, make_population
+from fedpricing.core import GameConstants, make_population
 from fedpricing.experiment import (
     PRESETS,
     SCHEMES,
@@ -98,7 +98,7 @@ def test_calibrate_population_alpha_equals_pilots_run_one_by_one():
     n = ds.n_clients
     q_vectors, losses = [], []
     for s in range(cfg["alpha_pilot_seeds"]):
-        for q in (ParticipationVector([1.0] * n), ParticipationVector([cfg["alpha_pilot_q"]] * n)):
+        for q in ([1.0] * n, [cfg["alpha_pilot_q"]] * n):
             with _blas.one_thread():
                 metrics = oracles.train(ds, train_config(cfg, seed=cfg["data_seed"] + 1000 + s, q=q),
                                         profiles)

@@ -92,13 +92,13 @@ def test_local_sgd_zero_steps_is_identity():
 
 def test_sample_participants_extremes():
     rng = np.random.default_rng(4)
-    assert sample_participants(ParticipationVector([1.0, 1.0]), rng) == [0, 1]
-    assert sample_participants(ParticipationVector([0.0, 0.0]), rng) == []
+    assert sample_participants([1.0, 1.0], rng) == [0, 1]
+    assert sample_participants([0.0, 0.0], rng) == []
 
 
 def test_sample_participants_frequency():
     rng = np.random.default_rng(5)
-    q = ParticipationVector([0.3, 0.8])
+    q = [0.3, 0.8]
     counts = np.zeros(2)
     trials = 20_000
     for _ in range(trials):
@@ -113,7 +113,7 @@ def test_aggregate_full_participation_is_weighted_average():
     profiles = make_population([1, 3], [1, 1], [1, 1], [0, 0], [1, 1])
     w_prev = np.zeros((2, 2))
     updates = {0: np.full((2, 2), 4.0), 1: np.full((2, 2), 8.0)}
-    q = ParticipationVector([1.0, 1.0])
+    q = [1.0, 1.0]
     out = aggregate(w_prev, updates, q, profiles)
     # 0.25*4 + 0.75*8 = 7
     assert np.allclose(out, 7.0)
@@ -122,20 +122,20 @@ def test_aggregate_full_participation_is_weighted_average():
 def test_aggregate_empty_set_is_identity():
     profiles = make_population([1], [1], [1], [0], [1])
     w_prev = np.ones((2, 2))
-    out = aggregate(w_prev, {}, ParticipationVector([0.5]), profiles)
+    out = aggregate(w_prev, {}, [0.5], profiles)
     assert np.array_equal(out, w_prev)
 
 
 def test_aggregate_rejects_zero_probability_update():
     profiles = make_population([1], [1], [1], [0], [1])
     with pytest.raises(ValueError, match="client 0"):
-        aggregate(np.zeros((1, 1)), {0: np.ones((1, 1))}, ParticipationVector([0.0]), profiles)
+        aggregate(np.zeros((1, 1)), {0: np.ones((1, 1))}, [0.0], profiles)
 
 
 def test_aggregate_inverse_probability_scaling():
     profiles = make_population([1, 1], [1, 1], [1, 1], [0, 0], [1, 1])
     w_prev = np.zeros((1, 1))
-    q = ParticipationVector([0.5, 1.0])
+    q = [0.5, 1.0]
     out = aggregate(w_prev, {0: np.array([[2.0]])}, q, profiles)
     # a_0/q_0 = 0.5/0.5 = 1 times the delta 2.
     assert out[0, 0] == pytest.approx(2.0)
@@ -147,7 +147,7 @@ def test_aggregate_inverse_probability_scaling():
 def test_train_is_deterministic_per_seed():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=3, batch=8, rounds=10, seed=7,
-                      participation=ParticipationVector([0.7, 0.8, 0.9]))
+                      participation=[0.7, 0.8, 0.9])
     m1 = train(ds, cfg)
     m2 = train(ds, cfg)
     assert [m.loss for m in m1] == [m.loss for m in m2]
@@ -160,7 +160,7 @@ def test_train_is_deterministic_per_seed():
 def test_train_reduces_loss():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=5, batch=8, rounds=40, seed=0, eta0=0.3,
-                      participation=ParticipationVector([1.0, 1.0, 1.0]))
+                      participation=[1.0, 1.0, 1.0])
     metrics = train(ds, cfg)
     assert metrics[-1].loss < metrics[0].loss
     assert metrics[-1].loss < np.log(3.0)
@@ -175,13 +175,13 @@ def test_train_requires_participation():
 def test_train_participation_length_checked():
     ds = tiny_dataset()
     with pytest.raises(ValueError, match="3 clients"):
-        train(ds, TrainConfig(rounds=1, participation=ParticipationVector([1.0])))
+        train(ds, TrainConfig(rounds=1, participation=[1.0]))
 
 
 def test_eval_stride_thins_metrics_but_keeps_last_round():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=1, batch=4, rounds=10, eval_stride=4, seed=0,
-                      participation=ParticipationVector([1.0, 1.0, 1.0]))
+                      participation=[1.0, 1.0, 1.0])
     metrics = train(ds, cfg)
     assert [m.round_index for m in metrics] == [3, 7, 9]
 
@@ -189,7 +189,7 @@ def test_eval_stride_thins_metrics_but_keeps_last_round():
 def test_sim_time_accumulates_monotonically():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=2, batch=4, rounds=8, seed=1,
-                      participation=ParticipationVector([0.5, 0.5, 0.5]))
+                      participation=[0.5, 0.5, 0.5])
     metrics = train(ds, cfg)
     times = [m.sim_time for m in metrics]
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -199,7 +199,7 @@ def test_sim_time_accumulates_monotonically():
 def test_zero_participation_rounds_leave_model_at_init():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=2, batch=4, rounds=5, seed=0,
-                      participation=ParticipationVector([0.0, 0.0, 0.0]))
+                      participation=[0.0, 0.0, 0.0])
     metrics, states = train(ds, cfg, record_states=True)
     assert all(np.array_equal(s, np.zeros_like(s)) for s in states)
     assert all(m.participants == () for m in metrics)
@@ -215,7 +215,7 @@ def test_theoretical_schedule_trains():
     ds = tiny_dataset()
     cfg = TrainConfig(local_steps=3, batch=8, rounds=30, seed=0,
                       lr_schedule="theoretical", l2=1e-3,
-                      participation=ParticipationVector([1.0, 1.0, 1.0]))
+                      participation=[1.0, 1.0, 1.0])
     metrics = train(ds, cfg)
     assert metrics[-1].loss < metrics[0].loss
 
@@ -227,7 +227,7 @@ def test_theoretical_schedule_estimates_smoothness_once(monkeypatch):
     real = fltrain.estimate_smoothness
     monkeypatch.setattr(fltrain, "estimate_smoothness", lambda *a: calls.append(a) or real(*a))
     cfg = TrainConfig(local_steps=2, batch=8, rounds=12, seed=0, lr_schedule="theoretical",
-                      participation=ParticipationVector([1.0, 1.0, 1.0]))
+                      participation=[1.0, 1.0, 1.0])
     train(tiny_dataset(), cfg)
     assert len(calls) == 1
 
@@ -263,6 +263,28 @@ def test_invalid_configs_rejected():
         TrainConfig(lr_schedule="linear")
     with pytest.raises(ValueError):
         TrainConfig(local_steps=-1)
+
+
+def test_a_config_holds_its_levels_as_a_read_only_float_array():
+    cfg = TrainConfig(participation=[0.5, 1.0])
+    levels = cfg.participation
+    assert isinstance(levels, np.ndarray) and levels.dtype == float and levels.shape == (2,)
+    assert not levels.flags.writeable
+    assert cfg == TrainConfig(participation=np.array([0.5, 1.0]))
+    assert cfg != TrainConfig(participation=[0.5, 0.5]) and cfg != TrainConfig()
+    assert dataclasses.replace(cfg, seed=3) == TrainConfig(seed=3, participation=(0.5, 1.0))
+
+
+def test_a_config_takes_a_participation_vector_as_its_levels():
+    cfg = TrainConfig(participation=ParticipationVector([0.5, 1.0]))
+    assert cfg == TrainConfig(participation=[0.5, 1.0])
+
+
+@pytest.mark.parametrize("levels", [[0.5, 1.5], [0.5, float("nan")]], ids=["above-1", "nan"])
+def test_a_config_rejects_a_level_outside_the_unit_interval(levels):
+    message = rf"^client 1: participation probability {levels[1]} outside \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(participation=levels)
 
 
 # ---------------------------------------------------------------- stacked kernel against the reference
@@ -316,7 +338,7 @@ def assert_same_run(got, ref):
 def test_stacked_train_equals_the_per_participant_loop(
     ds, data, local_steps, batch, rounds, eval_stride, schedule, l2, seed
 ):
-    q = ParticipationVector(data.draw(st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients)))
+    q = data.draw(st.lists(LEVEL, min_size=ds.n_clients, max_size=ds.n_clients))
     cfg = TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, l2=l2,
                       lr_schedule=schedule, eta0=0.5, participation=q, eval_stride=eval_stride)
     with _blas.one_thread():
@@ -327,7 +349,7 @@ def test_stacked_train_equals_the_per_participant_loop(
 def test_stacked_train_equals_the_reference_with_empty_rounds():
     ds = tiny_dataset(n_clients=4)
     cfg = TrainConfig(local_steps=3, batch=5, rounds=12, seed=2,
-                      participation=ParticipationVector([0.0, 0.2, 0.5, 0.1]))
+                      participation=[0.0, 0.2, 0.5, 0.1])
     with _blas.one_thread():
         ref = oracles.train(ds, cfg, record_states=True)
     assert any(m.participants == () for m in ref[0])
@@ -381,7 +403,7 @@ def test_train_runs_equal_the_per_participant_loop_run_by_run(
     cfgs = [
         TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, l2=l2,
                     lr_schedule=schedule, eta0=0.5, eval_stride=eval_stride,
-                    participation=ParticipationVector(data.draw(levels)))
+                    participation=data.draw(levels))
         for seed in seeds
     ]
     runs = train_runs(ds, cfgs, record_states=True)
@@ -405,16 +427,16 @@ def test_train_runs_rejects_no_configs():
 ])
 def test_train_runs_rejects_configs_differing_beyond_seed_and_participation(change):
     base = TrainConfig(local_steps=2, batch=4, rounds=3, seed=0,
-                       participation=ParticipationVector([1.0, 0.5, 0.2]))
-    other = dataclasses.replace(base, seed=1, participation=ParticipationVector([0.3] * 3), **change)
+                       participation=[1.0, 0.5, 0.2])
+    other = dataclasses.replace(base, seed=1, participation=[0.3] * 3, **change)
     with pytest.raises(ValueError, match="seed and participation"):
         train_runs(tiny_dataset(), [base, other])
 
 
 def test_train_runs_checks_every_participation_vector():
-    base = TrainConfig(local_steps=1, batch=4, rounds=2, participation=ParticipationVector([1.0] * 3))
+    base = TrainConfig(local_steps=1, batch=4, rounds=2, participation=[1.0] * 3)
     with pytest.raises(ValueError, match="3 clients"):
-        train_runs(tiny_dataset(), [base, dataclasses.replace(base, participation=ParticipationVector([1.0]))])
+        train_runs(tiny_dataset(), [base, dataclasses.replace(base, participation=[1.0])])
     with pytest.raises(ValueError, match="participation must be set"):
         train_runs(tiny_dataset(), [base, dataclasses.replace(base, participation=None)])
 
@@ -488,7 +510,7 @@ def count_process_starts(mp):
 
 def helper_config(**change):
     base = TrainConfig(local_steps=2, batch=4, rounds=5, seed=3,
-                       participation=ParticipationVector([0.9, 0.6, 0.8]))
+                       participation=[0.9, 0.6, 0.8])
     return dataclasses.replace(base, **change)
 
 
@@ -511,7 +533,7 @@ def test_forked_evaluation_equals_inline_evaluation_bit_for_bit(
     cfgs = [
         TrainConfig(local_steps=local_steps, batch=batch, rounds=rounds, seed=seed, eta0=0.5,
                     lr_schedule="theoretical", l2=1e-3, eval_stride=eval_stride,
-                    participation=ParticipationVector(data.draw(levels)))
+                    participation=data.draw(levels))
         for seed in seeds
     ]
     with pytest.MonkeyPatch.context() as mp:

@@ -101,7 +101,7 @@ def test_a_manifest_written_again_from_what_was_read_has_the_same_bytes(tmp_path
 def test_a_result_holds_read_only_arrays():
     constants = GameConstants(alpha=2.0, beta=1.0, rounds=50, local_steps=10)
     result = server_solve(sample_profiles(), constants, budget=5.0)
-    for column in (result.p_star, result.payments, result.interior, result.q_star.q):
+    for column in (result.p_star, result.payments, result.interior, result.q_star):
         assert isinstance(column, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedpricing.core import GameConstants, ParticipationVector, make_population
+from fedpricing.core import GameConstants, make_population
 from fedpricing.game import (
     InfeasibleBudgetError,
     baseline_uniform,
@@ -53,14 +53,14 @@ def random_constants(rng):
 
 def test_client_utility_quadratic_part():
     profile = unit_client(v=0.0)
-    q_others = ParticipationVector([0.5])
+    q_others = [0.5]
     # 2*0.5 - 1*0.25 = 0.75
     assert client_utility(0.5, 2.0, profile, UNIT_CONSTANTS, [profile], q_others) == pytest.approx(0.75)
 
 
 def test_client_utility_includes_intrinsic_penalty():
     profile = unit_client(v=2.0)
-    q_others = ParticipationVector([0.5])
+    q_others = [0.5]
     # base 0.75 minus 2 * (1-0.5)*1/0.5 = 0.75 - 2
     got = client_utility(0.5, 2.0, profile, UNIT_CONSTANTS, [profile], q_others)
     assert got == pytest.approx(0.75 - 2.0)
@@ -68,7 +68,7 @@ def test_client_utility_includes_intrinsic_penalty():
 
 def test_client_utility_diverges_at_zero_with_positive_pref():
     profile = unit_client(v=1.0)
-    q_others = ParticipationVector([0.0])
+    q_others = [0.0]
     assert client_utility(0.0, 1.0, profile, UNIT_CONSTANTS, [profile], q_others) == -math.inf
 
 
@@ -192,7 +192,7 @@ def test_payment_threshold_rejects_a_nan_dual():
 def test_total_spend_manual():
     profiles = make_population([1, 1], [2.0, 2.0], [1.0, 1.0], [0.0, 1.0], [1, 1])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    q = ParticipationVector([0.5, 0.5])
+    q = [0.5, 0.5]
     # a^2 G^2 = 1 each. Client 0: (2*0.5)*0.5 = 0.5.
     # Client 1: (2*0.5 - 1/0.25)*0.5 = (1-4)*0.5 = -1.5.
     assert total_spend(q, profiles, constants) == pytest.approx(-1.0)
@@ -204,7 +204,16 @@ def test_total_spend_rejects_a_participation_of_the_wrong_length(levels):
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
     message = f"^participation has {len(levels)} entries for 3 clients$"
     with pytest.raises(ValueError, match=message):
-        total_spend(ParticipationVector(levels), profiles, constants)
+        total_spend(levels, profiles, constants)
+
+
+@pytest.mark.parametrize("levels", [[0.5, NAN], [0.5, 1.5]], ids=["nan", "above-1"])
+def test_total_spend_rejects_a_level_outside_the_unit_interval(levels):
+    profiles = make_population([1, 2], [1.0] * 2, [1.0] * 2, [0.0] * 2, [1.0] * 2)
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+    message = rf"^client 1: participation probability {levels[1]} outside \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        total_spend(levels, profiles, constants)
 
 
 def test_total_spend_handles_cancellation():
@@ -212,7 +221,7 @@ def test_total_spend_handles_cancellation():
     # 1, 1e100, 1 and -1e100; summed left to right they give 0.
     profiles = make_population([1] * 4, [1.0] * 4, [2.0, 2e100, 2.0, 1.0], [0, 0, 0, 8e100], [1] * 4)
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
-    assert total_spend(ParticipationVector([0.5] * 4), profiles, constants) == 2.0
+    assert total_spend([0.5] * 4, profiles, constants) == 2.0
 
 
 def test_price_closed_form_matches_composition():
@@ -254,7 +263,7 @@ def test_price_sign_flips_at_threshold():
 def test_single_client_saturates_when_budget_allows():
     profiles = make_population([1], [1.0], [1.0], [0.0], [1.0])
     result = server_solve(profiles, UNIT_CONSTANTS, budget=10.0)
-    assert result.q_star.q == (1.0,)
+    assert result.q_star == (1.0,)
     assert result.p_star[0] == pytest.approx(2.0)
     assert result.spend == pytest.approx(2.0)
     assert result.diagnostics["caps_binding"] is True
@@ -266,10 +275,10 @@ def test_budget_tight_when_caps_not_binding():
         n = int(rng.integers(2, 8))
         profiles = random_population(rng, n)
         constants = random_constants(rng)
-        cap_spend = total_spend(ParticipationVector([1.0] * n), profiles, constants)
+        cap_spend = total_spend([1.0] * n, profiles, constants)
         budget = 0.5 * max(cap_spend, 0.1)
         floor_spend = total_spend(
-            ParticipationVector([constants.q_floor] * n), profiles, constants
+            [constants.q_floor] * n, profiles, constants
         )
         if budget <= floor_spend:
             continue
@@ -291,17 +300,17 @@ def test_solvers_agree_small_instances():
         n = int(rng.integers(2, 4))
         profiles = random_population(rng, n)
         constants = random_constants(rng)
-        cap_spend = total_spend(ParticipationVector([1.0] * n), profiles, constants)
+        cap_spend = total_spend([1.0] * n, profiles, constants)
         budget = 0.4 * max(cap_spend, 0.1)
         floor_spend = total_spend(
-            ParticipationVector([constants.q_floor] * n), profiles, constants
+            [constants.q_floor] * n, profiles, constants
         )
         if budget <= floor_spend:
             continue
         a = server_solve(profiles, constants, budget)
         b = server_solve_m_search(profiles, constants, budget)
         assert b.bound_value == pytest.approx(a.bound_value, rel=1e-3)
-        for qa, qb, flag in zip(a.q_star.q, b.q_star.q, a.interior):
+        for qa, qb, flag in zip(a.q_star, b.q_star, a.interior):
             if flag:
                 assert qb == pytest.approx(qa, abs=1e-3)
 
@@ -317,7 +326,7 @@ def test_monotone_in_budget():
         if prev is not None:
             for n, flag in enumerate(result.interior):
                 if flag and prev.interior[n]:
-                    assert result.q_star.q[n] >= prev.q_star.q[n] - 1e-9
+                    assert result.q_star[n] >= prev.q_star[n] - 1e-9
                     assert result.p_star[n] >= prev.p_star[n] - 1e-9
         prev = result
 
@@ -326,7 +335,7 @@ def test_verify_equilibrium_clean_instance():
     rng = np.random.default_rng(59)
     profiles = random_population(rng, 6)
     constants = GameConstants(alpha=2.0, beta=0.0, rounds=10, local_steps=3)
-    budget = 0.4 * total_spend(ParticipationVector([1.0] * 6), profiles, constants)
+    budget = 0.4 * total_spend([1.0] * 6, profiles, constants)
     result = server_solve(profiles, constants, budget)
     report = verify_equilibrium(result, profiles, constants, budget)
     assert report.kkt_equality_residual <= 1e-6
@@ -348,7 +357,7 @@ def test_uniform_baseline_exhausts_budget_with_one_price():
     price, q = result.p_star[0], result.q_star
     assert set(result.p_star) == {price}
     assert price >= 0.0
-    spend = sum(price * qn for qn in q.q)
+    spend = sum(price * qn for qn in q)
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
 
 
@@ -361,7 +370,7 @@ def test_weighted_baseline_prices_proportional_to_datasize():
     prices, q = result.p_star, result.q_star
     ratios = {prices[n] / profiles[n].datasize for n in range(5)}
     assert max(ratios) - min(ratios) <= 1e-9 * max(1.0, max(ratios))
-    spend = sum(pn * qn for pn, qn in zip(prices, q.q))
+    spend = sum(pn * qn for pn, qn in zip(prices, q))
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
 
 
@@ -369,5 +378,5 @@ def test_baseline_zero_budget_means_zero_prices():
     profiles = make_population([1, 2], [1, 1], [1, 1], [0, 0], [1, 1])
     result = baseline_uniform(profiles, UNIT_CONSTANTS, 0.0)
     assert result.p_star.tolist() == [0.0, 0.0]
-    assert result.q_star.q.tolist() == [0.0, 0.0]
+    assert result.q_star.tolist() == [0.0, 0.0]
     assert result.bound_value == math.inf

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from fedpricing.core import (
     FederatedDataset,
     GameConstants,
-    ParticipationVector,
     PopulationError,
     make_population,
 )
@@ -99,16 +98,16 @@ def test_spend_is_non_increasing_in_lambda(rows, constants, log_lams):
     lo, hi = sorted(10.0**x for x in log_lams)
 
     def levels(lam):
-        return ParticipationVector(kkt_participation(lam, profiles, constants))
+        return kkt_participation(lam, profiles, constants)
 
     q_lo, q_hi = levels(lo), levels(hi)
-    assert all(a >= b for a, b in zip(q_lo.q, q_hi.q))
+    assert all(a >= b for a, b in zip(q_lo, q_hi))
     s_lo, s_hi = total_spend(q_lo, profiles, constants), total_spend(q_hi, profiles, constants)
     # Rounding in the summands may reorder equal spends by a few ulps of their size.
     scale = math.fsum(
         2.0 * p.cost_coeff * qn**2 + p.intrinsic_pref * constants.alpha / constants.rounds
         * p.weight**2 * p.grad_bound**2 / qn
-        for p, qn in zip(profiles, q_lo.q)
+        for p, qn in zip(profiles, q_lo)
     )
     assert s_lo >= s_hi - 1e-12 * scale
 
@@ -121,12 +120,12 @@ def test_baseline_levels_are_the_reference_best_responses(rows, constants, share
     result = baseline_uniform(profiles, constants, budget)
     price, q = result.p_star[0], result.q_star
     want = [oracles.client_best_response(price, p, constants) for p in profiles]
-    np.testing.assert_array_equal(bits(q.q), bits(want))
+    np.testing.assert_array_equal(bits(q), bits(want))
 
     result = baseline_weighted(profiles, constants, budget)
     prices, q = result.p_star, result.q_star
     want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices, profiles)]
-    np.testing.assert_array_equal(bits(q.q), bits(want))
+    np.testing.assert_array_equal(bits(q), bits(want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,8 +135,8 @@ def test_verify_equilibrium_is_the_per_client_loop(rows, constants, share, data)
     n = len(profiles)
     if constants.q_floor >= min(p.q_max for p in profiles):
         return
-    floor = total_spend(ParticipationVector([constants.q_floor] * n), profiles, constants)
-    caps = total_spend(ParticipationVector([p.q_max for p in profiles]), profiles, constants)
+    floor = total_spend([constants.q_floor] * n, profiles, constants)
+    caps = total_spend([p.q_max for p in profiles], profiles, constants)
     budget = floor + share * (caps - floor)
     result = server_solve(profiles, constants, budget)
     if data.draw(st.booleans()):     # scrambled prices and flags, so that checks fail
