@@ -8,20 +8,24 @@ simulated, not measured.
 
 Independent runs that share everything but their seed and participation
 vector step together (``train_runs``): each round, every participant of
-every run takes its local steps in one stacked gradient step (``_sgd_step``),
+every run takes its local steps in one stacked gradient step (``_Step``),
 which per model performs the same operations as a lone ``loss_and_grad``
 step.
 
 Where a second CPU is free (``_fork_helper``), a forked helper process
 evaluates the evaluated rounds' models, sent in batches, while the parent
-trains the following rounds; it runs the same evaluation code on the same
-arrays, so the metrics are bit-identical to evaluating in place.
+trains the following rounds; when the helper falls behind, and for the last
+batch, the parent evaluates a batch itself. Both run the same evaluation
+code on the same arrays, so the metrics are bit-identical to evaluating in
+place.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +74,10 @@ class TrainConfig(_FieldwiseEq):
             ("batch", self.batch is None or self.batch >= 1, ">= 1"),
             ("rounds", self.rounds >= 1, ">= 1"),
             ("l2", self.l2 >= 0.0, "nonnegative"),
+            ("eta0", self.eta0 > 0.0, "positive"),
+            ("decay", self.decay > 0.0, "positive"),
+            ("sim_t_base", self.sim_t_base >= 0.0, "nonnegative"),
+            ("sim_t_comp", self.sim_t_comp >= 0.0, "nonnegative"),
             ("eval_stride", self.eval_stride >= 1, ">= 1"),
         ))
         if self.lr_schedule not in ("exponential", "theoretical"):
@@ -114,39 +122,68 @@ def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
     return ll + reg, grad
 
 
+def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1)`` into ``out``, taken column by column: max does no
+    rounding, so this equals the axis max bit for bit, and on these
+    few-column rows it is about three times faster."""
+    np.copyto(out, z[..., 0])
+    for j in range(1, z.shape[-1]):
+        np.maximum(out, z[..., j], out=out)
+    return out
+
+
 def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row cross-entropy of the logits z against y, formed as in loss_and_grad.
 
-    Overwrites z. The row max is taken column by column: max does no
-    rounding, so this equals ``z.max(axis=1)`` bit for bit, and on these
-    few-column rows it is about three times faster.
+    Overwrites z.
     """
-    m = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(m, z[:, j], out=m)
+    m = _row_max(z, np.empty(len(z)))
     z -= m[:, None]
     e = np.exp(z, out=z)
     p = e[np.arange(len(y)), y] / e.sum(axis=1)
     return -np.log(np.maximum(p, 1e-300))
 
 
-def _sgd_step(w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> np.ndarray:
-    """One gradient step of each stacked model w[s] on its own batch, in place.
+class _Step:
+    """One gradient step of each stacked model on its own batch, with the step's
+    arrays allocated once and reused by every call.
 
-    w is (S, C, D+1), x is (S, B, D+1) with the bias column, y is (S, B).
-    Each slice goes through the operations of loss_and_grad's gradient, so
-    each model moves bit for bit as a lone step would move it. Returns the
-    gradients; the loss is never formed.
+    For the S stacked models of shape (C, D+1) of ``models``, on batches of
+    ``rows`` rows.
     """
-    z = x @ w.transpose(0, 2, 1)
-    z -= z.max(axis=2, keepdims=True)
-    probs = np.exp(z, out=z)
-    probs /= probs.sum(axis=2, keepdims=True)
-    n = y.shape[1]
-    probs[np.arange(len(y))[:, None], np.arange(n), y] -= 1.0
-    grad = probs.transpose(0, 2, 1) @ x / n + l2 * w
-    w -= lr * grad
-    return grad
+
+    def __init__(self, models: np.ndarray, rows: int):
+        stack, classes, _ = models.shape
+        self._z = np.empty((stack, rows, classes))
+        self._row = np.empty((stack, rows))
+        self._first = np.arange(0, stack * rows * classes, classes).reshape(stack, rows)
+        self._labels = np.empty_like(self._first)
+        self._grad = np.empty_like(models)
+        self._tmp = np.empty_like(models)
+
+    def __call__(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float):
+        """Step w in place; returns the gradients, which the next call overwrites.
+
+        w is (S, C, D+1), x is (S, B, D+1) with the bias column, y is (S, B).
+        Each slice goes through the operations of loss_and_grad's gradient, so
+        each model moves bit for bit as a lone step would move it. The loss
+        is never formed.
+        """
+        z, m, grad, tmp = self._z, self._row, self._grad, self._tmp
+        np.matmul(x, w.transpose(0, 2, 1), out=z)
+        z -= _row_max(z, m)[:, :, None]
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=-1, out=m)
+        z /= m[:, :, None]
+        np.add(self._first, y, out=self._labels)
+        z.reshape(-1)[self._labels] -= 1.0
+        np.matmul(z.transpose(0, 2, 1), x, out=grad)
+        grad /= y.shape[1]
+        np.multiply(l2, w, out=tmp)
+        grad += tmp
+        np.multiply(lr, grad, out=tmp)
+        w -= tmp
+        return grad
 
 
 class _Shards:
@@ -192,10 +229,12 @@ class _Shards:
         """Local SGD in place: row s of the stacked models steps on client
         ``clients[s]``'s shard, with minibatches drawn from ``rngs[s]``.
 
-        Minibatches are drawn with replacement, with one draw of E*B indices
-        per row, in row order. That consumes a generator exactly as E draws
-        of B do, so rows that keep a run's participant order draw the indices
-        of a per-participant loop. Each step gathers its own rows, so memory
+        Minibatches are drawn with replacement, E*B indices per row, in row
+        order: one draw per stretch of rows that share a generator, its bound
+        each row's shard size repeated E*B times. That consumes a generator
+        exactly as one draw of E*B per row does, and so as E draws of B, so
+        rows that keep a run's participant order draw the indices of a
+        per-participant loop. Each step gathers its own rows, so memory
         does not grow with E. ``batch=None`` steps on the whole shard, one row
         at a time. When ``norms`` is given, an array of shape (len(clients),
         local_steps), it receives each step's gradient norm.
@@ -204,20 +243,24 @@ class _Shards:
             for s, n in enumerate(clients):
                 rows = self.rows[n]
                 whole = (self.xa[None, rows], self.y[None, rows])
-                self._steps(models[s:s + 1], [whole] * local_steps, lr, l2,
+                model = models[s:s + 1]
+                self._steps(model, _Step(model, self.sizes[n]), [whole] * local_steps, lr, l2,
                             None if norms is None else norms[s:s + 1])
             return
-        draws = [rng.integers(0, self.sizes[n], size=local_steps * batch)
-                 for n, rng in zip(clients, rngs)]
-        idx = np.array(draws, dtype=np.intp).reshape(len(clients), local_steps, batch)
+        draws = [rng.integers(0, np.repeat([self.sizes[n] for n, _ in rows], local_steps * batch))
+                 for rng, rows in itertools.groupby(zip(clients, rngs), key=lambda row: row[1])]
+        idx = np.concatenate(draws).reshape(len(clients), local_steps, batch)
         idx += self.starts[clients][:, None, None]
         steps = idx.transpose(1, 0, 2)
-        self._steps(models, ((self.xa[i], self.y[i]) for i in steps), lr, l2, norms)
+        self._steps(models, _Step(models, batch), ((self.xa[i], self.y[i]) for i in steps),
+                    lr, l2, norms)
 
     @staticmethod
-    def _steps(models, batches, lr, l2, norms):
+    def _steps(models, step, batches, lr, l2, norms):
+        """Step the models on each (x, y) of ``batches`` in turn, through the
+        ``_Step`` ``step``; ``norms[:, e]`` receives step e's gradient norms."""
         for e, (x, y) in enumerate(batches):
-            grad = _sgd_step(models, x, y, lr, l2)
+            grad = step(models, x, y, lr, l2)
             if norms is not None:
                 norms[:, e] = [np.linalg.norm(g) for g in grad]
 
@@ -238,6 +281,9 @@ def local_sgd(
     """
     if len(shard[0]) == 0:
         raise ValueError("empty shard")
+    labels = np.asarray(shard[1])
+    if np.any((labels < 0) | (labels >= len(w))):
+        raise ValueError(f"label outside [0, {len(w)})")
     models = w[None].copy()
     _Shards([shard]).local_sgd(models, [0], [rng], local_steps, batch, lr, l2)
     return models[0]
@@ -331,11 +377,12 @@ def learning_rate_schedule(cfg: TrainConfig, dataset: FederatedDataset):
 # millisecond per message on a 2-core x86-64 machine, enough that one
 # message per round raised the desk workload's CPU time by 7%.
 _BATCH_ROWS = 100_000
-# Batches the helper may fall behind the parent. The helper answers every
-# batch it receives, so at most this many replies, a few floats per model,
-# wait in the pipe: the helper never blocks on a full buffer, and the parent,
-# which reads before it sends more, only ever waits for the helper.
-_BATCHES_IN_FLIGHT = 4
+# Batches the helper may hold unanswered. A full batch goes to the helper
+# only while it holds fewer; otherwise the parent evaluates that batch itself,
+# so neither process waits for the other until the last batch. The helper
+# answers every batch it receives, so at most this many replies, a few floats
+# per model, wait in the pipe: the helper never blocks on a full buffer.
+_BATCHES_IN_FLIGHT = 2
 
 
 def _fork_helper(cfg: TrainConfig, runs: int, rows: int) -> bool:
@@ -380,54 +427,66 @@ def _serve(evaluate, conn) -> None:
 
 
 class _ForkedEvaluator:
-    """Evaluates submitted rounds in a forked helper process, in order.
+    """Evaluates submitted rounds in a forked helper process and in this one.
 
     Forked once the shards, the test rows and the one-thread BLAS are in
     place, the helper shares those arrays copy-free and runs the same code on
-    them. Rounds are sent in batches of ``_BATCH_ROWS``; before each send the
-    parent collects any replies that are ready.
+    them. Rounds are collected in batches of ``_BATCH_ROWS``. A full batch is
+    dispatched when the next round is submitted, so the batch left when the
+    results are asked for is the last one, and is evaluated here while the
+    helper answers the batches it holds. A dispatched batch goes to the helper
+    while it holds fewer than ``_BATCHES_IN_FLIGHT`` unanswered batches, and
+    is evaluated here otherwise. Each batch keeps its slot in round order, and
+    a reply fills the slot of the oldest batch the helper holds.
     """
 
     def __init__(self, evaluate, rows: int):
         """``rows``: the pooled training rows each model is evaluated on."""
         self._helper = _fork.Helper("fedpricing-eval", "evaluation",
                                     functools.partial(_serve, evaluate))
+        self._evaluate = evaluate
         self._rows = rows
         self._batch = []
-        self._results = []
-        self._in_flight = 0
+        self._slots = []            # each batch's scores, or None while the helper holds it
+        self._held = collections.deque()    # the slots of the batches the helper holds
 
     def submit(self, models) -> None:
-        self._batch.append(list(models))      # the models themselves are never changed
         if len(self._batch) * len(models) * self._rows >= _BATCH_ROWS:
-            self._send()
+            while self._held and self._helper.conn.poll():
+                self._receive()
+            if len(self._held) < _BATCHES_IN_FLIGHT:
+                self._send()
+            else:
+                self._evaluate_here()
+        self._batch.append(list(models))      # the models themselves are never changed
 
     def results(self) -> list:
         if self._batch:
-            self._send()
-        while self._in_flight:
+            self._evaluate_here()
+        while self._held:
             self._receive()
-        return self._results
+        return [scores for slot in self._slots for scores in slot]
 
     def close(self) -> None:
         self._helper.close()
 
+    def _evaluate_here(self) -> None:
+        self._slots.append([self._evaluate(models) for models in self._batch])
+        self._batch = []
+
     def _send(self) -> None:
-        conn = self._helper.conn
-        while self._in_flight and (self._in_flight >= _BATCHES_IN_FLIGHT or conn.poll()):
-            self._receive()
         try:
-            conn.send(self._batch)
+            self._helper.conn.send(self._batch)
         except OSError:         # the helper is gone: raise its last reply's error, if any
-            while self._in_flight:
+            while self._held:
                 self._receive()
             raise self._helper.exited() from None
+        self._held.append(len(self._slots))
+        self._slots.append(None)
         self._batch = []
-        self._in_flight += 1
 
     def _receive(self) -> None:
-        self._results.extend(self._helper.receive())
-        self._in_flight -= 1
+        self._slots[self._held.popleft()] = self._helper.receive()
 
 
 def train(dataset: FederatedDataset, cfg: TrainConfig, *, record_states: bool = False):

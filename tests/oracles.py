@@ -1,9 +1,9 @@
 """Reference implementations the tests check the package against.
 
 None of this is library code. ``client_best_response`` is the per-client
-scalar bisection the array kernel in ``fedpricing.game`` replaced, kept
-as written, so the kernel can be held to it bit for bit. Every square here
-is a product, ``x * x``, as in the package: a product is correctly rounded,
+scalar bisection the array kernel in ``fedpricing.game`` replaced, kept as
+written, so the kernel can be held to it bit for bit. Every square here is
+a product, ``x * x``, as in the package: a product is correctly rounded,
 while the C library's ``pow(x, 2)``, which Python's ``**`` calls, is not
 always. ``inverse_price_of`` and ``penalty_of`` are the inverse price and
 the bound's participation penalty, one client at a time.
@@ -13,16 +13,17 @@ grid point. ``client_utility`` is a client's profit with the bound's other
 summands held fixed. ``train`` is the per-participant training loop the
 stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
-summed shard by shard. ``pooled_optimum_loss`` is the global loss at the
-optimum of all shards pooled, a reference no single-shard optimum can beat
-on the global loss. ``population_rows`` is the row-by-row population
-construction the columnar ``make_population`` replaced, ``write_population``
-the ``configparser`` writer of the population file, and
-``verify_equilibrium`` the per-client loop over profile rows that the
-column version replaced. ``price_closed_form`` is the equilibrium price of an
-interior client written directly in the dual value. ``write_idx`` writes
-an IDX pair, the inverse of ``data.load_idx``. They only use the package's
-public functions.
+summed shard by shard. ``sgd_step`` is the stacked step as it was first
+written, before its arrays were reused across steps.
+``pooled_optimum_loss`` is the global loss at the optimum of all shards
+pooled, a reference no single-shard optimum can beat on the global loss.
+``population_rows`` is the row-by-row population construction the columnar
+``make_population`` replaced, ``write_population`` the ``configparser``
+writer of the population file, and ``verify_equilibrium`` the per-client
+loop over profile rows that the column version replaced.
+``price_closed_form`` is the equilibrium price of an interior client
+written directly in the dual value. ``write_idx`` writes an IDX pair, the
+inverse of ``data.load_idx``. They only use the package's public functions.
 """
 
 from __future__ import annotations
@@ -406,6 +407,23 @@ def local_sgd(w, shard, local_steps, batch, lr, l2, rng):
         _, grad = loss_and_grad(w, bx, by, l2)
         w -= lr * grad
     return w
+
+
+def sgd_step(w, x, y, lr, l2):
+    """One gradient step of each stacked model w[s] on its own batch, in place.
+
+    w is (S, C, D+1), x is (S, B, D+1) with the bias column, y is (S, B).
+    Returns the gradients.
+    """
+    z = x @ w.transpose(0, 2, 1)
+    z -= z.max(axis=2, keepdims=True)
+    probs = np.exp(z, out=z)
+    probs /= probs.sum(axis=2, keepdims=True)
+    n = y.shape[1]
+    probs[np.arange(len(y))[:, None], np.arange(n), y] -= 1.0
+    grad = probs.transpose(0, 2, 1) @ x / n + l2 * w
+    w -= lr * grad
+    return grad
 
 
 def sample_participants(q, rng):

@@ -485,6 +485,8 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
     ("classes: 1", "error: classes must be >= 2, got 1"),
     ("classes: 0", "error: classes must be >= 2, got 0"),
     ("budget: -5.0", "error: budget must be nonnegative, got -5.0"),
+    ("eta0: -1.0", "error: eta0 must be positive, got -1.0"),
+    ("sim_t_base: -1.0", "error: sim_t_base must be nonnegative, got -1.0"),
 ], ids=["seed-abc", "n_clients-abc", "pilot_rounds-abc", "budget-nan", "repeats-bool",
         "repeats-0", "target_loss-abc", "target_loss-inf", "subsample-0", "subsample-real",
         "label_filter-int", "label_filter-str", "idx_images-int", "idx_test_labels-list",
@@ -492,7 +494,7 @@ def test_a_bad_training_value_is_one_error_line_before_training(tmp_path, capsys
         "q_floor-above-1", "mean_cost-negative", "mean_value-negative", "alpha_floor-0",
         "beta-negative", "synth_alpha-negative", "synth_beta-negative", "seed-negative",
         "data_seed-negative", "economics_seed-negative", "alpha_pilot_seeds-0", "pilot_rounds-0",
-        "classes-1", "classes-0", "budget-negative"])
+        "classes-1", "classes-0", "budget-negative", "eta0-negative", "sim_t_base-negative"])
 def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, monkeypatch,
                                                               line, message):
     def never(*args, **kwargs):

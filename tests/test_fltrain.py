@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,12 @@ def test_invalid_configs_rejected():
         TrainConfig(lr_schedule="linear")
     with pytest.raises(ValueError):
         TrainConfig(local_steps=-1)
+    for key, value, rule in [("eta0", 0.0, "positive"), ("eta0", -1.0, "positive"),
+                             ("decay", 0.0, "positive"), ("decay", -0.5, "positive"),
+                             ("sim_t_base", -1.0, "nonnegative"),
+                             ("sim_t_comp", -0.001, "nonnegative")]:
+        with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {value}$"):
+            TrainConfig(**{key: value})
 
 
 def test_a_config_holds_its_levels_as_a_read_only_float_array():
@@ -458,6 +465,26 @@ def test_one_draw_of_e_times_b_consumes_the_stream_as_e_draws_of_b(size, batch, 
         assert one.integers(0, 2**20) == many.integers(0, 2**20)
 
 
+SIZE = st.one_of(st.integers(1, 12), st.integers(1, 10**4),
+                 st.sampled_from([2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**62]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(SIZE, min_size=1, max_size=40), draws=st.integers(0, 240),
+       buffered=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_one_draw_with_a_bound_per_row_consumes_the_stream_as_a_draw_per_row(
+    sizes, draws, buffered, seed
+):
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (one, many):      # leave half a 64-bit word buffered on some examples
+        rng.integers(0, 5, size=buffered)
+    got = one.integers(0, np.repeat(sizes, draws))
+    ref = np.concatenate([many.integers(0, size, size=draws) for size in sizes])
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert one.bit_generator.state == many.bit_generator.state
+    assert one.integers(0, 2**20) == many.integers(0, 2**20)
+
+
 def _axis_max_cross_entropy(z, y):
     """The row max taken with z.max(axis=1), as the cross-entropy formed it before."""
     z = z - z.max(axis=1, keepdims=True)
@@ -486,6 +513,49 @@ def test_cross_entropy_equals_the_axis_max_formula_bit_for_bit():
             ref = _axis_max_cross_entropy(z, y)
             got = _cross_entropy(z.copy(), y)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=st.integers(1, 50), rows=st.integers(1, 30), classes=st.integers(2, 12),
+    width=st.integers(1, 6), steps=st.integers(1, 3),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]), tied=st.integers(0, 11),
+    lr=st.sampled_from([0.05, 0.5]), l2=st.sampled_from([0.0, 1e-4, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_buffered_step_equals_the_reference_step_bit_for_bit(
+    stack, rows, classes, width, steps, scale, tied, lr, l2, seed
+):
+    rng = np.random.default_rng(seed)
+    w = scale * rng.normal(size=(stack, classes, width + 1))
+    w[:, 1:1 + tied] = w[:, :1]          # classes 0..tied: tied logits in every row
+    batches = []
+    for _ in range(steps):
+        x = rng.normal(size=(stack, rows, width + 1))
+        x[:, :, -1] = 1.0
+        batches.append((x, rng.integers(0, classes, size=(stack, rows))))
+    ref, got = w.copy(), w.copy()
+    ref_norms = np.empty((stack, steps))
+    step = fltrain._Step(got, rows)
+    with _blas.one_thread(), np.errstate(over="ignore", under="ignore"):
+        for e, (x, y) in enumerate(batches):
+            ref_grad = oracles.sgd_step(ref, x, y, lr, l2)
+            ref_norms[:, e] = [np.linalg.norm(g) for g in ref_grad]
+            assert step(got, x, y, lr, l2).tobytes() == ref_grad.tobytes()
+            assert got.tobytes() == ref.tobytes()
+        # as the gradient-bound pilot steps: through _steps, with the norms asked for
+        stepped, norms = w.copy(), np.empty((stack, steps))
+        fltrain._Shards._steps(stepped, fltrain._Step(stepped, rows), batches, lr, l2, norms)
+    assert stepped.tobytes() == ref.tobytes()
+    assert norms.tobytes() == ref_norms.tobytes()
+
+
+def test_local_sgd_rejects_a_label_outside_the_classes():
+    x = np.zeros((4, 2))
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"label outside \[0, 3\)"):
+            local_sgd(np.zeros((3, 3)), (x, np.array([0, 1, 2, bad])), 2, 2, 0.1, 0.0,
+                      np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- evaluation in a forked helper
@@ -567,12 +637,43 @@ def test_the_helper_evaluates_and_leaves_no_process(monkeypatch):
 
 
 @linux_only
+def test_the_parent_evaluates_the_batches_a_slow_helper_has_not_reached(monkeypatch, tmp_path):
+    cfg = helper_config(rounds=30)
+    inline, _ = train(tiny_dataset(), cfg, record_states=True)
+    pretend_two_cpus(monkeypatch)       # a batch per evaluated round
+    parent = os.getpid()
+    real = fltrain._Shards.loss
+    log = tmp_path / "evaluated_by"
+
+    def slow_in_the_helper(self, w, l2):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {w.tobytes().hex()}\n")
+        if os.getpid() != parent:
+            time.sleep(0.01)
+        return real(self, w, l2)
+
+    monkeypatch.setattr(fltrain._Shards, "loss", slow_in_the_helper)
+    forked, states = train(tiny_dataset(), cfg, record_states=True)
+    assert repr(forked) == repr(inline)
+    evaluations = [line.split() for line in log.read_text().splitlines()]
+    assert len(evaluations) == cfg.rounds
+    pids = {pid for pid, _ in evaluations}
+    assert str(parent) in pids and len(pids) == 2
+    assert [str(parent), states[-1].tobytes().hex()] in evaluations     # the last batch
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
 def test_an_evaluation_error_in_the_helper_is_raised_in_the_parent(monkeypatch):
     pretend_two_cpus(monkeypatch)
     parent = os.getpid()
 
+    real = fltrain._Shards.loss
+
     def fail(self, w, l2):
-        raise ValueError(f"no loss in process {'parent' if os.getpid() == parent else 'helper'}")
+        if os.getpid() == parent:
+            return real(self, w, l2)
+        raise ValueError("no loss in process helper")
 
     monkeypatch.setattr(fltrain._Shards, "loss", fail)
     with pytest.raises(RuntimeError, match="evaluation helper failed: ValueError: no loss in process helper"):
@@ -585,9 +686,11 @@ def test_a_helper_that_dies_is_reported_with_its_exit_code(monkeypatch):
     pretend_two_cpus(monkeypatch)
     parent = os.getpid()
 
+    real = fltrain._Shards.loss
+
     def die(self, w, l2):
         if os.getpid() == parent:
-            raise AssertionError("evaluated in the parent")
+            return real(self, w, l2)
         os._exit(7)
 
     monkeypatch.setattr(fltrain._Shards, "loss", die)
