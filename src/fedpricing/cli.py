@@ -86,8 +86,12 @@ def cmd_calibrate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _config_from(args, budget=args.budget)
     population, _f_locals, meta = read_population(args.population)
-    path, result = exp.write_equilibrium(args.scheme, population, exp.game_constants(cfg, meta),
-                                         cfg["budget"], args.out)
+    try:
+        constants = exp.game_constants(cfg, meta)
+    except ValueError as exc:       # the config's values were checked: a [meta] value is bad
+        raise ValueError(f"{args.population}: [meta] {exc}") from None
+    path, result = exp.write_equilibrium(args.scheme, population, constants, cfg["budget"],
+                                         args.out)
     print(f"wrote {path}: spend={result.spend:.6g}, bound={result.bound_value:.6g}")
     return 0
 

@@ -96,6 +96,8 @@ class GameConstants:
 
     def __post_init__(self):
         check_rules(vars(self), (
+            ("alpha", is_finite(self.alpha), "a finite number"),
+            ("beta", is_finite(self.beta), "a finite number"),
             ("alpha", self.alpha > 0.0, "positive"),
             ("beta", self.beta >= 0.0, "nonnegative"),
             ("rounds", self.rounds >= 1, ">= 1"),

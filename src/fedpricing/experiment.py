@@ -226,14 +226,17 @@ def train_config(cfg: dict, seed: int, q=None) -> TrainConfig:
 
 def game_constants(cfg: dict, meta: dict) -> GameConstants:
     """The game constants: each from ``meta`` where it is set, else from the
-    config (α from ``alpha_floor``)."""
-    return GameConstants(
-        alpha=meta.get("alpha", cfg["alpha_floor"]),
-        beta=meta.get("beta", cfg["beta"]),
-        rounds=int(meta.get("rounds", cfg["rounds"])),
-        local_steps=int(meta.get("local_steps", cfg["local_steps"])),
-        q_floor=meta.get("q_floor", cfg["q_floor"]),
-    )
+    config (α from ``alpha_floor``). ``meta`` holds floats, so a count from it
+    must be integral."""
+    counts = {}
+    for key in ("rounds", "local_steps"):
+        value = meta.get(key, cfg[key])
+        if not (is_integer(value) or value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value}")
+        counts[key] = int(value)
+    return GameConstants(alpha=meta.get("alpha", cfg["alpha_floor"]),
+                         beta=meta.get("beta", cfg["beta"]),
+                         q_floor=meta.get("q_floor", cfg["q_floor"]), **counts)
 
 
 def generate_dataset(cfg: dict) -> FederatedDataset:

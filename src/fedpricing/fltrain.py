@@ -12,12 +12,12 @@ every run takes its local steps in one stacked gradient step (``_Step``),
 which per model performs the same operations as a lone ``loss_and_grad``
 step.
 
-Where a second CPU is free (``_fork_helper``), a forked helper process
-evaluates the evaluated rounds' models, sent in batches, while the parent
-trains the following rounds; when the helper falls behind, and for the last
-batch, the parent evaluates a batch itself. Both run the same evaluation
-code on the same arrays, so the metrics are bit-identical to evaluating in
-place.
+The evaluated rounds' models are evaluated in batches (``_Evaluator``).
+When a run's evaluations fill more than one batch and a second CPU is free,
+a helper forked at the first full batch evaluates batches while the parent
+trains the following rounds; the parent evaluates the batches the helper
+has not reached, and the last one. Both run the same evaluation code on the
+same arrays, so the metrics are bit-identical to evaluating in place.
 """
 
 from __future__ import annotations
@@ -385,37 +385,6 @@ _BATCH_ROWS = 100_000
 _BATCHES_IN_FLIGHT = 2
 
 
-def _fork_helper(cfg: TrainConfig, runs: int, rows: int) -> bool:
-    """Whether train_runs evaluates in a forked helper process.
-
-    Only where ``_fork.second_cpu`` allows one, and only when the
-    evaluations of ``runs`` models on ``rows`` pooled rows each fill more
-    than one batch. The last batch is evaluated after the last round, so a
-    lone batch overlaps nothing: runs evaluated at their last round only
-    (``eval_stride >= rounds``) never fork.
-    """
-    evaluations = -(-cfg.rounds // cfg.eval_stride)
-    rounds_per_batch = -(-_BATCH_ROWS // (runs * rows))
-    return evaluations > rounds_per_batch and _fork.second_cpu()
-
-
-class _InlineEvaluator:
-    """Evaluates each submitted round at once, in this process."""
-
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
-        self._results = []
-
-    def submit(self, models) -> None:
-        self._results.append(self._evaluate(models))
-
-    def results(self) -> list:
-        return self._results
-
-    def close(self) -> None:
-        pass
-
-
 def _serve(evaluate, conn) -> None:
     """The helper's loop: evaluate each received batch of rounds, reply in order."""
     while True:
@@ -426,38 +395,30 @@ def _serve(evaluate, conn) -> None:
         conn.send([evaluate(models) for models in batch])
 
 
-class _ForkedEvaluator:
-    """Evaluates submitted rounds in a forked helper process and in this one.
+class _Evaluator:
+    """Evaluates submitted rounds in batches of ``_BATCH_ROWS``.
 
-    Forked once the shards, the test rows and the one-thread BLAS are in
-    place, the helper shares those arrays copy-free and runs the same code on
-    them. Rounds are collected in batches of ``_BATCH_ROWS``. A full batch is
-    dispatched when the next round is submitted, so the batch left when the
-    results are asked for is the last one, and is evaluated here while the
-    helper answers the batches it holds. A dispatched batch goes to the helper
+    A full batch is dispatched when the next round is submitted, so the last
+    batch is never dispatched: ``results`` evaluates it here. The first
+    dispatch forks a helper where ``_fork.second_cpu`` allows; it runs the
+    same code on the parent's arrays. A dispatched batch goes to the helper
     while it holds fewer than ``_BATCHES_IN_FLIGHT`` unanswered batches, and
-    is evaluated here otherwise. Each batch keeps its slot in round order, and
-    a reply fills the slot of the oldest batch the helper holds.
+    is evaluated here otherwise. A reply fills the slot of the oldest batch
+    the helper holds, so the scores stay in round order.
     """
 
     def __init__(self, evaluate, rows: int):
         """``rows``: the pooled training rows each model is evaluated on."""
-        self._helper = _fork.Helper("fedpricing-eval", "evaluation",
-                                    functools.partial(_serve, evaluate))
         self._evaluate = evaluate
         self._rows = rows
+        self._helper = None
         self._batch = []
         self._slots = []            # each batch's scores, or None while the helper holds it
         self._held = collections.deque()    # the slots of the batches the helper holds
 
     def submit(self, models) -> None:
         if len(self._batch) * len(models) * self._rows >= _BATCH_ROWS:
-            while self._held and self._helper.conn.poll():
-                self._receive()
-            if len(self._held) < _BATCHES_IN_FLIGHT:
-                self._send()
-            else:
-                self._evaluate_here()
+            self._dispatch()
         self._batch.append(list(models))      # the models themselves are never changed
 
     def results(self) -> list:
@@ -468,7 +429,19 @@ class _ForkedEvaluator:
         return [scores for slot in self._slots for scores in slot]
 
     def close(self) -> None:
-        self._helper.close()
+        if self._helper is not None:
+            self._helper.close()
+
+    def _dispatch(self) -> None:
+        if not self._slots and _fork.second_cpu():      # the first dispatch
+            self._helper = _fork.Helper("fedpricing-eval", "evaluation",
+                                        functools.partial(_serve, self._evaluate))
+        while self._held and self._helper.conn.poll():
+            self._receive()
+        if self._helper is not None and len(self._held) < _BATCHES_IN_FLIGHT:
+            self._send()
+        else:
+            self._evaluate_here()
 
     def _evaluate_here(self) -> None:
         self._slots.append([self._evaluate(models) for models in self._batch])
@@ -511,10 +484,10 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
     bit. Only the local steps are shared: each round, one stacked step moves
     the participants of every run at once.
 
-    When ``_fork_helper`` allows, the evaluation runs in a forked helper
-    process while the following rounds train; the metrics are the same bit
-    for bit. An error in the helper is raised here as a RuntimeError, and the
-    helper is stopped and reaped before this returns or raises.
+    Where ``_Evaluator`` forks a helper, part of the evaluation runs in it
+    while the following rounds train; the metrics are the same bit for bit.
+    An error in the helper is raised here as a RuntimeError, and the helper
+    is stopped and reaped before this returns or raises.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -543,12 +516,7 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
                  _accuracy(w, test_xa, dataset.test_labels) if has_test else float("nan"))
                 for w in models]
 
-    def start_evaluator():
-        if _fork_helper(cfg, len(cfgs), len(shards.y)):
-            return _ForkedEvaluator(evaluate, len(shards.y))
-        return _InlineEvaluator(evaluate)
-
-    with _blas.one_thread(), contextlib.closing(start_evaluator()) as evaluator:
+    with _blas.one_thread(), contextlib.closing(_Evaluator(evaluate, len(shards.y))) as evaluator:
         for r in range(cfg.rounds):
             participants = [_sample(c.participation, rng) for c, rng in zip(cfgs, rngs)]
             owners = [k for k, p in enumerate(participants) for _ in p]

@@ -58,7 +58,10 @@ def read_population(path: str):
     cp = configparser.ConfigParser()
     cp.optionxform = str
     with open(path) as f:
-        cp.read_file(f)
+        try:
+            cp.read_file(f)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     meta = {k: _number(path, cp["meta"], k) for k in cp["meta"]} if cp.has_section("meta") else {}
     rows = []
     for name in cp.sections():

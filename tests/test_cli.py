@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -591,3 +592,92 @@ def test_a_numeric_config_value_runs_or_stops_before_any_file(key, value):
             assert code == 1
             one_error_line(stderr.getvalue())
             assert not out.exists()
+
+
+def population_text_with_meta(key: str, value: str):
+    """An edit of a population file's text that sets ``[meta]`` ``key`` to ``value``."""
+    return lambda text: re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text, count=1)
+
+
+# Population files the INI parser or the game constants reject, each with
+# what its error line says after the file's name.
+BAD_POPULATION_FILES = {
+    "only-a-bracket": (lambda text: "[\n", "File contains no section headers."),
+    "first-line-dropped": (lambda text: text.split("\n", 1)[1],
+                           "File contains no section headers."),
+    "d-set-twice": (lambda text: text.replace("[client 1]\n", "[client 1]\nd = 3\n"),
+                    "option 'd' in section 'client 1' already exists"),
+    "rounds-inf": (population_text_with_meta("rounds", "inf"),
+                   "[meta] rounds must be an integer, got inf"),
+    "rounds-nan": (population_text_with_meta("rounds", "nan"),
+                   "[meta] rounds must be an integer, got nan"),
+    "rounds-fraction": (population_text_with_meta("rounds", "2.5"),
+                        "[meta] rounds must be an integer, got 2.5"),
+    "local-steps-fraction": (population_text_with_meta("local_steps", "1.5"),
+                             "[meta] local_steps must be an integer, got 1.5"),
+    "alpha-inf": (population_text_with_meta("alpha", "inf"),
+                  "[meta] alpha must be a finite number, got inf"),
+    "beta-inf": (population_text_with_meta("beta", "inf"),
+                 "[meta] beta must be a finite number, got inf"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_POPULATION_FILES.values(),
+                         ids=BAD_POPULATION_FILES.keys())
+def test_a_bad_population_file_is_one_error_line_naming_it(tmp_path, capsys, edit, message):
+    path = pathlib.Path(small_population_file(tmp_path))
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "solve"
+    code, _, stderr = run_cli(["solve", "--population", str(path), "--out", str(out)], capsys)
+    assert code == 1
+    line = one_error_line(stderr)
+    assert line.startswith(f"error: {path}: ") and message in line, line
+    assert not out.exists()
+
+
+# Damage done to one run file: ``garbage`` is bytes that are neither UTF-8
+# nor any of the formats.
+RUN_FILE_DAMAGE = {
+    "empty": lambda data: b"",
+    "half": lambda data: data[:len(data) // 2],
+    "one-byte": lambda data: data[:1],
+    "first-line-dropped": lambda data: data.split(b"\n", 1)[-1],
+    "garbage": lambda data: bytes(range(255, -1, -7)) * 3,
+}
+RUN_FILES = ["config.yaml", "dataset.bin", "population.ini", "equilibrium_optimal.json",
+             "metrics_optimal_seed100.csv"]
+
+
+def check_subcommands_on(run_dir: pathlib.Path, out: pathlib.Path) -> None:
+    """``report``, ``solve`` and ``train`` on the run directory each exit 0, or
+    exit 1 with one ``error:`` line; a traceback escapes ``main`` and fails."""
+    inputs = ["--config", run_dir / "config.yaml", "--population", run_dir / "population.ini"]
+    for command in (["report", "--run-dir", run_dir],
+                    ["solve", *inputs, "--out", out],
+                    ["train", *inputs, "--dataset", run_dir / "dataset.bin",
+                     "--equilibrium", run_dir / "equilibrium_optimal.json", "--out", out]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([str(arg) for arg in command])
+        if code != 0:
+            assert code == 1, command
+            one_error_line(stderr.getvalue())
+
+
+@pytest.mark.parametrize("damage", RUN_FILE_DAMAGE)
+@pytest.mark.parametrize("name", RUN_FILES)
+def test_a_damaged_run_file_is_one_error_line_or_none(fast_run, tmp_path, name, damage):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / name
+    path.write_bytes(RUN_FILE_DAMAGE[damage](path.read_bytes()))
+    check_subcommands_on(run_dir, tmp_path / "out")
+
+
+@pytest.mark.parametrize("edit", [edit for edit, _ in BAD_POPULATION_FILES.values()],
+                         ids=BAD_POPULATION_FILES.keys())
+def test_a_bad_population_file_in_a_run_directory_is_one_error_line_or_none(fast_run, tmp_path,
+                                                                            edit):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "population.ini"
+    path.write_text(edit(path.read_text()))
+    check_subcommands_on(run_dir, tmp_path / "out")

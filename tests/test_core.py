@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,10 @@ def test_game_constants_invariants():
         GameConstants(alpha=1.0, beta=0.0, rounds=0, local_steps=1)
     with pytest.raises(ValueError):
         GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1, q_floor=1.0)
+    for name, alpha, beta in (("alpha", math.inf, 0.0), ("beta", 1.0, math.inf),
+                              ("alpha", math.nan, 0.0)):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            GameConstants(alpha=alpha, beta=beta, rounds=1, local_steps=1)
 
 
 def test_participation_vector_range():

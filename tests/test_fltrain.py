@@ -607,7 +607,7 @@ def test_forked_evaluation_equals_inline_evaluation_bit_for_bit(
         for seed in seeds
     ]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fltrain, "_fork_helper", lambda cfg, runs, rows: False)
+        mp.setattr(fltrain._fork, "second_cpu", lambda: False)
         inline = train_runs(ds, cfgs, record_states=record_states)
     with pytest.MonkeyPatch.context() as mp:
         pretend_two_cpus(mp, rounds_per_batch * len(cfgs) * ds.total_samples)
@@ -633,6 +633,25 @@ def test_the_helper_evaluates_and_leaves_no_process(monkeypatch):
     forked = train(tiny_dataset(), cfg)
     assert starts == ["fedpricing-eval"]
     assert repr(forked) == repr(inline)
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_the_helper_is_forked_when_the_first_batch_is_handed_off(monkeypatch):
+    pretend_two_cpus(monkeypatch, batch_rows=60 * 3)     # 60 rows: three rounds a batch
+    starts = count_process_starts(monkeypatch)
+    started_by_round = []
+    real = fltrain._sample
+
+    def sample(levels, rng):        # called once a round, as the round starts
+        started_by_round.append(len(starts))
+        return real(levels, rng)
+
+    monkeypatch.setattr(fltrain, "_sample", sample)
+    train(tiny_dataset(), helper_config(rounds=40))
+    # Round 3's evaluation follows a full batch of rounds 0-2 and hands it off.
+    assert started_by_round == [0] * 4 + [1] * 36
+    assert starts == ["fedpricing-eval"]
     assert multiprocessing.active_children() == []
 
 
