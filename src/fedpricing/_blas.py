@@ -1,10 +1,11 @@
 """Run a block of code with every loaded OpenBLAS pinned to one thread.
 
 The simulator's matrices are small (a minibatch by the model), so a second
-BLAS thread buys no wall time and only spins; with numpy's and scipy's
-OpenBLAS builds both loaded, their two pools also compete for the same
-cores. The thread count is process-global state: it is set for the length
-of the ``with`` block and restored afterwards, also on an exception.
+BLAS thread buys no wall time and only spins. The package loads only numpy's
+OpenBLAS; a second pool appears only if a caller loads scipy, whose wheels
+ship their own, and then both pools are pinned, since they would compete for
+the same cores. The thread count is process-global state: it is set for the
+length of the ``with`` block and restored afterwards, also on an exception.
 
 Libraries are found in ``/proc/self/maps``; where that file does not exist,
 or no OpenBLAS is loaded, the context does nothing. A library loaded inside

@@ -5,6 +5,8 @@ intrinsic-value offsets.
 
 from __future__ import annotations
 
+import collections
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +26,9 @@ from .fltrain import (
 GRAD_BOUND_FLOOR = 1e-6
 LOCAL_OPTIMUM_TOL = 1e-7          # max |gradient| at a shard's optimum
 LOCAL_OPTIMUM_MAX_ITER = 2000     # L-BFGS iterations per shard
+_PAIRS = 10                       # L-BFGS correction pairs kept
+_ARMIJO = 1e-4                    # sufficient-decrease constant of the line search
+_MAX_BACKTRACKS = 30              # trial steps per line search
 
 
 def estimate_grad_bounds(
@@ -94,30 +99,80 @@ def estimate_alpha(
     return max(0.0, float(np.sum(dx * dy) / denom))
 
 
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H g, with H built from the correction pairs
+    (s, y, 1/(s·y)) oldest first, and scaled by s·y/(y·y) of the newest."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    q /= rho * np.vdot(y, y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * np.vdot(y, q)) * s
+    return -q
+
+
+def _backtrack(t: float, f0: float, slope0: float, f1: float, slope1: float) -> float:
+    """The next trial step once step t failed: the minimizer of the cubic through
+    the loss and its slope at 0 and at t (Nocedal & Wright, eq. 3.59), clipped
+    to [0.1t, 0.5t]. Python floats, so that no case raises a numpy warning."""
+    d1 = slope0 + slope1 - 3.0 * (f1 - f0) / t
+    d2 = math.sqrt(max(d1 * d1 - slope0 * slope1, 0.0))
+    den = slope1 - slope0 + 2.0 * d2
+    step = t - t * (slope1 + d2 - d1) / den if den > 0.0 else 0.5 * t
+    return min(step, 0.5 * t) if step > 0.1 * t else 0.1 * t
+
+
 def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -> np.ndarray:
-    from scipy.optimize import minimize
+    """Weights of ``shape`` at the optimum of the regularized cross-entropy on (x, y).
 
+    Limited-memory BFGS (Liu & Nocedal 1989) from zero weights, keeping the
+    last ``_PAIRS`` corrections. The line search backtracks (``_backtrack``)
+    until the step decreases the loss sufficiently (Armijo), or reaches a
+    point whose largest gradient entry is at most ``LOCAL_OPTIMUM_TOL``, or,
+    where roundoff hides the decrease near the optimum, does not raise the
+    loss and lowers that entry. Stops once the entry is at most the tolerance;
+    raises if it is still above ten times that.
+    """
     xa = _augment(x)   # once per fit, not once per evaluation
-
-    def fun(flat):
-        w = flat.reshape(shape)
-        loss, grad = _loss_and_grad(w, xa, y, l2)
-        return loss, grad.ravel()
-
-    res = minimize(
-        fun,
-        np.zeros(shape).ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": LOCAL_OPTIMUM_MAX_ITER, "gtol": LOCAL_OPTIMUM_TOL, "ftol": 0.0},
-    )
-    grad_norm = float(np.max(np.abs(res.jac)))
+    w = np.zeros(shape)
+    f, g = _loss_and_grad(w, xa, y, l2)
+    pairs = collections.deque(maxlen=_PAIRS)
+    for _ in range(LOCAL_OPTIMUM_MAX_ITER):
+        g_max = np.max(np.abs(g))
+        if g_max <= LOCAL_OPTIMUM_TOL:
+            break
+        d = _two_loop(g, pairs) if pairs else -g
+        slope = np.vdot(g, d)
+        if not slope < 0.0:   # not a descent direction: restart from steepest descent
+            pairs.clear()
+            d, slope = -g, -np.vdot(g, g)
+        t = 1.0 if pairs else 1.0 / max(1.0, math.sqrt(-slope))
+        for _ in range(_MAX_BACKTRACKS):
+            w_new = w + t * d
+            f_new, g_new = _loss_and_grad(w_new, xa, y, l2)
+            g_max_new = np.max(np.abs(g_new))
+            if (f_new <= f + _ARMIJO * t * slope or g_max_new <= LOCAL_OPTIMUM_TOL
+                    or f_new <= f and g_max_new < g_max):
+                break
+            t = _backtrack(t, float(f), float(slope), float(f_new), float(np.vdot(g_new, d)))
+        else:
+            break   # no acceptable step: the gradient check below decides
+        s, dg = w_new - w, g_new - g
+        sy = np.vdot(s, dg)
+        if sy > 1e-12 * np.vdot(dg, dg):
+            pairs.append((s, dg, 1.0 / sy))
+        w, f, g = w_new, f_new, g_new
+    grad_norm = float(np.max(np.abs(g)))
     if grad_norm > 10.0 * LOCAL_OPTIMUM_TOL:
         raise RuntimeError(
             f"local optimizer did not converge within {LOCAL_OPTIMUM_MAX_ITER} iterations "
             f"(final gradient norm {grad_norm})"
         )
-    return res.x.reshape(shape)
+    return w
 
 
 def local_optimum_losses(dataset: FederatedDataset, cfg: TrainConfig) -> list:
@@ -126,8 +181,6 @@ def local_optimum_losses(dataset: FederatedDataset, cfg: TrainConfig) -> list:
     F_local enters a client's utility only through the offset
     v_n * (F_local - F(w_R)), which does not depend on q.
     """
-    import scipy.optimize  # noqa: F401  (loaded before pinning, so its OpenBLAS is pinned too)
-
     shape = (dataset.n_classes, dataset.dim + 1)
     shards = _Shards(dataset.shards)
     with _blas.one_thread():

@@ -7,6 +7,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import collections
 import struct
 
 import numpy as np
@@ -167,6 +168,33 @@ def filter_labels(samples: np.ndarray, labels: np.ndarray, keep: list):
     return samples[mask], new_labels
 
 
+def _max_flow(capacity: np.ndarray, src: int, sink: int) -> np.ndarray:
+    """A maximum flow from src to sink under the integer capacity matrix, by
+    Edmonds–Karp: augment along a shortest path of the residual graph until
+    none is left. Returns the flow matrix, antisymmetric (flow[v, u] is
+    -flow[u, v])."""
+    flow = np.zeros_like(capacity)
+    while True:
+        parent = {src: src}
+        queue = collections.deque([src])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in np.flatnonzero(capacity[u] > flow[u]).tolist():
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        path = [sink]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        edges = list(zip(path[1:], path))
+        push = min(capacity[u, v] - flow[u, v] for u, v in edges)
+        for u, v in edges:
+            flow[u, v] += push
+            flow[v, u] -= push
+
+
 def _route_residual(
     assigned: list,
     residual_need: np.ndarray,
@@ -180,9 +208,6 @@ def _route_residual(
     a saturating flow is exactly a feasible split. Raises naming a deficient
     class when the pools cannot cover the shard sizes.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
     total_need = int(residual_need.sum())
     demand = np.zeros((n_clients, n_classes), dtype=np.int64)
     if total_need == 0:
@@ -190,30 +215,20 @@ def _route_residual(
 
     src = 0
     sink = 1 + n_clients + n_classes
-    n_nodes = sink + 1
-    rows, cols, caps = [], [], []
+    capacity = np.zeros((sink + 1, sink + 1), dtype=np.int64)
     for n in range(n_clients):
-        rows.append(src)
-        cols.append(1 + n)
-        caps.append(int(residual_need[n]))
+        capacity[src, 1 + n] = residual_need[n]
         for c in assigned[n]:
-            rows.append(1 + n)
-            cols.append(1 + n_clients + c)
-            caps.append(int(residual_need[n]))
-    for c in range(n_classes):
-        rows.append(1 + n_clients + c)
-        cols.append(sink)
-        caps.append(int(residual_supply[c]))
-    graph = csr_matrix((caps, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.int64)
-    flow = maximum_flow(graph.astype(np.int32), src, sink)
-    if flow.flow_value < total_need:
+            capacity[1 + n, 1 + n_clients + c] = residual_need[n]
+    capacity[1 + n_clients:sink, sink] = residual_supply
+    flow = _max_flow(capacity, src, sink)
+    if flow[src].sum() < total_need:
         # Name the tightest saturated class pool touched by an unmet client.
-        residual = flow.flow.toarray()
-        sent = residual[src, 1:1 + n_clients]
+        sent = flow[src, 1:1 + n_clients]
         unmet = [n for n in range(n_clients) if sent[n] < residual_need[n]]
         for n in unmet:
             for c in assigned[n]:
-                if residual[1 + n_clients + c, sink] >= residual_supply[c]:
+                if flow[1 + n_clients + c, sink] >= residual_supply[c]:
                     need = int(residual_need[n]) + len(assigned[n])
                     raise ValueError(
                         f"class {c}: partition needs more samples than the "
@@ -221,10 +236,9 @@ def _route_residual(
                         f"(client shard of {need} cannot be filled)"
                     )
         raise ValueError("partition infeasible: class pools cannot cover shard sizes")
-    fl = flow.flow.toarray()
     for n in range(n_clients):
         for c in assigned[n]:
-            demand[n, c] = fl[1 + n, 1 + n_clients + c]
+            demand[n, c] = flow[1 + n, 1 + n_clients + c]
     return demand
 
 

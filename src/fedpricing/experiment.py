@@ -195,6 +195,16 @@ def _check_ranges(cfg: dict) -> None:
     ))
 
 
+def _read_yaml(path: str, loader):
+    """The YAML document in ``path``; a file that is not UTF-8 text is a
+    ValueError naming it."""
+    with open(path) as f:
+        try:
+            return yaml.load(f, Loader=loader)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def build_config(preset: str | None = None, config_path: str | None = None,
                  overrides: dict | None = None) -> dict:
     """Defaults < preset < config file < explicit overrides, checked once merged."""
@@ -204,11 +214,15 @@ def build_config(preset: str | None = None, config_path: str | None = None,
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         cfg.update(PRESETS[preset])
     if config_path:
-        with open(config_path) as f:
-            loaded = yaml.load(f, Loader=_UniqueKeyLoader) or {}
+        loaded = _read_yaml(config_path, _UniqueKeyLoader)
+        if loaded is None:      # an empty file sets nothing
+            loaded = {}
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: expected a mapping of config keys, "
+                             f"got {type(loaded).__name__}")
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{config_path}: unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -299,10 +313,7 @@ def calibrate_population(dataset: FederatedDataset, cfg: dict):
     ]
     # The local-optimum fits do not depend on the pilots, which never fork an
     # evaluation helper: where a second CPU is free, a forked helper fits them
-    # while the pilots train. scipy is imported first, so the helper does not
-    # import it again.
-    import scipy.optimize  # noqa: F401
-
+    # while the pilots train.
     with _fork.call("fedpricing-optima", "local-optimum",
                     local_optimum_losses, dataset, pilot_cfg) as f_locals:
         losses = [metrics[-1].loss for metrics in train_runs(dataset, pilots)]
@@ -428,8 +439,7 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     """
     runs = _load_runs(run_dir)
     cfg_path = os.path.join(run_dir, "config.yaml")
-    with open(cfg_path) as f:
-        cfg = yaml.safe_load(f)
+    cfg = _read_yaml(cfg_path, yaml.SafeLoader)
     if not isinstance(cfg, dict):
         raise ValueError(f"{cfg_path}: expected a mapping of config keys, "
                          f"got {type(cfg).__name__}")

@@ -99,12 +99,6 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((len(x), 1))])
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Regularized cross-entropy over (x, y) and its gradient in w."""
     return _loss_and_grad(w, _augment(x), y, l2)
@@ -112,7 +106,10 @@ def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
 
 def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
     """loss_and_grad on rows that already carry the bias column."""
-    probs = _softmax(xa @ w.T)
+    probs = xa @ w.T
+    probs -= _row_max(probs, np.empty(len(probs)))[:, None]
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     n = len(y)
     ll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
     reg = 0.5 * l2 * float(np.sum(w * w))

@@ -13,7 +13,7 @@ import csv
 import json
 import re
 
-from .core import EquilibriumResult, Population, is_finite, make_population
+from .core import EquilibriumResult, Population, PopulationError, is_finite, make_population
 
 # The pricing schemes, by the name a manifest and its metrics CSVs carry.
 SCHEMES = ("optimal", "uniform", "weighted")
@@ -83,13 +83,16 @@ def read_population(path: str):
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: client indices must be contiguous from 0")
-    population = make_population(
-        datasizes=[r[1] for r in rows],
-        grad_bounds=[r[2] for r in rows],
-        cost_coeffs=[r[3] for r in rows],
-        intrinsic_prefs=[r[4] for r in rows],
-        q_maxes=[r[5] for r in rows],
-    )
+    try:
+        population = make_population(
+            datasizes=[r[1] for r in rows],
+            grad_bounds=[r[2] for r in rows],
+            cost_coeffs=[r[3] for r in rows],
+            intrinsic_prefs=[r[4] for r in rows],
+            q_maxes=[r[5] for r in rows],
+        )
+    except PopulationError as exc:
+        raise PopulationError(f"{path}: {exc}") from None
     f_locals = [r[6] for r in rows]
     if any(v is None for v in f_locals):
         f_locals = None
@@ -132,7 +135,7 @@ def read_equilibrium_manifest(path: str):
     with open(path) as f:
         try:
             payload = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -187,24 +190,31 @@ _METRICS_KINDS = ((str, "text"), (int, "an integer"), (int, "an integer"), (floa
 def read_metrics_csv(path: str) -> list:
     """Rows as dicts with numeric fields parsed. A row with the wrong number
     of fields, or a field that does not parse, is named by its line."""
-    rows = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
-        for fields in reader:
-            if not fields:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(fields) != len(METRICS_HEADER):
-                raise ValueError(f"{where}: expected {len(METRICS_HEADER)} fields, "
-                                 f"got {len(fields)}")
-            row = {}
-            for name, raw, (parse, kind) in zip(METRICS_HEADER, fields, _METRICS_KINDS):
-                try:
-                    row[name] = parse(raw)
-                except ValueError:
-                    raise ValueError(f"{where}: {name}: expected {kind}, got {raw!r}") from None
-            rows.append(row)
+        try:
+            return _metrics_rows(path, csv.reader(f))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _metrics_rows(path: str, reader) -> list:
+    """read_metrics_csv's rows, from a ``csv.reader`` over the file at ``path``."""
+    header = next(reader, None)
+    if header != METRICS_HEADER:
+        raise ValueError(f"{path}: unexpected metrics header {header}")
+    rows = []
+    for fields in reader:
+        if not fields:
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(fields) != len(METRICS_HEADER):
+            raise ValueError(f"{where}: expected {len(METRICS_HEADER)} fields, "
+                             f"got {len(fields)}")
+        row = {}
+        for name, raw, (parse, kind) in zip(METRICS_HEADER, fields, _METRICS_KINDS):
+            try:
+                row[name] = parse(raw)
+            except ValueError:
+                raise ValueError(f"{where}: {name}: expected {kind}, got {raw!r}") from None
+        rows.append(row)
     return rows

@@ -15,8 +15,11 @@ stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
 summed shard by shard. ``sgd_step`` is the stacked step as it was first
 written, before its arrays were reused across steps.
-``pooled_optimum_loss`` is the global loss at the optimum of all shards
-pooled, a reference no single-shard optimum can beat on the global loss.
+``minimize_logistic`` is scipy's L-BFGS-B fit of one shard, which the
+library's own L-BFGS replaced, and ``pooled_optimum_loss`` the global loss at
+the optimum of all shards pooled, a reference no single-shard optimum can
+beat on the global loss. ``max_flow_value`` is scipy's maximum flow value of
+a capacity matrix.
 ``population_rows`` is the row-by-row population construction the columnar
 ``make_population`` replaced, ``write_population`` the ``configparser``
 writer of the population file, and ``verify_equilibrium`` the per-client
@@ -34,6 +37,8 @@ import struct
 
 import numpy as np
 from scipy.optimize import brentq, minimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from fedpricing.bound import convergence_gap_bound, participation_penalty
 from fedpricing.core import (
@@ -450,21 +455,32 @@ def global_loss(w, dataset, l2=0.0):
     return total
 
 
-def pooled_optimum_loss(dataset, l2):
-    """Global loss at the L-BFGS optimum of the pooled training data."""
-    x = np.concatenate([s[0] for s in dataset.shards], axis=0)
-    y = np.concatenate([s[1] for s in dataset.shards], axis=0)
-    shape = (dataset.n_classes, dataset.dim + 1)
-
+def minimize_logistic(x, y, shape, l2):
+    """scipy's L-BFGS-B fit of the regularized cross-entropy on (x, y), from
+    zero weights of ``shape``, with the options the library's fit once passed
+    it. Returns the weights and the largest gradient entry there."""
     def fun(flat):
         loss, grad = loss_and_grad(flat.reshape(shape), x, y, l2)
         return loss, grad.ravel()
 
     res = minimize(fun, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
                    options={"maxiter": 2000, "gtol": 1e-7, "ftol": 0.0})
-    if float(np.max(np.abs(res.jac))) > 1e-6:
+    return res.x.reshape(shape), float(np.max(np.abs(res.jac)))
+
+
+def pooled_optimum_loss(dataset, l2):
+    """Global loss at the L-BFGS optimum of the pooled training data."""
+    x = np.concatenate([s[0] for s in dataset.shards], axis=0)
+    y = np.concatenate([s[1] for s in dataset.shards], axis=0)
+    w, grad_max = minimize_logistic(x, y, (dataset.n_classes, dataset.dim + 1), l2)
+    if grad_max > 1e-6:
         raise RuntimeError("pooled fit did not converge")
-    return global_loss(res.x.reshape(shape), dataset, l2)
+    return global_loss(w, dataset, l2)
+
+
+def max_flow_value(capacity, src, sink):
+    """scipy's maximum flow value from src to sink under the integer capacity matrix."""
+    return maximum_flow(csr_matrix(capacity.astype(np.int32)), src, sink).flow_value
 
 
 def train(dataset, cfg, profiles=None, record_states=False):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fedpricing
-from fedpricing import _blas
+from fedpricing import _blas, calibrate
 
 from fedpricing.bound import participation_penalty
 from fedpricing.calibrate import (
@@ -151,8 +151,58 @@ def test_local_optimum_losses_are_global_losses():
     assert all(0.0 < f < 1e4 and np.isfinite(f) for f in f_locals)
 
 
-def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
+def test_a_fit_that_runs_out_of_iterations_raises(monkeypatch):
+    monkeypatch.setattr(calibrate, "LOCAL_OPTIMUM_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match=r"^local optimizer did not converge within 1 "
+                                           r"iterations \(final gradient norm \d"):
+        local_optimum_losses(tiny_dataset(seed=4), pilot_cfg(l2=1e-3))
+
+
+def package_env():
+    """The environment of a Python subprocess that imports this fedpricing."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedpricing.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
     code = "import sys, fedpricing.experiment; assert 'scipy.optimize' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=package_env())
+
+
+# A whole run_experiment on a tiny config, with the local optima fitted in a
+# forked helper or in process as argv[1] says. The fit prints where it ran and
+# the scipy modules loaded there; the run prints those loaded at its end.
+RUN_WITHOUT_SCIPY = """
+import os, sys
+from fedpricing import _fork, experiment
+
+parent, fit = os.getpid(), experiment.local_optimum_losses
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+def traced_fit(*args):
+    f_locals = fit(*args)
+    print("fit in", "parent" if os.getpid() == parent else "helper", *scipy_modules(), flush=True)
+    return f_locals
+
+experiment.local_optimum_losses = traced_fit
+_fork.second_cpu = lambda: sys.argv[1] == "helper"
+cfg = experiment.build_config(overrides={
+    "n_clients": 3, "dim": 5, "classes": 3, "total_samples": 90, "rounds": 8,
+    "local_steps": 2, "batch": 8, "repeats": 1, "pilot_rounds": 2, "alpha_pilot_seeds": 1,
+    "budget": 20.0, "mean_cost": 5.0, "mean_value": 1.0, "eval_stride": 2})
+experiment.run_experiment(cfg, sys.argv[2])
+print("end", *scipy_modules())
+"""
+
+
+@pytest.mark.parametrize("where", [
+    "parent",
+    pytest.param("helper", marks=pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="the local-optimum helper is forked on Linux only")),
+])
+def test_a_pipeline_run_loads_no_scipy(tmp_path, where):
+    done = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, where, str(tmp_path / "run")],
+                          check=True, env=package_env(), capture_output=True, text=True)
+    assert done.stdout.splitlines() == [f"fit in {where}", "end"]

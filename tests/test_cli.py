@@ -355,6 +355,16 @@ def test_a_malformed_config_file_is_one_error_line(tmp_path, capsys):
     assert str(cfg) in one_error_line(stderr)
 
 
+@pytest.mark.parametrize("text,kind", [("5\n", "int"), ("- {rounds: 6}\n", "list"),
+                                       ("rounds\n", "str")])
+def test_a_config_file_that_is_not_a_mapping_is_one_error_line(tmp_path, capsys, text, kind):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: {cfg}: expected a mapping of config keys, got {kind}"
+
+
 def test_a_budget_that_cannot_be_bracketed_is_one_error_line(tmp_path, capsys):
     cfg = tmp_path / "nan.yaml"
     cfg.write_text("budget: .nan\n")
@@ -648,9 +658,10 @@ RUN_FILES = ["config.yaml", "dataset.bin", "population.ini", "equilibrium_optima
              "metrics_optimal_seed100.csv"]
 
 
-def check_subcommands_on(run_dir: pathlib.Path, out: pathlib.Path) -> None:
+def check_subcommands_on(run_dir: pathlib.Path, out: pathlib.Path, damaged: pathlib.Path) -> None:
     """``report``, ``solve`` and ``train`` on the run directory each exit 0, or
-    exit 1 with one ``error:`` line; a traceback escapes ``main`` and fails."""
+    exit 1 with one ``error:`` line naming the ``damaged`` file; a traceback
+    escapes ``main`` and fails."""
     inputs = ["--config", run_dir / "config.yaml", "--population", run_dir / "population.ini"]
     for command in (["report", "--run-dir", run_dir],
                     ["solve", *inputs, "--out", out],
@@ -661,7 +672,8 @@ def check_subcommands_on(run_dir: pathlib.Path, out: pathlib.Path) -> None:
             code = main([str(arg) for arg in command])
         if code != 0:
             assert code == 1, command
-            one_error_line(stderr.getvalue())
+            line = one_error_line(stderr.getvalue())
+            assert str(damaged) in line, (command, line)
 
 
 @pytest.mark.parametrize("damage", RUN_FILE_DAMAGE)
@@ -670,7 +682,7 @@ def test_a_damaged_run_file_is_one_error_line_or_none(fast_run, tmp_path, name, 
     run_dir = shutil.copytree(fast_run, tmp_path / "run")
     path = run_dir / name
     path.write_bytes(RUN_FILE_DAMAGE[damage](path.read_bytes()))
-    check_subcommands_on(run_dir, tmp_path / "out")
+    check_subcommands_on(run_dir, tmp_path / "out", path)
 
 
 @pytest.mark.parametrize("edit", [edit for edit, _ in BAD_POPULATION_FILES.values()],
@@ -680,4 +692,4 @@ def test_a_bad_population_file_in_a_run_directory_is_one_error_line_or_none(fast
     run_dir = shutil.copytree(fast_run, tmp_path / "run")
     path = run_dir / "population.ini"
     path.write_text(edit(path.read_text()))
-    check_subcommands_on(run_dir, tmp_path / "out")
+    check_subcommands_on(run_dir, tmp_path / "out", path)

@@ -515,6 +515,51 @@ def test_cross_entropy_equals_the_axis_max_formula_bit_for_bit():
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+def same_bits(a, b):
+    """Whether a and b hold the same numbers bit for bit, and NaN in the same places.
+    A NaN's sign bit is left out: x86 gives inf - inf a negative NaN, and which
+    of two NaNs a max passes on is not a value."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def _axis_max_loss_and_grad(w, xa, y, l2):
+    """_loss_and_grad with its softmax formed as before: z.max(axis=1), in new arrays."""
+    z = xa @ w.T
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = len(y)
+    ll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
+    reg = 0.5 * l2 * float(np.sum(w * w))
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    grad = delta.T @ xa / n + l2 * w
+    return ll + reg, grad
+
+
+def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
+    from fedpricing.fltrain import _augment, _loss_and_grad
+
+    rng = np.random.default_rng(1)
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            n, c, d = int(rng.integers(1, 40)), int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            w = rng.normal(size=(c, d + 1)) * rng.choice([0.0, 1e-3, 1.0, 30.0, 800.0])
+            u = rng.random(size=w.shape) + (rng.random() < 0.5)   # specials in half the cases
+            w[u < 0.03] = np.nan
+            w[(u >= 0.03) & (u < 0.06)] = -np.inf
+            w[(u >= 0.06) & (u < 0.08)] = np.inf
+            w[(u >= 0.08) & (u < 0.12)] = -0.0
+            xa = _augment(rng.normal(size=(n, d)))
+            y = rng.integers(0, c, size=n)
+            l2 = float(rng.choice([0.0, 1e-4, 1.0]))
+            for got, ref in zip(_loss_and_grad(w, xa, y, l2), _axis_max_loss_and_grad(w, xa, y, l2)):
+                assert same_bits(got, ref)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     stack=st.integers(1, 50), rows=st.integers(1, 30), classes=st.integers(2, 12),

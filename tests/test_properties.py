@@ -7,6 +7,9 @@ values far above the price, and caps below 1. ``make_population`` must
 accept and reject what the row-by-row construction does, with the same
 message, and a population must survive its file format bit for bit. A
 sum's certified sign must decide every comparison as ``math.fsum`` does.
+The local-optimum fit must meet its gradient tolerance and match scipy's
+objective within what that tolerance allows, and the max-flow that splits
+shards across classes must find scipy's flow value and a feasible split.
 """
 
 import dataclasses
@@ -19,13 +22,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedpricing.calibrate import LOCAL_OPTIMUM_TOL, _minimize_logistic
 from fedpricing.core import (
     FederatedDataset,
     GameConstants,
     PopulationError,
     make_population,
 )
-from fedpricing.fltrain import _Shards
+from fedpricing.data import _max_flow, _route_residual
+from fedpricing.fltrain import _Shards, loss_and_grad
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
     _best_responses,
@@ -315,3 +320,65 @@ def test_certified_sign_decides_as_fsum(case):
         assert _Total(terms).test(holds) == holds(exact)
     assert _within(_Total(terms), c, tol) == (abs(exact - c) <= tol)
     np.testing.assert_array_equal(bits(_Total(terms).exact()), bits(exact))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), dim=st.integers(1, 6), classes=st.integers(2, 5),
+       scale=st.sampled_from([0.01, 0.1, 1.0, 10.0]), l2=st.sampled_from([1e-4, 1e-3, 1e-2, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_local_fit_meets_its_tolerance_and_scipys_objective(rows, dim, classes, scale, l2,
+                                                               seed):
+    # The objective is l2-strongly convex, so at a point whose largest gradient
+    # entry is g it lies within n_params * g^2 / (2 l2) of the minimum: two fits
+    # that both meet the tolerance differ by no more than that.
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(rows, dim))
+    y = rng.integers(0, classes, size=rows)
+    shape = (classes, dim + 1)
+    loss, grad = loss_and_grad(_minimize_logistic(x, y, shape, l2), x, y, l2)
+    assert np.max(np.abs(grad)) <= LOCAL_OPTIMUM_TOL
+    ref, ref_grad_max = oracles.minimize_logistic(x, y, shape, l2)
+    ref_loss, _ = loss_and_grad(ref, x, y, l2)
+    gap = math.prod(shape) * max(LOCAL_OPTIMUM_TOL, ref_grad_max) ** 2 / (2.0 * l2)
+    assert abs(loss - ref_loss) <= gap
+
+
+@st.composite
+def transport_cases(draw):
+    """(assigned classes per client, residual need per client, residual supply per class)."""
+    n_clients, n_classes = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    assigned = [draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes,
+                              unique=True)) for _ in range(n_clients)]
+    need = np.array(draw(st.lists(st.integers(0, 20), min_size=n_clients, max_size=n_clients)))
+    supply = np.array(draw(st.lists(st.integers(0, 30), min_size=n_classes, max_size=n_classes)))
+    return assigned, need, supply
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=transport_cases())
+def test_the_max_flow_finds_scipys_value_and_a_feasible_split(case):
+    assigned, need, supply = case
+    n_clients, n_classes = len(need), len(supply)
+    sink = 1 + n_clients + n_classes
+    capacity = np.zeros((sink + 1, sink + 1), dtype=np.int64)
+    for n, classes in enumerate(assigned):
+        capacity[0, 1 + n] = need[n]
+        capacity[1 + n, [1 + n_clients + c for c in classes]] = need[n]
+    capacity[1 + n_clients:sink, sink] = supply
+    flow = _max_flow(capacity, 0, sink)
+    value = oracles.max_flow_value(capacity, 0, sink)
+    assert flow[0].sum() == value
+    np.testing.assert_array_equal(flow, -flow.T)
+    assert np.all(flow <= capacity)
+    assert np.all(flow[1:sink].sum(axis=1) == 0)          # conservation at inner nodes
+
+    if value < need.sum():
+        with pytest.raises(ValueError, match=r"^(class \d+: |partition infeasible)"):
+            _route_residual(assigned, need, supply, n_clients, n_classes)
+        return
+    split = _route_residual(assigned, need, supply, n_clients, n_classes)
+    np.testing.assert_array_equal(split.sum(axis=1), need)
+    assert np.all(split.sum(axis=0) <= supply)
+    assert np.all(split >= 0)
+    for n, classes in enumerate(assigned):
+        assert not np.any(np.delete(split[n], classes))
