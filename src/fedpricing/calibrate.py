@@ -17,7 +17,6 @@ from .core import FederatedDataset, Population
 from .fltrain import (
     TrainConfig,
     _aggregate,
-    _augment,
     _loss_and_grad,
     _Shards,
     learning_rate_schedule,
@@ -46,7 +45,7 @@ def estimate_grad_bounds(
     if pilot_rounds < 1:
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
     rng = np.random.default_rng(seed)
-    shards = _Shards(dataset.shards)
+    shards = _Shards(dataset)
     clients = list(range(dataset.n_clients))
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     norms = np.empty((pilot_rounds, dataset.n_clients, cfg.local_steps))
@@ -126,8 +125,9 @@ def _backtrack(t: float, f0: float, slope0: float, f1: float, slope1: float) -> 
     return min(step, 0.5 * t) if step > 0.1 * t else 0.1 * t
 
 
-def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -> np.ndarray:
-    """Weights of ``shape`` at the optimum of the regularized cross-entropy on (x, y).
+def _minimize_logistic(xa: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -> np.ndarray:
+    """Weights of ``shape`` at the optimum of the regularized cross-entropy on
+    the rows ``xa``, which carry the bias column, and labels ``y``.
 
     Limited-memory BFGS (Liu & Nocedal 1989) from zero weights, keeping the
     last ``_PAIRS`` corrections. The line search backtracks (``_backtrack``)
@@ -137,7 +137,6 @@ def _minimize_logistic(x: np.ndarray, y: np.ndarray, shape: tuple, l2: float) ->
     loss and lowers that entry. Stops once the entry is at most the tolerance;
     raises if it is still above ten times that.
     """
-    xa = _augment(x)   # once per fit, not once per evaluation
     w = np.zeros(shape)
     f, g = _loss_and_grad(w, xa, y, l2)
     pairs = collections.deque(maxlen=_PAIRS)
@@ -182,7 +181,8 @@ def local_optimum_losses(dataset: FederatedDataset, cfg: TrainConfig) -> list:
     v_n * (F_local - F(w_R)), which does not depend on q.
     """
     shape = (dataset.n_classes, dataset.dim + 1)
-    shards = _Shards(dataset.shards)
+    shards = _Shards(dataset)
     with _blas.one_thread():
-        return [shards.loss(_minimize_logistic(x, y, shape, cfg.l2), cfg.l2)
-                for x, y in dataset.shards]
+        return [shards.loss(_minimize_logistic(shards.xa[rows], shards.y[rows], shape, cfg.l2),
+                            cfg.l2)
+                for rows in shards.rows]

@@ -2,7 +2,8 @@
 
 Per-client data lives in columns: a ``Population`` holds one read-only float
 array per client field, and a result holds one read-only array per
-per-client output. The records are frozen dataclasses, immutable after
+per-client output. A ``FederatedDataset`` holds every client's training rows
+in one read-only array. The records are frozen dataclasses, immutable after
 construction and safe to share across concurrent workers, and equal when
 their fields are. Construction validates every invariant so downstream
 numerics never have to re-check inputs.
@@ -191,44 +192,132 @@ class EquilibriumResult(_FieldwiseEq):
             object.__setattr__(self, name, values)
 
 
-@dataclass(frozen=True)
-class FederatedDataset:
-    """Per-client sample shards plus a shared test set.
+# A dataset's arrays, each with its dtype and number of dimensions.
+_DATASET_ARRAYS = (("features", np.float64, 2), ("labels", np.int64, 1), ("sizes", np.int64, 1),
+                   ("test_rows", np.float64, 2), ("test_labels", np.int64, 1))
 
-    Features are row vectors; labels are class indices. Shards are immutable
-    views in spirit: callers must not mutate the arrays.
+
+@dataclass(frozen=True, eq=False)
+class FederatedDataset(_FieldwiseEq):
+    """Every client's training rows in one array, plus a shared test set.
+
+    ``features`` holds the training rows of every client, client after
+    client, in a C-contiguous float64 array of shape (N, dim + 1); each row
+    ends in the 1.0 that the model's bias reads. ``labels`` holds their class
+    indices, shape (N,), and ``sizes`` each client's row count, both int64, so
+    client n owns the ``sizes[n]`` rows after those of clients 0 to n-1.
+    ``test_rows`` and ``test_labels`` hold the test set in the same layout.
+    Training, evaluation and calibration read these arrays in place.
+
+    The constructor keeps the arrays it is given, without copying, and marks
+    them read-only; ``from_shards`` pools per-client arrays into a new
+    dataset. ``shards`` and ``test_features`` are read-only views of the rows
+    without the bias column.
     """
 
-    shards: tuple                # tuple of (features: ndarray, labels: ndarray)
-    test_features: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray
+    test_rows: np.ndarray
     test_labels: np.ndarray
     n_classes: int
-    dim: int
 
     def __post_init__(self):
-        for n, (x, y) in enumerate(self.shards):
-            if len(x) == 0:
-                raise ValueError(f"client {n}: empty shard")
-            if x.shape[1] != self.dim:
-                raise ValueError(f"client {n}: feature dim {x.shape[1]} != {self.dim}")
-            if len(x) != len(y):
-                raise ValueError(f"client {n}: {len(x)} samples but {len(y)} labels")
-            if y.size and (y.min() < 0 or y.max() >= self.n_classes):
-                raise ValueError(f"client {n}: label outside [0, {self.n_classes})")
-        if len(self.test_labels) != len(self.test_features):
+        if not (is_integer(self.n_classes) and self.n_classes >= 1):
+            raise ValueError(f"n_classes must be a positive integer, got {self.n_classes!r}")
+        arrays = [getattr(self, name) for name, _, _ in _DATASET_ARRAYS]
+        for (name, dtype, ndim), array in zip(_DATASET_ARRAYS, arrays):
+            if not (isinstance(array, np.ndarray) and array.dtype == dtype
+                    and array.ndim == ndim and array.flags.c_contiguous):
+                raise ValueError(f"{name} must be a {ndim}-D C-contiguous {dtype.__name__} array")
+        features, labels, sizes, test_rows, test_labels = arrays
+        if test_rows.shape[1] != features.shape[1]:
+            raise ValueError(f"test_rows has {test_rows.shape[1]} columns, "
+                             f"features {features.shape[1]}")
+        for name, rows in (("features", features), ("test_rows", test_rows)):
+            if not (rows.shape[1] and np.all(rows[:, -1] == 1.0)):
+                raise ValueError(f"{name}: the last column must be the bias column of ones")
+        if not sizes.size:
+            raise ValueError("a dataset needs at least one client")
+        empty = np.flatnonzero(sizes < 1)
+        if empty.size:
+            raise ValueError(f"client {int(empty[0])}: empty shard")
+        if int(sizes.sum()) != len(features) or len(labels) != len(features):
+            raise ValueError(f"{len(features)} feature rows and {len(labels)} labels, "
+                             f"but the client sizes add up to {int(sizes.sum())}")
+        if len(test_labels) != len(test_rows):
             raise ValueError("test features/labels length mismatch")
+        outside = np.flatnonzero((labels < 0) | (labels >= self.n_classes))
+        if outside.size:
+            n = int(np.searchsorted(np.cumsum(sizes), outside[0], side="right"))
+            raise ValueError(f"client {n}: label outside [0, {self.n_classes})")
+        for array in arrays:
+            array.flags.writeable = False
+
+    @classmethod
+    def from_shards(cls, shards, test_features, test_labels, n_classes: int,
+                    dim: int) -> FederatedDataset:
+        """The dataset of the per-client ``(features, labels)`` shards, in
+        client order, and the test set: every array copied into the pooled,
+        bias-augmented layout."""
+        shards = tuple(shards)
+        for n, (x, y) in enumerate(shards):
+            if np.shape(x) != (len(y), dim):
+                raise ValueError(f"client {n}: features of shape {np.shape(x)} for {len(y)} "
+                                 f"labels, expected ({len(y)}, {dim})")
+        return cls(features=_with_bias([x for x, _ in shards], dim),
+                   labels=_int_labels([y for _, y in shards]),
+                   sizes=np.array([len(y) for _, y in shards], dtype=np.int64),
+                   test_rows=_with_bias([test_features], dim),
+                   test_labels=_int_labels([test_labels]), n_classes=n_classes)
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1] - 1
 
     @property
     def n_clients(self) -> int:
-        return len(self.shards)
+        return len(self.sizes)
 
     @property
     def datasizes(self) -> list:
-        return [len(x) for x, _ in self.shards]
+        return self.sizes.tolist()
 
     @property
     def total_samples(self) -> int:
-        return sum(self.datasizes)
+        return len(self.labels)
+
+    @cached_property
+    def client_rows(self) -> tuple:
+        """Client n's rows of ``features`` and ``labels``, as a slice per client."""
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(slice(end - size, end) for end, size in zip(ends, self.sizes.tolist()))
+
+    @cached_property
+    def shards(self) -> tuple:
+        """(features, labels) per client: views, without the bias column."""
+        return tuple((self.features[rows, :-1], self.labels[rows]) for rows in self.client_rows)
+
+    @property
+    def test_features(self) -> np.ndarray:
+        """The test rows without the bias column: a view."""
+        return self.test_rows[:, :-1]
+
+
+def _with_bias(blocks: list, dim: int) -> np.ndarray:
+    """The rows of the (rows, dim) blocks one after another, each followed by a 1.0."""
+    rows = np.empty((sum(len(block) for block in blocks), dim + 1))
+    start = 0
+    for block in blocks:
+        rows[start:start + len(block), :-1] = block
+        start += len(block)
+    rows[:, -1] = 1.0
+    return rows
+
+
+def _int_labels(blocks: list) -> np.ndarray:
+    """The label blocks one after another as int64; labels that are not integers raise."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

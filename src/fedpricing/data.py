@@ -8,11 +8,12 @@ fixed seed.
 from __future__ import annotations
 
 import collections
+import os
 import struct
 
 import numpy as np
 
-from .core import FederatedDataset
+from .core import FederatedDataset, _int_labels, _with_bias
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -85,9 +86,13 @@ def gen_synthetic(
     shared_b = rng.normal(0.0, 1.0, size=n_classes) if alpha == 0 else None
     shared_mean = rng.normal(0.0, 1.0, size=dim) if beta == 0 else None
 
-    shards = []
-    test_x, test_y = [], []
-    for n in range(n_clients):
+    n_tests = [max(1, int(round(0.1 * size))) for size in sizes]
+    features = np.empty((total_samples, dim + 1))
+    labels = np.empty(total_samples, dtype=np.int64)
+    test_rows = np.empty((sum(n_tests), dim + 1))
+    test_labels = np.empty(len(test_rows), dtype=np.int64)
+    start = test_start = 0
+    for size, n_test in zip(sizes, n_tests):
         if alpha > 0:
             u_n = rng.normal(0.0, np.sqrt(alpha))
             w_n = rng.normal(u_n, 1.0, size=(n_classes, dim))
@@ -99,25 +104,27 @@ def gen_synthetic(
             mean_n = rng.normal(v_n, 1.0, size=dim)
         else:
             mean_n = shared_mean
-        n_test = max(1, int(round(0.1 * sizes[n])))
-        count = sizes[n] + n_test
-        x = mean_n + rng.normal(0.0, 1.0, size=(count, dim)) * scale
+        count = size + n_test
+        x = rng.normal(0.0, 1.0, size=(count, dim))
+        x *= scale
+        x += mean_n         # mean_n + normal * scale, bit for bit, in one array
         logits = x @ w_n.T + b_n
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         y = (rng.random((count, 1)) < cdf).argmax(axis=1)
-        shards.append((x[: sizes[n]], y[: sizes[n]].astype(np.int64)))
-        test_x.append(x[sizes[n] :])
-        test_y.append(y[sizes[n] :].astype(np.int64))
-    return FederatedDataset(
-        shards=tuple(shards),
-        test_features=np.concatenate(test_x, axis=0),
-        test_labels=np.concatenate(test_y, axis=0),
-        n_classes=n_classes,
-        dim=dim,
-    )
+        features[start:start + size, :-1] = x[:size]
+        labels[start:start + size] = y[:size]
+        test_rows[test_start:test_start + n_test, :-1] = x[size:]
+        test_labels[test_start:test_start + n_test] = y[size:]
+        start += size
+        test_start += n_test
+    features[:, -1] = 1.0
+    test_rows[:, -1] = 1.0
+    return FederatedDataset(features=features, labels=labels,
+                            sizes=np.array(sizes, dtype=np.int64), test_rows=test_rows,
+                            test_labels=test_labels, n_classes=n_classes)
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -300,7 +307,10 @@ def partition_label_limited(
     for n, classes in enumerate(assigned):
         demand[n, classes] += 1
 
-    shards = []
+    dim = samples.shape[1]
+    features = np.empty((len(labels), dim + 1))
+    pooled_labels = np.empty(len(labels), dtype=np.int64)
+    start = 0
     for n in range(n_clients):
         idx = []
         for c in assigned[n]:
@@ -308,18 +318,18 @@ def partition_label_limited(
             idx.extend(pools[c][:count])
             pools[c] = pools[c][count:]
         idx = np.array(sorted(idx))
-        shards.append((samples[idx], labels[idx]))
+        features[start:start + len(idx), :-1] = samples[idx]
+        pooled_labels[start:start + len(idx)] = labels[idx]
+        start += len(idx)
+    features[:, -1] = 1.0
 
     if test_features is None:
-        test_features = np.empty((0, samples.shape[1]))
+        test_features = np.empty((0, dim))
         test_labels = np.empty((0,), dtype=np.int64)
-    return FederatedDataset(
-        shards=tuple(shards),
-        test_features=test_features,
-        test_labels=test_labels,
-        n_classes=n_classes,
-        dim=samples.shape[1],
-    )
+    return FederatedDataset(features=features, labels=pooled_labels,
+                            sizes=np.array(sizes, dtype=np.int64),
+                            test_rows=_with_bias([test_features], dim),
+                            test_labels=_int_labels([test_labels]), n_classes=n_classes)
 
 
 # Binary dataset container: magic "FPDS", version, header, then little-endian
@@ -327,45 +337,79 @@ def partition_label_limited(
 # set last. See README FORMATS for the byte layout.
 _CONTAINER_MAGIC = b"FPDS"
 _CONTAINER_VERSION = 1
+_CONTAINER_HEADER = struct.Struct("<IIIIQ")    # version, n_clients, dim, n_classes, n_test
 
 
 def save_dataset(path: str, dataset: FederatedDataset) -> None:
     with open(path, "wb") as f:
         f.write(_CONTAINER_MAGIC)
-        f.write(struct.pack("<IIIIQ", _CONTAINER_VERSION, dataset.n_clients,
-                            dataset.dim, dataset.n_classes, len(dataset.test_labels)))
-        for x, _ in dataset.shards:
-            f.write(struct.pack("<Q", len(x)))
+        f.write(_CONTAINER_HEADER.pack(_CONTAINER_VERSION, dataset.n_clients, dataset.dim,
+                                       dataset.n_classes, len(dataset.test_labels)))
+        f.write(dataset.sizes.astype("<u8"))
         for x, y in dataset.shards:
-            f.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(y, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(dataset.test_features, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(dataset.test_labels, dtype="<i8").tobytes())
+            f.write(np.ascontiguousarray(x, dtype="<f8"))
+            f.write(np.ascontiguousarray(y, dtype="<i8"))
+        f.write(np.ascontiguousarray(dataset.test_features, dtype="<f8"))
+        f.write(np.ascontiguousarray(dataset.test_labels, dtype="<i8"))
 
 
 def load_dataset(path: str) -> FederatedDataset:
-    with open(path, "rb") as f:
-        def read(count: int, what: str) -> bytes:
-            buf = f.read(count)
-            if len(buf) != count:
-                raise ValueError(f"{path}: truncated {what}: expected {count} bytes, got {len(buf)}")
-            return buf
+    """The dataset in the container at ``path``, read straight into the pooled layout.
 
-        magic = f.read(4)
-        if magic != _CONTAINER_MAGIC:
-            raise ValueError(f"{path}: not a dataset container (magic {magic!r})")
-        version, n_clients, dim, n_classes, n_test = struct.unpack("<IIIIQ", read(24, "header"))
-        if version != _CONTAINER_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        sizes = struct.unpack(f"<{n_clients}Q", read(8 * n_clients, "shard sizes"))
-        shards = []
-        for n, size in enumerate(sizes):
-            x = np.frombuffer(read(8 * size * dim, f"client {n} features"), dtype="<f8")
-            y = np.frombuffer(read(8 * size, f"client {n} labels"), dtype="<i8")
-            shards.append((x.reshape(size, dim).copy(), y.copy()))
-        tx = np.frombuffer(read(8 * n_test * dim, "test features"), dtype="<f8")
-        ty = np.frombuffer(read(8 * n_test, "test labels"), dtype="<i8").copy()
-    return FederatedDataset(
-        shards=tuple(shards), test_features=tx.reshape(n_test, dim).copy(), test_labels=ty,
-        n_classes=n_classes, dim=dim,
-    )
+    The header and the shard-size table imply the file's exact length, which
+    is checked before anything else is read or allocated. Every error is a
+    ``ValueError`` that names the path.
+    """
+    try:
+        with open(path, "rb") as f:
+            return _read_container(f, os.fstat(f.fileno()).st_size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_container(f, file_size: int) -> FederatedDataset:
+    def read(count: int, what: str) -> bytes:
+        buf = f.read(count)
+        if len(buf) != count:
+            raise ValueError(f"truncated {what}: expected {count} bytes, got {len(buf)}")
+        return buf
+
+    magic = f.read(4)
+    if magic != _CONTAINER_MAGIC:
+        raise ValueError(f"not a dataset container (magic {magic!r})")
+    version, n_clients, dim, n_classes, n_test = _CONTAINER_HEADER.unpack(
+        read(_CONTAINER_HEADER.size, "header"))
+    if version != _CONTAINER_VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    if n_clients == 0:
+        raise ValueError("no client shards")
+    table_end = f.tell() + 8 * n_clients
+    if file_size < table_end:
+        raise ValueError(f"truncated shard sizes: expected {table_end} bytes, got {file_size}")
+    sizes = np.frombuffer(read(8 * n_clients, "shard sizes"), dtype="<u8")
+    if not np.all(sizes > 0):
+        raise ValueError(f"client {int(np.argmin(sizes))}: empty shard")
+    n_rows = sum(sizes.tolist())
+    expected = table_end + 8 * (dim + 1) * (n_rows + n_test)
+    if file_size != expected:
+        problem = "truncated" if file_size < expected else "overlong"
+        raise ValueError(f"{problem} file: expected {expected} bytes, got {file_size}")
+    sizes = sizes.astype(np.int64)      # each below the file's length now
+
+    features = np.empty((n_rows, dim + 1))
+    labels = np.empty(n_rows, dtype=np.int64)
+    start = 0
+    for n, size in enumerate(sizes.tolist()):
+        rows = slice(start, start + size)
+        features[rows, :-1] = np.frombuffer(read(8 * size * dim, f"client {n} features"),
+                                            dtype="<f8").reshape(size, dim)
+        labels[rows] = np.frombuffer(read(8 * size, f"client {n} labels"), dtype="<i8")
+        start += size
+    features[:, -1] = 1.0
+    test_rows = np.empty((n_test, dim + 1))
+    test_rows[:, :-1] = np.frombuffer(read(8 * n_test * dim, "test features"),
+                                      dtype="<f8").reshape(n_test, dim)
+    test_rows[:, -1] = 1.0
+    test_labels = np.frombuffer(read(8 * n_test, "test labels"), dtype="<i8").astype(np.int64)
+    return FederatedDataset(features=features, labels=labels, sizes=sizes, test_rows=test_rows,
+                            test_labels=test_labels, n_classes=n_classes)

@@ -184,26 +184,18 @@ class _Step:
 
 
 class _Shards:
-    """Every client's bias-augmented rows, stacked once in client order.
-
-    Client n's shard is rows ``rows[n]`` of ``xa`` and ``y``: a slice, not a
-    second copy.
+    """A dataset's clients, read in place: client n's shard is rows
+    ``rows[n]`` of the dataset's bias-augmented ``features`` (``xa``) and its
+    ``labels`` (``y``), a slice, not a copy.
     """
 
-    def __init__(self, shards):
-        if not shards:
-            raise ValueError("no client shards")
-        self.sizes = [len(x) for x, _ in shards]
-        total = sum(self.sizes)
-        self.weights = [size / total for size in self.sizes]     # a_n = d_n / D
-        self.starts = np.cumsum([0] + self.sizes[:-1])
-        self.rows = [slice(start, start + size)
-                     for start, size in zip(self.starts.tolist(), self.sizes)]
-        self.xa = np.empty((total, shards[0][0].shape[1] + 1))
-        for (x, _), rows in zip(shards, self.rows):
-            self.xa[rows, :-1] = x
-        self.xa[:, -1] = 1.0
-        self.y = np.concatenate([y for _, y in shards])
+    def __init__(self, dataset: FederatedDataset):
+        self.xa = dataset.features
+        self.y = dataset.labels
+        self.sizes = dataset.datasizes
+        self.weights = [size / dataset.total_samples for size in self.sizes]    # a_n = d_n / D
+        self.rows = dataset.client_rows
+        self.starts = np.array([rows.start for rows in self.rows])
 
     def loss(self, w: np.ndarray, l2: float) -> float:
         """sum_n a_n * (regularized loss on shard n): global_loss, bit for bit.
@@ -276,13 +268,11 @@ def local_sgd(
     ``batch=None`` uses the whole shard every step (deterministic full-batch
     gradient descent).
     """
-    if len(shard[0]) == 0:
-        raise ValueError("empty shard")
-    labels = np.asarray(shard[1])
-    if np.any((labels < 0) | (labels >= len(w))):
-        raise ValueError(f"label outside [0, {len(w)})")
+    classes, columns = w.shape
+    dataset = FederatedDataset.from_shards([shard], np.empty((0, columns - 1)),
+                                           np.empty(0, dtype=np.int64), classes, columns - 1)
     models = w[None].copy()
-    _Shards([shard]).local_sgd(models, [0], [rng], local_steps, batch, lr, l2)
+    _Shards(dataset).local_sgd(models, [0], [rng], local_steps, batch, lr, l2)
     return models[0]
 
 
@@ -325,9 +315,7 @@ def aggregate(
 
 def global_loss(w: np.ndarray, dataset: FederatedDataset, l2: float = 0.0) -> float:
     """Datasize-weighted average of the per-client regularized losses."""
-    if dataset.n_clients == 0:
-        raise ValueError("empty dataset")
-    return _Shards(dataset.shards).loss(w, l2)
+    return _Shards(dataset).loss(w, l2)
 
 
 def _accuracy(w: np.ndarray, test_xa: np.ndarray, test_labels: np.ndarray) -> float:
@@ -498,19 +486,19 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
             raise ValueError("cfg.participation must be set")
         participation_levels(c.participation, dataset.n_clients)
 
-    shards = _Shards(dataset.shards)
+    shards = _Shards(dataset)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     ws = [np.zeros((dataset.n_classes, dataset.dim + 1)) for _ in cfgs]
     states = [[] for _ in cfgs]
     evaluated = []          # (round, participants of each run, sim time of each run)
     sim_times = [0.0] * len(cfgs)
     has_test = len(dataset.test_labels) > 0
-    test_xa = _augment(dataset.test_features)
     learning_rate = learning_rate_schedule(cfg, dataset)
 
     def evaluate(models):
         return [(shards.loss(w, cfg.l2),
-                 _accuracy(w, test_xa, dataset.test_labels) if has_test else float("nan"))
+                 _accuracy(w, dataset.test_rows, dataset.test_labels) if has_test
+                 else float("nan"))
                 for w in models]
 
     with _blas.one_thread(), contextlib.closing(_Evaluator(evaluate, len(shards.y))) as evaluator:

@@ -26,7 +26,10 @@ writer of the population file, and ``verify_equilibrium`` the per-client
 loop over profile rows that the column version replaced.
 ``price_closed_form`` is the equilibrium price of an interior client
 written directly in the dual value. ``write_idx`` writes an IDX pair, the
-inverse of ``data.load_idx``. They only use the package's public functions.
+inverse of ``data.load_idx``. ``gen_synthetic`` is the synthetic generator
+as it was written before datasets were pooled: one array of rows per client,
+pooled at the end by ``FederatedDataset.from_shards``. They only use the
+package's public functions.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from scipy.sparse.csgraph import maximum_flow
 from fedpricing.bound import convergence_gap_bound, participation_penalty
 from fedpricing.core import (
     EquilibriumResult,
+    FederatedDataset,
     GameConstants,
     PopulationError,
 )
-from fedpricing.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from fedpricing.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, power_law_sizes
 from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
 from fedpricing.game import (
     BracketError,
@@ -725,3 +729,50 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, count))
         f.write(labels.astype(np.uint8).tobytes())
+
+
+def gen_synthetic(n_clients, dim=60, n_classes=10, alpha=1.0, beta=1.0, total_samples=2000,
+                  power_exponent=1.5, seed=0):
+    """``data.gen_synthetic`` client by client: each client's rows and test
+    rows in arrays of their own, pooled at the end."""
+    rng = np.random.default_rng(seed)
+    sizes = power_law_sizes(n_clients, total_samples, power_exponent, rng)
+    cov_diag = np.arange(1, dim + 1, dtype=float) ** (-1.2)
+    scale = np.sqrt(cov_diag)
+    shared_w = rng.normal(0.0, 1.0, size=(n_classes, dim)) if alpha == 0 else None
+    shared_b = rng.normal(0.0, 1.0, size=n_classes) if alpha == 0 else None
+    shared_mean = rng.normal(0.0, 1.0, size=dim) if beta == 0 else None
+
+    shards = []
+    test_x, test_y = [], []
+    for n in range(n_clients):
+        if alpha > 0:
+            u_n = rng.normal(0.0, np.sqrt(alpha))
+            w_n = rng.normal(u_n, 1.0, size=(n_classes, dim))
+            b_n = rng.normal(u_n, 1.0, size=n_classes)
+        else:
+            w_n, b_n = shared_w, shared_b
+        if beta > 0:
+            v_n = rng.normal(0.0, np.sqrt(beta))
+            mean_n = rng.normal(v_n, 1.0, size=dim)
+        else:
+            mean_n = shared_mean
+        n_test = max(1, int(round(0.1 * sizes[n])))
+        count = sizes[n] + n_test
+        x = mean_n + rng.normal(0.0, 1.0, size=(count, dim)) * scale
+        logits = x @ w_n.T + b_n
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        y = (rng.random((count, 1)) < cdf).argmax(axis=1)
+        shards.append((x[: sizes[n]], y[: sizes[n]].astype(np.int64)))
+        test_x.append(x[sizes[n] :])
+        test_y.append(y[sizes[n] :].astype(np.int64))
+    return FederatedDataset.from_shards(
+        shards=tuple(shards),
+        test_features=np.concatenate(test_x, axis=0),
+        test_labels=np.concatenate(test_y, axis=0),
+        n_classes=n_classes,
+        dim=dim,
+    )

@@ -79,7 +79,7 @@ def test_grad_bounds_floor_on_degenerate_data():
     # single class the model is already optimal and gradients are ~0.
     x = np.zeros((10, 2))
     y = np.zeros(10, dtype=np.int64)
-    ds = FederatedDataset(
+    ds = FederatedDataset.from_shards(
         shards=((x, y),), test_features=np.zeros((0, 2)),
         test_labels=np.zeros((0,), dtype=np.int64), n_classes=1, dim=2,
     )

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -683,6 +684,41 @@ def test_a_damaged_run_file_is_one_error_line_or_none(fast_run, tmp_path, name, 
     path = run_dir / name
     path.write_bytes(RUN_FILE_DAMAGE[damage](path.read_bytes()))
     check_subcommands_on(run_dir, tmp_path / "out", path)
+
+
+def first_label_set_to_99(data: bytes) -> bytes:
+    n_clients, dim = struct.unpack_from("<II", data, 8)
+    (first_size,) = struct.unpack_from("<Q", data, 28)
+    at = 28 + 8 * n_clients + 8 * first_size * dim
+    return data[:at] + struct.pack("<q", 99) + data[at + 8:]
+
+
+# Damage to dataset.bin that leaves its magic and version intact: header
+# fields (n_clients at byte 8, n_test at byte 20), a label, or the length.
+DATASET_DAMAGE = {
+    "n_clients-2^32-1": lambda data: data[:8] + struct.pack("<I", 2**32 - 1) + data[12:],
+    "n_test-2^62": lambda data: data[:20] + struct.pack("<Q", 2**62) + data[28:],
+    "no-clients": lambda data: data[:8] + struct.pack("<I", 0) + data[12:],
+    "label-99": first_label_set_to_99,
+    "4-bytes-appended": lambda data: data + b"\0" * 4,
+}
+
+
+@pytest.mark.parametrize("damage", DATASET_DAMAGE)
+def test_a_damaged_dataset_is_one_error_line_naming_it(fast_run, tmp_path, damage):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "dataset.bin"
+    path.write_bytes(DATASET_DAMAGE[damage](path.read_bytes()))
+    inputs = ["--config", run_dir / "config.yaml", "--dataset", path]
+    for command in (["calibrate", *inputs, "--out", tmp_path / "cal"],
+                    ["train", *inputs, "--population", run_dir / "population.ini",
+                     "--equilibrium", run_dir / "equilibrium_optimal.json",
+                     "--out", tmp_path / "out"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([str(arg) for arg in command])
+        assert code == 1, command
+        assert one_error_line(stderr.getvalue()).startswith(f"error: {path}: "), command
 
 
 @pytest.mark.parametrize("edit", [edit for edit, _ in BAD_POPULATION_FILES.values()],

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedpricing.core import FederatedDataset
 from fedpricing.data import (
     IdxFormatError,
     filter_labels,
@@ -12,6 +15,7 @@ from fedpricing.data import (
     save_dataset,
     subsample,
 )
+import oracles
 from oracles import write_idx
 
 
@@ -195,6 +199,77 @@ def test_partition_invalid_class_range():
                                 classes_per_client_max=1)
 
 
+# ---------------------------------------------------------------- pooled layout
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_dataset(ds: FederatedDataset, ref: FederatedDataset) -> bool:
+    return (all(same_bits(getattr(ds, name), getattr(ref, name))
+                for name in ("features", "labels", "sizes", "test_rows", "test_labels"))
+            and ds.n_classes == ref.n_classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_clients=st.integers(1, 8), dim=st.integers(1, 9), n_classes=st.integers(1, 6),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]), beta=st.sampled_from([0.0, 0.5, 1.0]),
+       per_client=st.integers(1, 40), exponent=st.sampled_from([0.0, 1.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_pooled_generator_is_the_per_client_one_bit_for_bit(n_clients, dim, n_classes,
+                                                                 alpha, beta, per_client,
+                                                                 exponent, seed):
+    args = dict(n_clients=n_clients, dim=dim, n_classes=n_classes, alpha=alpha, beta=beta,
+                total_samples=n_clients * per_client, power_exponent=exponent, seed=seed)
+    ds, ref = gen_synthetic(**args), oracles.gen_synthetic(**args)
+    assert same_dataset(ds, ref)
+    for (x, y), (ref_x, ref_y) in zip(ds.shards, ref.shards, strict=True):
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+    assert ds.test_features.tobytes() == ref.test_features.tobytes()
+
+
+def test_from_shards_round_trips_the_shards_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shards = [(rng.normal(size=(size, 4)), rng.integers(0, 5, size=size)) for size in (7, 1, 12)]
+    test_x, test_y = rng.normal(size=(6, 4)), rng.integers(0, 5, size=6)
+    ds = FederatedDataset.from_shards(shards=shards, test_features=test_x, test_labels=test_y,
+                                      n_classes=5, dim=4)
+    assert ds.datasizes == [7, 1, 12] and ds.total_samples == 20 and ds.dim == 4
+    for (x, y), (got_x, got_y) in zip(shards, ds.shards, strict=True):
+        assert same_bits(got_x.copy(), x) and same_bits(got_y.copy(), y)
+    assert same_bits(ds.test_features.copy(), test_x) and same_bits(ds.test_labels, test_y)
+    assert np.all(ds.features[:, -1] == 1.0) and np.all(ds.test_rows[:, -1] == 1.0)
+
+
+def test_the_dataset_arrays_are_read_only():
+    ds = gen_synthetic(n_clients=3, dim=4, n_classes=3, total_samples=30, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[0, 0] = 1.0
+    for array in (ds.labels, ds.sizes, ds.test_rows, ds.test_labels, ds.shards[0][0],
+                  ds.test_features):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(sizes=np.array([2, 0, 4])), "client 1: empty shard"),
+    (dict(sizes=np.array([2, 3])), "add up to 5"),
+    (dict(labels=np.array([0, 1, 0, 1, 9, 0])), r"client 1: label outside \[0, 2\)"),
+    (dict(features=np.zeros((6, 3))), "bias column"),
+    (dict(features=np.ones((6, 3), dtype=np.float32)), "float64"),
+    (dict(labels=np.zeros(6, dtype=np.int32)), "int64"),
+    (dict(sizes=np.zeros(0, dtype=np.int64), features=np.ones((0, 3)),
+          labels=np.zeros(0, dtype=np.int64)), "at least one client"),
+])
+def test_the_constructor_checks_the_layout(change, message):
+    arrays = dict(features=np.ones((6, 3)), labels=np.array([0, 1, 0, 1, 1, 0]),
+                  sizes=np.array([2, 4]), test_rows=np.ones((0, 3)),
+                  test_labels=np.zeros(0, dtype=np.int64), n_classes=2)
+    arrays.update(change)
+    with pytest.raises(ValueError, match=message):
+        FederatedDataset(**arrays)
+
+
 # ---------------------------------------------------------------- container
 
 
@@ -211,6 +286,19 @@ def test_dataset_container_round_trip(tmp_path):
         assert np.array_equal(y1, y2)
     assert np.array_equal(ds.test_features, back.test_features)
     assert np.array_equal(ds.test_labels, back.test_labels)
+
+
+def test_save_then_load_gives_the_same_arrays_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(4)
+    samples, labels = rng.normal(size=(90, 3)), rng.integers(0, 4, size=90)
+    partitioned = partition_label_limited(samples, labels, 5, 2, 4, power_exponent=0.0, seed=2,
+                                          test_features=rng.normal(size=(8, 3)),
+                                          test_labels=rng.integers(0, 4, size=8))
+    for ds in (gen_synthetic(n_clients=4, dim=3, n_classes=4, total_samples=50, seed=9),
+               partitioned):
+        path = str(tmp_path / "dataset.bin")
+        save_dataset(path, ds)
+        assert same_dataset(load_dataset(path), ds)
 
 
 def test_dataset_container_rejects_bad_magic(tmp_path):

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from fedpricing import _blas
 from fedpricing import fltrain
+from fedpricing.calibrate import estimate_grad_bounds
 from fedpricing.core import FederatedDataset, ParticipationVector, make_population
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import (
@@ -238,7 +240,7 @@ def test_global_loss_weighted_by_datasize():
     x1 = np.zeros((3, 2))
     y0 = np.array([0])
     y1 = np.array([1, 1, 1])
-    ds = FederatedDataset(
+    ds = FederatedDataset.from_shards(
         shards=((x0, y0), (x1, y1)),
         test_features=np.zeros((0, 2)), test_labels=np.zeros((0,), dtype=np.int64),
         n_classes=2, dim=2,
@@ -294,6 +296,26 @@ def test_a_config_rejects_a_level_outside_the_unit_interval(levels):
         TrainConfig(participation=levels)
 
 
+def test_training_evaluation_and_calibration_read_the_rows_in_place(monkeypatch):
+    # Each call's traced peak stays below half the training features, so none
+    # of them copies the rows: a pooled copy per call would alone exceed it.
+    ds = gen_synthetic(n_clients=20, dim=60, n_classes=10, total_samples=9000, seed=2)
+    assert ds.features.nbytes >= 4e6
+    monkeypatch.setattr(fltrain._fork, "second_cpu", lambda: False)
+    cfg = TrainConfig(local_steps=2, batch=16, rounds=3, participation=np.full(20, 0.5))
+    w = np.zeros((10, 61))
+    for run in (lambda: train(ds, cfg), lambda: global_loss(w, ds, 1e-4),
+                lambda: estimate_grad_bounds(ds, cfg, pilot_rounds=2)):
+        run()       # loads anything loaded on first use
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes / 2
+
+
 # ---------------------------------------------------------------- stacked kernel against the reference
 
 
@@ -309,7 +331,7 @@ def datasets(draw):
     shards = tuple(
         (scale * rng.normal(size=(d, dim)), rng.integers(0, n_classes, size=d)) for d in sizes
     )
-    return FederatedDataset(
+    return FederatedDataset.from_shards(
         shards=shards, test_features=scale * rng.normal(size=(n_test, dim)),
         test_labels=rng.integers(0, n_classes, size=n_test), n_classes=n_classes, dim=dim,
     )

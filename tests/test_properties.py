@@ -253,11 +253,11 @@ def test_population_file_is_the_configparser_file_byte_for_byte(rows, with_f_loc
 @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30))
 def test_population_weights_are_the_training_weights(sizes):
     shards = tuple((np.zeros((size, 1)), np.zeros(size, dtype=np.int64)) for size in sizes)
-    ds = FederatedDataset(shards=shards, test_features=np.zeros((0, 1)),
-                          test_labels=np.zeros(0, dtype=np.int64), n_classes=1, dim=1)
+    ds = FederatedDataset.from_shards(shards=shards, test_features=np.zeros((0, 1)),
+                                      test_labels=np.zeros(0, dtype=np.int64), n_classes=1, dim=1)
     n = len(sizes)
     population = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
-    np.testing.assert_array_equal(bits(population.a), bits(_Shards(ds.shards).weights))
+    np.testing.assert_array_equal(bits(population.a), bits(_Shards(ds).weights))
 
 
 # ---------------------------------------------------------------- certified sums
@@ -335,7 +335,8 @@ def test_the_local_fit_meets_its_tolerance_and_scipys_objective(rows, dim, class
     x = scale * rng.normal(size=(rows, dim))
     y = rng.integers(0, classes, size=rows)
     shape = (classes, dim + 1)
-    loss, grad = loss_and_grad(_minimize_logistic(x, y, shape, l2), x, y, l2)
+    xa = np.hstack([x, np.ones((rows, 1))])
+    loss, grad = loss_and_grad(_minimize_logistic(xa, y, shape, l2), x, y, l2)
     assert np.max(np.abs(grad)) <= LOCAL_OPTIMUM_TOL
     ref, ref_grad_max = oracles.minimize_logistic(x, y, shape, l2)
     ref_loss, _ = loss_and_grad(ref, x, y, l2)
