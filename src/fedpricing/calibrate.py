@@ -11,16 +11,10 @@ import warnings
 
 import numpy as np
 
-from . import _blas
+from . import _blas, fltrain
 from .bound import participation_penalty
 from .core import FederatedDataset, Population
-from .fltrain import (
-    TrainConfig,
-    _aggregate,
-    _loss_and_grad,
-    _Shards,
-    learning_rate_schedule,
-)
+from .fltrain import TrainConfig, _aggregate, _local_sgd, _loss_and_grad, learning_rate_schedule
 
 GRAD_BOUND_FLOOR = 1e-6
 LOCAL_OPTIMUM_TOL = 1e-7          # max |gradient| at a shard's optimum
@@ -45,7 +39,6 @@ def estimate_grad_bounds(
     if pilot_rounds < 1:
         raise ValueError(f"pilot_rounds must be >= 1, got {pilot_rounds}")
     rng = np.random.default_rng(seed)
-    shards = _Shards(dataset)
     clients = list(range(dataset.n_clients))
     w = np.zeros((dataset.n_classes, dataset.dim + 1))
     norms = np.empty((pilot_rounds, dataset.n_clients, cfg.local_steps))
@@ -53,9 +46,9 @@ def estimate_grad_bounds(
     with _blas.one_thread():
         for r in range(pilot_rounds):
             models = np.repeat(w[None], len(clients), axis=0)
-            shards.local_sgd(models, clients, [rng] * len(clients), cfg.local_steps, cfg.batch,
-                             learning_rate(r), cfg.l2, norms=norms[r])
-            w = _aggregate(w, models, shards.weights)   # a_n / q_n with every q_n = 1
+            _local_sgd(dataset, models, clients, [rng] * len(clients), cfg.local_steps,
+                       cfg.batch, learning_rate(r), cfg.l2, norms=norms[r])
+            w = _aggregate(w, models, dataset.weights)   # a_n / q_n with every q_n = 1
 
     bounds = []
     for n, g in enumerate(norms.max(axis=(0, 2)).tolist()):
@@ -181,8 +174,8 @@ def local_optimum_losses(dataset: FederatedDataset, cfg: TrainConfig) -> list:
     v_n * (F_local - F(w_R)), which does not depend on q.
     """
     shape = (dataset.n_classes, dataset.dim + 1)
-    shards = _Shards(dataset)
+    x, y = dataset.features, dataset.labels
     with _blas.one_thread():
-        return [shards.loss(_minimize_logistic(shards.xa[rows], shards.y[rows], shape, cfg.l2),
-                            cfg.l2)
-                for rows in shards.rows]
+        return [fltrain.global_loss(_minimize_logistic(x[rows], y[rows], shape, cfg.l2),
+                                    dataset, cfg.l2)
+                for rows in dataset.client_rows]

@@ -251,6 +251,9 @@ class FederatedDataset(_FieldwiseEq):
         if outside.size:
             n = int(np.searchsorted(np.cumsum(sizes), outside[0], side="right"))
             raise ValueError(f"client {n}: label outside [0, {self.n_classes})")
+        outside = np.flatnonzero((test_labels < 0) | (test_labels >= self.n_classes))
+        if outside.size:
+            raise ValueError(f"test row {int(outside[0])}: label outside [0, {self.n_classes})")
         for array in arrays:
             array.flags.writeable = False
 
@@ -286,6 +289,13 @@ class FederatedDataset(_FieldwiseEq):
     @property
     def total_samples(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Each client's a_n = d_n / D, read-only; ``make_population``'s a, bit for bit."""
+        weights = self.sizes / self.total_samples
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def client_rows(self) -> tuple:

@@ -265,10 +265,13 @@ def partition_label_limited(
     of distinct classes in [min, max], with power-law shard sizes.
 
     Shards are disjoint and their union is exactly the input sample set.
-    Raises when some class pool cannot cover its assignments.
+    Raises when some class pool cannot cover its assignments. ``n_classes``
+    defaults to the largest training or test label plus one, so a class only
+    in the test set is still predictable; clients hold only classes with rows.
     """
     if n_classes is None:
-        n_classes = int(labels.max()) + 1
+        seen = labels if test_labels is None else np.concatenate([labels, test_labels])
+        n_classes = int(seen.max()) + 1
     if not 1 <= classes_per_client_min <= classes_per_client_max <= n_classes:
         raise ValueError(
             f"class count range [{classes_per_client_min}, {classes_per_client_max}] "
@@ -279,6 +282,7 @@ def partition_label_limited(
 
     pools = {c: list(rng.permutation(np.flatnonzero(labels == c))) for c in range(n_classes)}
     supply = np.array([len(pools[c]) for c in range(n_classes)])
+    held = np.flatnonzero(supply)
 
     # Assign class sets, then split each shard's size across its classes by
     # solving the transportation problem exactly: every assigned class gets
@@ -288,8 +292,9 @@ def partition_label_limited(
     assigned = []
     for n in range(n_clients):
         k = int(rng.integers(classes_per_client_min, classes_per_client_max + 1))
-        k = min(k, sizes[n])  # a shard cannot hold more classes than samples
-        assigned.append([int(c) for c in rng.choice(n_classes, size=k, replace=False)])
+        # a shard cannot hold more classes than samples, nor a class without training rows
+        k = min(k, sizes[n], len(held))
+        assigned.append([int(c) for c in rng.choice(held, size=k, replace=False)])
 
     mandatory = np.zeros(n_classes, dtype=np.int64)
     for classes in assigned:

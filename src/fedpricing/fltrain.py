@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _blas, _fork
-from .core import (FederatedDataset, Population, _FieldwiseEq, check_rules, is_finite,
-                   is_integer, participation_levels)
+from .core import (FederatedDataset, Population, _FieldwiseEq, _with_bias, check_rules,
+                   is_finite, is_integer, participation_levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +95,9 @@ class RoundMetrics:
     sim_time: float      # cumulative simulated seconds at the end of the round
 
 
-def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((len(x), 1))])
-
-
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Regularized cross-entropy over (x, y) and its gradient in w."""
-    return _loss_and_grad(w, _augment(x), y, l2)
+    return _loss_and_grad(w, _with_bias([x], np.shape(x)[1]), y, l2)
 
 
 def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
@@ -183,75 +179,46 @@ class _Step:
         return grad
 
 
-class _Shards:
-    """A dataset's clients, read in place: client n's shard is rows
-    ``rows[n]`` of the dataset's bias-augmented ``features`` (``xa``) and its
-    ``labels`` (``y``), a slice, not a copy.
+def _local_sgd(dataset: FederatedDataset, models, clients, rngs, local_steps, batch, lr, l2,
+               norms=None):
+    """Local SGD in place: row s of the stacked models steps on client
+    ``clients[s]``'s rows of the dataset, read in place, with minibatches
+    drawn from ``rngs[s]``.
+
+    Minibatches are drawn with replacement, E*B indices per row, in row
+    order: one draw per stretch of rows that share a generator, its bound
+    each row's shard size repeated E*B times. That consumes a generator
+    exactly as one draw of E*B per row does, and so as E draws of B, so
+    rows that keep a run's participant order draw the indices of a
+    per-participant loop. Each step gathers its own rows, so memory
+    does not grow with E. ``batch=None`` steps on the whole shard, one row
+    at a time. When ``norms`` is given, an array of shape (len(clients),
+    local_steps), it receives each step's gradient norm.
     """
+    x, y, sizes = dataset.features, dataset.labels, dataset.datasizes
+    if batch is None:
+        for s, n in enumerate(clients):
+            rows = dataset.client_rows[n]
+            whole = (x[None, rows], y[None, rows])
+            model = models[s:s + 1]
+            _steps(model, _Step(model, sizes[n]), [whole] * local_steps, lr, l2,
+                   None if norms is None else norms[s:s + 1])
+        return
+    draws = [rng.integers(0, np.repeat([sizes[n] for n, _ in rows], local_steps * batch))
+             for rng, rows in itertools.groupby(zip(clients, rngs), key=lambda row: row[1])]
+    idx = np.concatenate(draws).reshape(len(clients), local_steps, batch)
+    idx += np.array([dataset.client_rows[n].start for n in clients])[:, None, None]
+    steps = idx.transpose(1, 0, 2)
+    _steps(models, _Step(models, batch), ((x[i], y[i]) for i in steps), lr, l2, norms)
 
-    def __init__(self, dataset: FederatedDataset):
-        self.xa = dataset.features
-        self.y = dataset.labels
-        self.sizes = dataset.datasizes
-        self.weights = [size / dataset.total_samples for size in self.sizes]    # a_n = d_n / D
-        self.rows = dataset.client_rows
-        self.starts = np.array([rows.start for rows in self.rows])
 
-    def loss(self, w: np.ndarray, l2: float) -> float:
-        """sum_n a_n * (regularized loss on shard n): global_loss, bit for bit.
-
-        The logits are formed shard by shard, because OpenBLAS picks its
-        kernel by matrix size and a single product over all rows differs in
-        the last bit on some of them; everything after runs once over all rows.
-        """
-        z = np.empty((len(self.y), len(w)))
-        for rows in self.rows:
-            np.matmul(self.xa[rows], w.T, out=z[rows])
-        losses = _cross_entropy(z, self.y)
-        reg = 0.5 * l2 * float(np.sum(w * w))
-        total = 0.0
-        for a, rows, size in zip(self.weights, self.rows, self.sizes):
-            total += a * (np.add.reduce(losses[rows]) / size + reg)   # the shard's mean
-        return float(total)
-
-    def local_sgd(self, models, clients, rngs, local_steps, batch, lr, l2, norms=None):
-        """Local SGD in place: row s of the stacked models steps on client
-        ``clients[s]``'s shard, with minibatches drawn from ``rngs[s]``.
-
-        Minibatches are drawn with replacement, E*B indices per row, in row
-        order: one draw per stretch of rows that share a generator, its bound
-        each row's shard size repeated E*B times. That consumes a generator
-        exactly as one draw of E*B per row does, and so as E draws of B, so
-        rows that keep a run's participant order draw the indices of a
-        per-participant loop. Each step gathers its own rows, so memory
-        does not grow with E. ``batch=None`` steps on the whole shard, one row
-        at a time. When ``norms`` is given, an array of shape (len(clients),
-        local_steps), it receives each step's gradient norm.
-        """
-        if batch is None:
-            for s, n in enumerate(clients):
-                rows = self.rows[n]
-                whole = (self.xa[None, rows], self.y[None, rows])
-                model = models[s:s + 1]
-                self._steps(model, _Step(model, self.sizes[n]), [whole] * local_steps, lr, l2,
-                            None if norms is None else norms[s:s + 1])
-            return
-        draws = [rng.integers(0, np.repeat([self.sizes[n] for n, _ in rows], local_steps * batch))
-                 for rng, rows in itertools.groupby(zip(clients, rngs), key=lambda row: row[1])]
-        idx = np.concatenate(draws).reshape(len(clients), local_steps, batch)
-        idx += self.starts[clients][:, None, None]
-        steps = idx.transpose(1, 0, 2)
-        self._steps(models, _Step(models, batch), ((self.xa[i], self.y[i]) for i in steps),
-                    lr, l2, norms)
-
-    @staticmethod
-    def _steps(models, step, batches, lr, l2, norms):
-        """Step the models on each (x, y) of ``batches`` in turn, through the
-        ``_Step`` ``step``; ``norms[:, e]`` receives step e's gradient norms."""
-        for e, (x, y) in enumerate(batches):
-            grad = step(models, x, y, lr, l2)
-            if norms is not None:
-                norms[:, e] = [np.linalg.norm(g) for g in grad]
+def _steps(models, step, batches, lr, l2, norms):
+    """Step the models on each (x, y) of ``batches`` in turn, through the
+    ``_Step`` ``step``; ``norms[:, e]`` receives step e's gradient norms."""
+    for e, (x, y) in enumerate(batches):
+        grad = step(models, x, y, lr, l2)
+        if norms is not None:
+            norms[:, e] = [np.linalg.norm(g) for g in grad]
 
 
 def local_sgd(
@@ -272,7 +239,7 @@ def local_sgd(
     dataset = FederatedDataset.from_shards([shard], np.empty((0, columns - 1)),
                                            np.empty(0, dtype=np.int64), classes, columns - 1)
     models = w[None].copy()
-    _Shards(dataset).local_sgd(models, [0], [rng], local_steps, batch, lr, l2)
+    _local_sgd(dataset, models, [0], [rng], local_steps, batch, lr, l2)
     return models[0]
 
 
@@ -314,8 +281,23 @@ def aggregate(
 
 
 def global_loss(w: np.ndarray, dataset: FederatedDataset, l2: float = 0.0) -> float:
-    """Datasize-weighted average of the per-client regularized losses."""
-    return _Shards(dataset).loss(w, l2)
+    """sum_n a_n * (regularized loss on client n's rows): the datasize-weighted
+    average of the per-client losses, and the loss that training evaluates
+    and calibration reports.
+
+    The logits are formed shard by shard, because OpenBLAS picks its kernel
+    by matrix size and a single product over all rows differs in the last
+    bit on some of them; everything after runs once over all rows.
+    """
+    z = np.empty((dataset.total_samples, len(w)))
+    for rows in dataset.client_rows:
+        np.matmul(dataset.features[rows], w.T, out=z[rows])
+    losses = _cross_entropy(z, dataset.labels)
+    reg = 0.5 * l2 * float(np.sum(w * w))
+    total = 0.0
+    for a, rows, size in zip(dataset.weights.tolist(), dataset.client_rows, dataset.datasizes):
+        total += a * (np.add.reduce(losses[rows]) / size + reg)   # the shard's mean
+    return float(total)
 
 
 def _accuracy(w: np.ndarray, test_xa: np.ndarray, test_labels: np.ndarray) -> float:
@@ -326,18 +308,23 @@ def test_accuracy(w: np.ndarray, test_features: np.ndarray, test_labels: np.ndar
     """Fraction of correct argmax predictions on the test set."""
     if len(test_features) == 0:
         raise ValueError("empty test set")
-    return _accuracy(w, _augment(test_features), test_labels)
+    return _accuracy(w, _with_bias([test_features], np.shape(test_features)[1]), test_labels)
 
 
 def theoretical_lr(round_index: int, smoothness: float, mu: float, local_steps: int) -> float:
     return 2.0 / (max(8.0 * smoothness, mu * local_steps) + mu * round_index)
 
 
+# Rows estimate_smoothness squares at once, so its temporary stays small however
+# large a shard is; each row's sum is its own reduction, so blocks keep the bits.
+_SMOOTHNESS_BLOCK_ROWS = 1024
+
+
 def estimate_smoothness(dataset: FederatedDataset, l2: float) -> float:
     """Crude smoothness constant for the logistic objective: l2 + max ||x~||^2 / 4."""
-    max_norm_sq = max(
-        float(np.max(np.sum(x**2, axis=1) + 1.0)) for x, _ in dataset.shards
-    )
+    x, block = dataset.features[:, :-1], _SMOOTHNESS_BLOCK_ROWS
+    max_norm_sq = max(float(np.max(np.sum(x[i:i + block] ** 2, axis=1) + 1.0))
+                      for i in range(0, len(x), block))
     return l2 + max_norm_sq / 4.0
 
 
@@ -486,7 +473,7 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
             raise ValueError("cfg.participation must be set")
         participation_levels(c.participation, dataset.n_clients)
 
-    shards = _Shards(dataset)
+    weights, sizes = dataset.weights.tolist(), dataset.datasizes
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     ws = [np.zeros((dataset.n_classes, dataset.dim + 1)) for _ in cfgs]
     states = [[] for _ in cfgs]
@@ -496,27 +483,28 @@ def train_runs(dataset: FederatedDataset, cfgs: list, *, record_states: bool = F
     learning_rate = learning_rate_schedule(cfg, dataset)
 
     def evaluate(models):
-        return [(shards.loss(w, cfg.l2),
+        return [(global_loss(w, dataset, cfg.l2),
                  _accuracy(w, dataset.test_rows, dataset.test_labels) if has_test
                  else float("nan"))
                 for w in models]
 
-    with _blas.one_thread(), contextlib.closing(_Evaluator(evaluate, len(shards.y))) as evaluator:
+    evaluator = _Evaluator(evaluate, dataset.total_samples)
+    with _blas.one_thread(), contextlib.closing(evaluator):
         for r in range(cfg.rounds):
             participants = [_sample(c.participation, rng) for c, rng in zip(cfgs, rngs)]
             owners = [k for k, p in enumerate(participants) for _ in p]
             if owners:
                 models = np.stack(ws)[owners]
-                shards.local_sgd(models, [n for p in participants for n in p],
-                                 [rngs[k] for k in owners], cfg.local_steps, cfg.batch,
-                                 learning_rate(r), cfg.l2)
+                _local_sgd(dataset, models, [n for p in participants for n in p],
+                           [rngs[k] for k in owners], cfg.local_steps, cfg.batch,
+                           learning_rate(r), cfg.l2)
             first = 0
             for k, (c, p) in enumerate(zip(cfgs, participants)):
                 if p:
                     ws[k] = _aggregate(ws[k], models[first:first + len(p)],
-                                       [shards.weights[n] / c.participation[n] for n in p])
+                                       [weights[n] / c.participation[n] for n in p])
                     first += len(p)
-                    max_shard = max(shards.sizes[n] for n in p)
+                    max_shard = max(sizes[n] for n in p)
                     batch = cfg.batch if cfg.batch is not None else max_shard
                     sim_times[k] += cfg.sim_t_base + cfg.sim_t_comp * (max_shard * cfg.local_steps / batch)
                 else:

@@ -694,12 +694,14 @@ def first_label_set_to_99(data: bytes) -> bytes:
 
 
 # Damage to dataset.bin that leaves its magic and version intact: header
-# fields (n_clients at byte 8, n_test at byte 20), a label, or the length.
+# fields (n_clients at byte 8, n_test at byte 20), a training label, the last
+# test label (the file's last 8 bytes), or the length.
 DATASET_DAMAGE = {
     "n_clients-2^32-1": lambda data: data[:8] + struct.pack("<I", 2**32 - 1) + data[12:],
     "n_test-2^62": lambda data: data[:20] + struct.pack("<Q", 2**62) + data[28:],
     "no-clients": lambda data: data[:8] + struct.pack("<I", 0) + data[12:],
     "label-99": first_label_set_to_99,
+    "test-label-99": lambda data: data[:-8] + struct.pack("<q", 99),
     "4-bytes-appended": lambda data: data + b"\0" * 4,
 }
 

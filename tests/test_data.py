@@ -191,6 +191,20 @@ def test_partition_label_limited_oversubscribed_class_errors():
                                 power_exponent=0.0, seed=0)
 
 
+def test_a_class_only_in_the_test_set_is_one_of_the_classes():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(60, 2)), rng.integers(0, 3, size=60)
+    test_labels = np.array([0, 3, 1, 2])
+    for seed in range(10):
+        ds = partition_label_limited(x, y, 4, 3, 3, power_exponent=0.0, seed=seed,
+                                     test_features=rng.normal(size=(4, 2)),
+                                     test_labels=test_labels)
+        assert ds.n_classes == 4
+        assert np.array_equal(ds.test_labels, test_labels)
+        # three classes asked of four: each client holds the three with training rows
+        assert [sorted(set(labels.tolist())) for _, labels in ds.shards] == [[0, 1, 2]] * 4
+
+
 def test_partition_invalid_class_range():
     x = np.zeros((10, 2))
     y = np.zeros(10, dtype=np.int64)
@@ -246,6 +260,8 @@ def test_the_dataset_arrays_are_read_only():
     ds = gen_synthetic(n_clients=3, dim=4, n_classes=3, total_samples=30, seed=1)
     with pytest.raises(ValueError, match="read-only"):
         ds.features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.weights[0] = 0.5
     for array in (ds.labels, ds.sizes, ds.test_rows, ds.test_labels, ds.shards[0][0],
                   ds.test_features):
         assert not array.flags.writeable
@@ -259,7 +275,8 @@ def test_the_dataset_arrays_are_read_only():
     (dict(features=np.ones((6, 3), dtype=np.float32)), "float64"),
     (dict(labels=np.zeros(6, dtype=np.int32)), "int64"),
     (dict(sizes=np.zeros(0, dtype=np.int64), features=np.ones((0, 3)),
-          labels=np.zeros(0, dtype=np.int64)), "at least one client"),
+          labels=np.zeros(0, dtype=np.int64)), "at least one client"),    (dict(test_rows=np.ones((3, 3)), test_labels=np.array([1, 0, 2])),
+     r"test row 2: label outside \[0, 2\)"),
 ])
 def test_the_constructor_checks_the_layout(change, message):
     arrays = dict(features=np.ones((6, 3)), labels=np.array([0, 1, 0, 1, 1, 0]),

@@ -20,6 +20,7 @@ from fedpricing.fltrain import (
     TrainConfig,
     aggregate,
     global_loss,
+    learning_rate_schedule,
     local_sgd,
     loss_and_grad,
     sample_participants,
@@ -316,6 +317,24 @@ def test_training_evaluation_and_calibration_read_the_rows_in_place(monkeypatch)
         assert peak < ds.features.nbytes / 2
 
 
+def test_the_smoothness_estimate_squares_a_block_of_rows_at_a_time():
+    # The largest of these shards holds 46% of the rows: squaring it whole
+    # would alone exceed the bound.
+    ds = gen_synthetic(n_clients=20, dim=60, n_classes=10, total_samples=9000, seed=2)
+    assert ds.features.nbytes >= 4e6
+    cfg = TrainConfig(lr_schedule="theoretical")
+    learning_rate_schedule(cfg, ds)     # loads anything loaded on first use
+    tracemalloc.start()
+    try:
+        learning_rate_schedule(cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes / 4
+    whole = max(float(np.max(np.sum(x**2, axis=1) + 1.0)) for x, _ in ds.shards)
+    assert fltrain.estimate_smoothness(ds, 1e-4) == 1e-4 + whole / 4.0
+
+
 # ---------------------------------------------------------------- stacked kernel against the reference
 
 
@@ -563,7 +582,8 @@ def _axis_max_loss_and_grad(w, xa, y, l2):
 
 
 def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
-    from fedpricing.fltrain import _augment, _loss_and_grad
+    from fedpricing.core import _with_bias
+    from fedpricing.fltrain import _loss_and_grad
 
     rng = np.random.default_rng(1)
     with np.errstate(all="ignore"):
@@ -575,7 +595,7 @@ def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
             w[(u >= 0.03) & (u < 0.06)] = -np.inf
             w[(u >= 0.06) & (u < 0.08)] = np.inf
             w[(u >= 0.08) & (u < 0.12)] = -0.0
-            xa = _augment(rng.normal(size=(n, d)))
+            xa = _with_bias([rng.normal(size=(n, d))], d)
             y = rng.integers(0, c, size=n)
             l2 = float(rng.choice([0.0, 1e-4, 1.0]))
             for got, ref in zip(_loss_and_grad(w, xa, y, l2), _axis_max_loss_and_grad(w, xa, y, l2)):
@@ -612,7 +632,7 @@ def test_the_buffered_step_equals_the_reference_step_bit_for_bit(
             assert got.tobytes() == ref.tobytes()
         # as the gradient-bound pilot steps: through _steps, with the norms asked for
         stepped, norms = w.copy(), np.empty((stack, steps))
-        fltrain._Shards._steps(stepped, fltrain._Step(stepped, rows), batches, lr, l2, norms)
+        fltrain._steps(stepped, fltrain._Step(stepped, rows), batches, lr, l2, norms)
     assert stepped.tobytes() == ref.tobytes()
     assert norms.tobytes() == ref_norms.tobytes()
 
@@ -728,17 +748,17 @@ def test_the_parent_evaluates_the_batches_a_slow_helper_has_not_reached(monkeypa
     inline, _ = train(tiny_dataset(), cfg, record_states=True)
     pretend_two_cpus(monkeypatch)       # a batch per evaluated round
     parent = os.getpid()
-    real = fltrain._Shards.loss
+    real = fltrain.global_loss
     log = tmp_path / "evaluated_by"
 
-    def slow_in_the_helper(self, w, l2):
+    def slow_in_the_helper(w, dataset, l2):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {w.tobytes().hex()}\n")
         if os.getpid() != parent:
             time.sleep(0.01)
-        return real(self, w, l2)
+        return real(w, dataset, l2)
 
-    monkeypatch.setattr(fltrain._Shards, "loss", slow_in_the_helper)
+    monkeypatch.setattr(fltrain, "global_loss", slow_in_the_helper)
     forked, states = train(tiny_dataset(), cfg, record_states=True)
     assert repr(forked) == repr(inline)
     evaluations = [line.split() for line in log.read_text().splitlines()]
@@ -754,14 +774,14 @@ def test_an_evaluation_error_in_the_helper_is_raised_in_the_parent(monkeypatch):
     pretend_two_cpus(monkeypatch)
     parent = os.getpid()
 
-    real = fltrain._Shards.loss
+    real = fltrain.global_loss
 
-    def fail(self, w, l2):
+    def fail(w, dataset, l2):
         if os.getpid() == parent:
-            return real(self, w, l2)
+            return real(w, dataset, l2)
         raise ValueError("no loss in process helper")
 
-    monkeypatch.setattr(fltrain._Shards, "loss", fail)
+    monkeypatch.setattr(fltrain, "global_loss", fail)
     with pytest.raises(RuntimeError, match="evaluation helper failed: ValueError: no loss in process helper"):
         train(tiny_dataset(), helper_config())
     assert multiprocessing.active_children() == []
@@ -772,14 +792,14 @@ def test_a_helper_that_dies_is_reported_with_its_exit_code(monkeypatch):
     pretend_two_cpus(monkeypatch)
     parent = os.getpid()
 
-    real = fltrain._Shards.loss
+    real = fltrain.global_loss
 
-    def die(self, w, l2):
+    def die(w, dataset, l2):
         if os.getpid() == parent:
-            return real(self, w, l2)
+            return real(w, dataset, l2)
         os._exit(7)
 
-    monkeypatch.setattr(fltrain._Shards, "loss", die)
+    monkeypatch.setattr(fltrain, "global_loss", die)
     with pytest.raises(RuntimeError, match="evaluation helper exited with code 7"):
         train(tiny_dataset(), helper_config(rounds=30))     # sends go on after it died
     assert multiprocessing.active_children() == []

@@ -30,7 +30,7 @@ from fedpricing.core import (
     make_population,
 )
 from fedpricing.data import _max_flow, _route_residual
-from fedpricing.fltrain import _Shards, loss_and_grad
+from fedpricing.fltrain import loss_and_grad
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
     _best_responses,
@@ -257,7 +257,7 @@ def test_population_weights_are_the_training_weights(sizes):
                                       test_labels=np.zeros(0, dtype=np.int64), n_classes=1, dim=1)
     n = len(sizes)
     population = make_population(ds.datasizes, [1.0] * n, [1.0] * n, [0.0] * n, [1.0] * n)
-    np.testing.assert_array_equal(bits(population.a), bits(_Shards(ds).weights))
+    np.testing.assert_array_equal(bits(population.a), bits(ds.weights))
 
 
 # ---------------------------------------------------------------- certified sums
