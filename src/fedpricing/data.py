@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from . import _blas
 from .core import FederatedDataset, _int_labels, _with_bias
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -92,34 +93,35 @@ def gen_synthetic(
     test_rows = np.empty((sum(n_tests), dim + 1))
     test_labels = np.empty(len(test_rows), dtype=np.int64)
     start = test_start = 0
-    for size, n_test in zip(sizes, n_tests):
-        if alpha > 0:
-            u_n = rng.normal(0.0, np.sqrt(alpha))
-            w_n = rng.normal(u_n, 1.0, size=(n_classes, dim))
-            b_n = rng.normal(u_n, 1.0, size=n_classes)
-        else:
-            w_n, b_n = shared_w, shared_b
-        if beta > 0:
-            v_n = rng.normal(0.0, np.sqrt(beta))
-            mean_n = rng.normal(v_n, 1.0, size=dim)
-        else:
-            mean_n = shared_mean
-        count = size + n_test
-        x = rng.normal(0.0, 1.0, size=(count, dim))
-        x *= scale
-        x += mean_n         # mean_n + normal * scale, bit for bit, in one array
-        logits = x @ w_n.T + b_n
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        y = (rng.random((count, 1)) < cdf).argmax(axis=1)
-        features[start:start + size, :-1] = x[:size]
-        labels[start:start + size] = y[:size]
-        test_rows[test_start:test_start + n_test, :-1] = x[size:]
-        test_labels[test_start:test_start + n_test] = y[size:]
-        start += size
-        test_start += n_test
+    with _blas.one_thread():
+        for size, n_test in zip(sizes, n_tests):
+            if alpha > 0:
+                u_n = rng.normal(0.0, np.sqrt(alpha))
+                w_n = rng.normal(u_n, 1.0, size=(n_classes, dim))
+                b_n = rng.normal(u_n, 1.0, size=n_classes)
+            else:
+                w_n, b_n = shared_w, shared_b
+            if beta > 0:
+                v_n = rng.normal(0.0, np.sqrt(beta))
+                mean_n = rng.normal(v_n, 1.0, size=dim)
+            else:
+                mean_n = shared_mean
+            count = size + n_test
+            x = rng.normal(0.0, 1.0, size=(count, dim))
+            x *= scale
+            x += mean_n         # mean_n + normal * scale, bit for bit, in one array
+            logits = x @ w_n.T + b_n
+            logits -= logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(probs, axis=1)
+            y = (rng.random((count, 1)) < cdf).argmax(axis=1)
+            features[start:start + size, :-1] = x[:size]
+            labels[start:start + size] = y[:size]
+            test_rows[test_start:test_start + n_test, :-1] = x[size:]
+            test_labels[test_start:test_start + n_test] = y[size:]
+            start += size
+            test_start += n_test
     features[:, -1] = 1.0
     test_rows[:, -1] = 1.0
     return FederatedDataset(features=features, labels=labels,

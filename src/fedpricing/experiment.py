@@ -19,7 +19,6 @@ import os
 import re
 
 import numpy as np
-import yaml
 
 from . import _fork
 from . import data as datamod
@@ -124,22 +123,26 @@ PRESETS = {
 }
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a mapping which sets a key twice."""
+def _unique_key_loader():
+    """A ``yaml.SafeLoader`` that rejects a mapping which sets a key twice."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _value_node in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # "<<: *anchor" keys may be set again
-            key = self.construct_object(key_node, deep=deep)
-            if not isinstance(key, collections.abc.Hashable):
-                continue  # SafeLoader rejects it, with its own message
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    class _UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # "<<: *anchor" keys may be set again
+                key = self.construct_object(key_node, deep=deep)
+                if not isinstance(key, collections.abc.Hashable):
+                    continue  # SafeLoader rejects it, with its own message
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return _UniqueKeyLoader
 
 
 # Keys whose default is None: a test of a set value, and what it must be.
@@ -195,9 +198,17 @@ def _check_ranges(cfg: dict) -> None:
     ))
 
 
-def _read_yaml(path: str, loader):
-    """The YAML document in ``path``; a file that is not UTF-8 text is a
-    ValueError naming it."""
+def _read_yaml(path: str, unique_keys: bool = False):
+    """The YAML document in ``path``, read by ``yaml.SafeLoader`` or, with
+    ``unique_keys``, by one that rejects a key set twice; a file that is not
+    UTF-8 text is a ValueError naming it.
+
+    PyYAML is imported here and in ``write_dataset``, not at the top: it adds
+    1 MB to every process, and training or solving reads no YAML.
+    """
+    import yaml
+
+    loader = _unique_key_loader() if unique_keys else yaml.SafeLoader
     with open(path) as f:
         try:
             return yaml.load(f, Loader=loader)
@@ -214,7 +225,7 @@ def build_config(preset: str | None = None, config_path: str | None = None,
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         cfg.update(PRESETS[preset])
     if config_path:
-        loaded = _read_yaml(config_path, _UniqueKeyLoader)
+        loaded = _read_yaml(config_path, unique_keys=True)
         if loaded is None:      # an empty file sets nothing
             loaded = {}
         if not isinstance(loaded, dict):
@@ -340,6 +351,8 @@ def _run_file(out_dir: str, name: str) -> str:
 
 def write_dataset(cfg: dict, out_dir: str):
     """Generate the dataset into ``config.yaml`` and ``dataset.bin``; returns (path, dataset)."""
+    import yaml
+
     dataset = generate_dataset(cfg)
     with open(_run_file(out_dir, "config.yaml"), "w") as f:
         yaml.safe_dump(cfg, f, sort_keys=True)
@@ -439,7 +452,7 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     """
     runs = _load_runs(run_dir)
     cfg_path = os.path.join(run_dir, "config.yaml")
-    cfg = _read_yaml(cfg_path, yaml.SafeLoader)
+    cfg = _read_yaml(cfg_path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{cfg_path}: expected a mapping of config keys, "
                          f"got {type(cfg).__name__}")

@@ -103,17 +103,43 @@ def read_population(path: str):
 _MANIFEST_SCALARS = ("lambda_star", "v_threshold", "spend", "bound_value")
 
 
+# How ``json.dumps`` writes the floats that ``repr`` writes otherwise.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it."""
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
 def write_equilibrium_manifest(path: str, result: EquilibriumResult, scheme: str,
                                budget: float) -> None:
-    """The result as the manifest the README FORMATS section states."""
-    rows = zip(result.q_star.tolist(), result.p_star.tolist(), result.payments.tolist(),
-               result.interior.tolist())
+    """The result as the manifest the README FORMATS section states: the bytes
+    of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+
+    ``json.dumps`` with an indent encodes in pure Python, so the clients,
+    which are most of the file, are written here one by one as it would write
+    them, and only the rest goes through ``json``.
+    """
     payload = {"scheme": scheme, "budget": budget, "diagnostics": dict(result.diagnostics),
-               **{key: getattr(result, key) for key in _MANIFEST_SCALARS},
-               "clients": [{"n": n, "q": q, "P": price, "payment": payment, "interior": flag}
-                           for n, (q, price, payment, flag) in enumerate(rows)]}
+               **{key: getattr(result, key) for key in _MANIFEST_SCALARS}, "clients": []}
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w") as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if len(result.q_star):
+            # The only line that starts with two spaces and "clients" is the top-level key.
+            head, tail = text.split('\n  "clients": []', 1)
+            columns = zip(map(_json_float, result.p_star.tolist()), result.interior.tolist(),
+                          map(_json_float, result.payments.tolist()),
+                          map(_json_float, result.q_star.tolist()))
+            f.write(head + '\n  "clients": [')
+            f.writelines(
+                f'{"," if n else ""}\n    {{\n      "P": {price},\n      "interior": '
+                f'{"true" if flag else "false"},\n      "n": {n},\n      "payment": {payment},'
+                f'\n      "q": {q}\n    }}'
+                for n, (price, flag, payment, q) in enumerate(columns))
+            text = "\n  ]" + tail
+        f.write(text + "\n")
 
 
 def _client_field(path: str, client: dict, key: str):

@@ -22,7 +22,8 @@ beat on the global loss. ``max_flow_value`` is scipy's maximum flow value of
 a capacity matrix.
 ``population_rows`` is the row-by-row population construction the columnar
 ``make_population`` replaced, ``write_population`` the ``configparser``
-writer of the population file, and ``verify_equilibrium`` the per-client
+writer of the population file, ``write_equilibrium_manifest`` the
+``json.dumps`` writer of the manifest, and ``verify_equilibrium`` the per-client
 loop over profile rows that the column version replaced.
 ``price_closed_form`` is the equilibrium price of an interior client
 written directly in the dual value. ``write_idx`` writes an IDX pair, the
@@ -35,6 +36,7 @@ package's public functions.
 from __future__ import annotations
 
 import configparser
+import json
 import math
 import struct
 
@@ -649,6 +651,19 @@ def write_population(path, population, f_locals=None, meta=None):
         cp[f"client {n}"] = section
     with open(path, "w") as f:
         cp.write(f)
+
+
+def write_equilibrium_manifest(path, result, scheme, budget):
+    """The manifest as ``json.dumps`` writes the whole payload."""
+    rows = zip(result.q_star.tolist(), result.p_star.tolist(), result.payments.tolist(),
+               result.interior.tolist())
+    payload = {"scheme": scheme, "budget": budget, "diagnostics": dict(result.diagnostics),
+               "lambda_star": result.lambda_star, "v_threshold": result.v_threshold,
+               "spend": result.spend, "bound_value": result.bound_value,
+               "clients": [{"n": n, "q": q, "P": price, "payment": payment, "interior": flag}
+                           for n, (q, price, payment, flag) in enumerate(rows)]}
+    with open(path, "w") as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- equilibrium checks

@@ -1,11 +1,14 @@
 """The one-thread BLAS context: pinned inside, restored after, inert without OpenBLAS."""
 
+import numpy as np
 import pytest
 import scipy.optimize  # noqa: F401  (loads scipy's OpenBLAS beside numpy's)
 
-from fedpricing import _blas
+from fedpricing import _blas, data
 from fedpricing.data import gen_synthetic
 from fedpricing.fltrain import TrainConfig, train
+
+import oracles
 
 
 def counts(pools):
@@ -67,3 +70,29 @@ def test_train_leaves_the_counts_as_it_found_them(pools_at_two):
     train(ds, TrainConfig(local_steps=2, batch=4, rounds=3,
                           participation=[1.0, 0.5]))
     assert counts(pools_at_two) == [2] * len(pools_at_two)
+
+
+def test_gen_synthetic_builds_every_client_on_one_thread(pools_at_two, monkeypatch):
+    seen = []
+
+    class Numpy:
+        """numpy, noting the thread counts each time a client's softmax takes ``exp``."""
+
+        def __getattr__(self, name):
+            if name == "exp":
+                seen.append(counts(pools_at_two))
+            return getattr(np, name)
+
+    monkeypatch.setattr(data, "np", Numpy())
+    gen_synthetic(n_clients=3, dim=4, n_classes=2, total_samples=30, seed=0)
+    assert seen == [[1] * len(pools_at_two)] * 3
+    assert counts(pools_at_two) == [2] * len(pools_at_two)
+
+
+def test_the_pinned_generator_is_the_two_thread_reference_byte_for_byte(pools_at_two):
+    """At this size the largest client's logits product runs on both threads
+    when BLAS may use them, as the reference's does here."""
+    want = oracles.gen_synthetic(n_clients=100, total_samples=20_000, seed=1)
+    got = gen_synthetic(n_clients=100, total_samples=20_000, seed=1)
+    for name in ("features", "labels", "sizes", "test_rows", "test_labels"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

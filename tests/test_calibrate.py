@@ -169,6 +169,28 @@ def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=package_env())
 
 
+# Generate, train and solve as the benchmark's fleet and market do: no step
+# reads or writes YAML, so none may load PyYAML.
+RUN_WITHOUT_YAML = """
+import sys
+from fedpricing import core, data, experiment, fltrain, formats
+
+ds = data.gen_synthetic(n_clients=3, dim=5, n_classes=3, total_samples=90, seed=0)
+fltrain.train(ds, fltrain.TrainConfig(rounds=2, local_steps=2, batch=8, participation=[0.5] * 3))
+population = core.make_population(ds.datasizes, [1.0] * 3, [5.0] * 3, [0.0] * 3, [1.0] * 3)
+constants = core.GameConstants(alpha=1.0, beta=0.0, rounds=10, local_steps=2)
+for scheme in formats.SCHEMES:
+    experiment.solve_scheme(scheme, population, constants, 1.0)
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "yaml"))
+"""
+
+
+def test_generating_training_and_solving_load_no_yaml():
+    done = subprocess.run([sys.executable, "-c", RUN_WITHOUT_YAML], check=True,
+                          env=package_env(), capture_output=True, text=True)
+    assert done.stdout == "\n"
+
+
 # A whole run_experiment on a tiny config, with the local optima fitted in a
 # forked helper or in process as argv[1] says. The fit prints where it ran and
 # the scipy modules loaded there; the run prints those loaded at its end.

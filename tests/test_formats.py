@@ -1,9 +1,13 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fedpricing.core import GameConstants, make_population
+from fedpricing.core import EquilibriumResult, GameConstants, make_population
 from fedpricing.experiment import SCHEMES, solve_scheme
 from fedpricing.formats import (
     METRICS_HEADER,
@@ -16,6 +20,8 @@ from fedpricing.formats import (
 )
 from fedpricing.fltrain import RoundMetrics
 from fedpricing.game import _result, server_solve
+
+import oracles
 
 
 def sample_profiles():
@@ -96,6 +102,73 @@ def test_a_manifest_written_again_from_what_was_read_has_the_same_bytes(tmp_path
     back, back_scheme, budget = read_equilibrium_manifest(str(first))
     write_equilibrium_manifest(str(second), back, back_scheme, budget)
     assert first.read_bytes() == second.read_bytes()
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+CLIENT_ROW = st.tuples(st.floats(0.0, 1.0), ANY_FLOAT, ANY_FLOAT, st.booleans())
+DIAGNOSTICS = st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | ANY_FLOAT | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(CLIENT_ROW, max_size=6), scalars=st.tuples(*[ANY_FLOAT] * 4),
+       diagnostics=DIAGNOSTICS, scheme=st.sampled_from(SCHEMES) | st.text(), budget=ANY_FLOAT)
+@example(rows=[(0.5, -1.0, -0.5, True)], scalars=(math.nan, math.inf, -math.inf, 0.0),
+         diagnostics={}, scheme="optimal", budget=1.0)                   # one client
+@example(rows=[(1.0, math.nan, math.inf, False), (0.0, -math.inf, -0.0, True)],
+         scalars=(1.0, 2.0, 3.0, 4.0), diagnostics={"clients": [], "a": {"b": [1, {"c": []}]}},
+         scheme="uniform", budget=0.0)                                   # nested diagnostics
+def test_a_manifest_is_the_json_dumps_text_byte_for_byte(rows, scalars, diagnostics, scheme,
+                                                         budget):
+    q, prices, payments, interior = (list(column) for column in zip(*rows)) if rows else [[]] * 4
+    lambda_star, v_threshold, spend, bound_value = scalars
+    result = EquilibriumResult(q_star=q, p_star=prices, payments=payments, interior=interior,
+                               lambda_star=lambda_star, v_threshold=v_threshold, spend=spend,
+                               bound_value=bound_value, diagnostics=diagnostics)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.json"), os.path.join(tmp, "want.json")
+        write_equilibrium_manifest(got, result, scheme, budget)
+        oracles.write_equilibrium_manifest(want, result, scheme, budget)
+        with open(got, "rb") as f1, open(want, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
+def market_shaped_population(n: int = 2000, rounds: int = 200, seed: int = 1):
+    """A population with the benchmark market's regime mix: 40% of clients at
+    v = 0, a quarter capped below q = 1, some negative-price clients and a few
+    pinned at the floor. Returns (population, constants, budget)."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(20, 401, n)
+    grad = rng.uniform(1.0, 10.0, n)
+    cost = 10.0 + rng.exponential(40.0, n)
+    q_max = np.where(rng.random(n) < 0.25, rng.uniform(0.3, 0.9, n), 1.0)
+    a = d / d.sum()
+    k = 1.0 / rounds * a**2 * grad**2
+    target = float(np.median(4.0 * cost * 0.2**3 / k))
+    u, w = rng.random(n), rng.random(n)
+    v = target * np.select([u < 0.40, u < 0.97, u < 0.995],
+                           [0.0 * w, 0.3 * w, 0.34 + 0.6 * w], 1.05 + 0.45 * w)
+    q = np.cbrt(np.maximum(k * (target - v), 0.0) / (4.0 * cost))
+    q = np.clip(np.where(v >= target, 0.01, q), 0.01, q_max)
+    budget = float(np.sum(2.0 * cost * q**2 - k * v / q))
+    constants = GameConstants(alpha=1.0, beta=0.0, rounds=rounds, local_steps=10, q_floor=0.01)
+    return make_population(d, grad, cost, v, q_max), constants, budget
+
+
+def test_schemes_solved_again_on_one_population_write_the_same_manifests(tmp_path):
+    """Nothing a solve leaves on a reused population changes the next solve."""
+    population, constants, budget = market_shaped_population()
+    assert budget > 0.0
+    for attempt in range(3):
+        for scheme in SCHEMES:
+            result = solve_scheme(scheme, population, constants, budget)
+            write_equilibrium_manifest(str(tmp_path / f"{scheme}_{attempt}.json"), result,
+                                       scheme, budget)
+    for scheme in SCHEMES:
+        first = (tmp_path / f"{scheme}_0.json").read_bytes()
+        assert all((tmp_path / f"{scheme}_{k}.json").read_bytes() == first for k in (1, 2))
 
 
 def test_a_result_holds_read_only_arrays():

@@ -7,12 +7,14 @@ values far above the price, and caps below 1. ``make_population`` must
 accept and reject what the row-by-row construction does, with the same
 message, and a population must survive its file format bit for bit. A
 sum's certified sign must decide every comparison as ``math.fsum`` does.
+The inverse-probability update must be unbiased over every participant set.
 The local-optimum fit must meet its gradient tolerance and match scipy's
 objective within what that tolerance allows, and the max-flow that splits
 shards across classes must find scipy's flow value and a feasible split.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import tempfile
@@ -30,7 +32,7 @@ from fedpricing.core import (
     make_population,
 )
 from fedpricing.data import _max_flow, _route_residual
-from fedpricing.fltrain import loss_and_grad
+from fedpricing.fltrain import _aggregate, loss_and_grad
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
     _best_responses,
@@ -383,3 +385,32 @@ def test_the_max_flow_finds_scipys_value_and_a_feasible_split(case):
     assert np.all(split >= 0)
     for n, classes in enumerate(assigned):
         assert not np.any(np.delete(split[n], classes))
+
+
+# The expected update may differ from the full-participation average by this
+# much, relative to the sum of the absolute terms that the update adds up.
+UNBIASED_RTOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6), data=st.data())
+def test_the_update_is_unbiased_over_every_participant_set(levels, data):
+    """Enumerate the 2^N participant sets: the mean of ``_aggregate`` with the
+    training coefficients a_n / q_n, each set weighted by its probability, is
+    w_prev + sum_n a_n (w_n - w_prev)."""
+    n = len(levels)
+    sizes = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w_prev = rng.normal(size=(3, 4))
+    models = w_prev + rng.normal(size=(n, 3, 4)) * rng.uniform(0.1, 10.0, size=(n, 1, 1))
+    a, q = sizes / sizes.sum(), np.array(levels)
+
+    mean = np.zeros_like(w_prev)
+    for chosen in itertools.product((False, True), repeat=n):
+        prob = math.prod(q[k] if c else 1.0 - q[k] for k, c in enumerate(chosen))
+        members = [k for k, c in enumerate(chosen) if c]
+        mean += prob * _aggregate(w_prev, models[members], [a[k] / q[k] for k in members])
+
+    full = w_prev + np.tensordot(a, models - w_prev, axes=1)
+    scale = np.abs(w_prev) + np.tensordot(a / q, np.abs(models - w_prev), axes=1)
+    assert np.all(np.abs(mean - full) <= UNBIASED_RTOL * scale)
