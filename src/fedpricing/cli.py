@@ -13,8 +13,6 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from . import experiment as exp
 from . import data as datamod
 from .core import PopulationError
@@ -184,7 +182,7 @@ def main(argv: list | None = None) -> int:
         args = _read_env_defaults(build_parser().parse_args(argv))
         return args.func(args)
     except (FileNotFoundError, PopulationError, InfeasibleBudgetError, ValueError,
-            BracketError, yaml.YAMLError) as exc:
+            BracketError) as exc:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -339,8 +339,8 @@ class Population(_FieldwiseEq, Sequence):
     function of the game takes a whole population. The columns are checked
     once, as a whole, at construction. For iteration only, a population is
     also a read-only sequence of named-tuple rows ``(index, datasize, weight,
-    grad_bound, cost_coeff, intrinsic_pref, q_max)``, numbered from 0; the
-    rows are built once, on first use.
+    grad_bound, cost_coeff, intrinsic_pref, q_max)``, numbered from 0; each
+    row is built from the columns when it is asked for, and none is stored.
     """
 
     d: np.ndarray        # datasize
@@ -368,20 +368,21 @@ class Population(_FieldwiseEq, Sequence):
         """(d, a, G, c, v, q_max)."""
         return tuple(getattr(self, name) for name in _COLUMNS)
 
-    @cached_property
-    def _rows(self) -> tuple:
-        rows = zip(range(len(self)), map(int, self.d.tolist()),
-                   *(col.tolist() for col in self.columns[1:]))
-        return tuple(map(_Row._make, rows))
-
     def __len__(self) -> int:
         return len(self.d)
 
     def __getitem__(self, n):
-        return self._rows[n]
+        """Row ``n``, or a tuple of rows for a slice, indexed as a tuple of
+        all rows would be."""
+        picked = range(len(self))[n]
+        return tuple(map(self._row, picked)) if isinstance(picked, range) else self._row(picked)
 
     def __iter__(self):
-        return iter(self._rows)
+        fields = (map(float, col) for col in self.columns[1:])
+        return map(_Row._make, zip(range(len(self)), map(int, self.d), *fields))
+
+    def _row(self, n: int) -> _Row:
+        return _Row(n, int(self.d[n]), *(float(col[n]) for col in self.columns[1:]))
 
 
 def make_population(

@@ -201,7 +201,7 @@ def _check_ranges(cfg: dict) -> None:
 def _read_yaml(path: str, unique_keys: bool = False):
     """The YAML document in ``path``, read by ``yaml.SafeLoader`` or, with
     ``unique_keys``, by one that rejects a key set twice; a file that is not
-    UTF-8 text is a ValueError naming it.
+    UTF-8 text or not valid YAML is a ValueError naming it.
 
     PyYAML is imported here and in ``write_dataset``, not at the top: it adds
     1 MB to every process, and training or solving reads no YAML.
@@ -212,7 +212,7 @@ def _read_yaml(path: str, unique_keys: bool = False):
     with open(path) as f:
         try:
             return yaml.load(f, Loader=loader)
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -8,7 +8,6 @@ optional ``[meta]`` section for file-level scalars: the pipeline writes the
 
 from __future__ import annotations
 
-import configparser
 import csv
 import json
 import re
@@ -25,78 +24,233 @@ _CLIENT_SECTION = re.compile(r"^client (\d+)$")
 
 def write_population(path: str, population: Population, f_locals: list | None = None,
                      meta: dict | None = None) -> None:
-    """Write the file as ``configparser`` writes it, byte for byte, without
-    building a parser object per client."""
-    lines = []
-    if meta:
-        lines += ["[meta]", *(f"{k} = {float(v)!r}" for k, v in meta.items()), ""]
-    columns = zip(population.d.tolist(), population.G.tolist(), population.c.tolist(),
-                  population.v.tolist(), population.q_max.tolist())
-    for n, (d, G, c, v, q_max) in enumerate(columns):
-        lines += [f"[client {n}]", f"d = {int(d)}", f"G = {G!r}", f"c = {c!r}", f"v = {v!r}",
-                  f"q_max = {q_max!r}"]
-        if f_locals is not None:
-            lines.append(f"F_local = {float(f_locals[n])!r}")
-        lines.append("")
+    """Write the file as ``configparser`` writes it, byte for byte, one client
+    at a time."""
+    head = "".join(["[meta]\n", *(f"{k} = {float(v)!r}\n" for k, v in meta.items()), "\n"]
+                   if meta else [])
+    n_clients = len(population)
+    f_local_lines = (f"F_local = {float(f_locals[n])!r}\n" if f_locals is not None else ""
+                     for n in range(n_clients))
+    columns = (map(float, column) for column in (population.G, population.c, population.v,
+                                                 population.q_max))
+    clients = zip(range(n_clients), map(int, population.d), *columns, f_local_lines)
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(head)
+        f.writelines(f"[client {n}]\nd = {d}\nG = {G!r}\nc = {c!r}\nv = {v!r}\nq_max = {q_max!r}\n"
+                     f"{f_local}\n" for n, d, G, c, v, q_max, f_local in clients)
 
 
-def _number(path: str, section, key: str) -> float:
-    """The value of ``key`` in a population file section, as a float."""
-    raw = section.get(key)
-    if raw is None:
-        raise ValueError(f"{path}: [{section.name}] has no {key}")
+# The keys of a client section, in the order the reader checks them. The
+# first four are required; a client without q_max has q_max = 1.0.
+_CLIENT_KEYS = ("d", "G", "c", "v", "q_max", "F_local")
+_REQUIRED = _CLIENT_KEYS[:4]
+
+_SECTION = re.compile(r"\[(.+)\]")
+
+
+def _number_or_text(text: str):
+    """``text`` as a float, or ``text`` itself when it is not a number."""
     try:
-        return float(raw)
+        return float(text)
     except ValueError:
-        raise ValueError(f"{path}: [{section.name}] {key}: expected a number, got {raw!r}") from None
+        return text
+
+
+def _problem(key: str, value) -> str | None:
+    """What is wrong with a client's ``value`` of ``key``, if anything."""
+    if isinstance(value, str):
+        return f"{key}: expected a number, got {value!r}"
+    if value is None and key in _REQUIRED:
+        return f"has no {key}"
+    return None
+
+
+class _Sections:
+    """A population file read line by line as ``configparser.ConfigParser``
+    reads it, keys kept as written, but without a section object per client:
+    each client's values go straight into one list per key of
+    ``_CLIENT_KEYS``, in file order, each a float, the text where it is not
+    a number, or None where the section does not set the key.
+
+    What ``configparser`` rejects raises a ``ValueError`` that names the file
+    and then gives ``configparser``'s own message: at once for a line before
+    the first section header and for a section, or a key within one section,
+    set twice; at the end of the file for every line that is neither a
+    header, a ``key = value`` or ``key: value`` option, a comment nor blank.
+    Full-line ``#`` and ``;`` comments, values continued on more indented
+    lines, and a ``[DEFAULT]`` section, whose keys every section has unless
+    it sets them, read as in ``configparser``. Values are taken as written,
+    without interpolation.
+    """
+
+    def __init__(self, path: str, lines):
+        self.path = path
+        self.columns = {key: [] for key in _CLIENT_KEYS}
+        self.indices = []       # each client section's N, in file order
+        self.names = {}         # the client sections not named "client N", by position
+        self.meta = None        # [meta]'s options, when the file has the section
+        self.defaults = {}      # [DEFAULT]'s options
+        self.unexpected = None  # the first other section: (client sections before it, name)
+        self._client = {}       # the options of the client section being read
+        self._read(lines)
+
+    def _fail(self, message: str):
+        raise ValueError(f"{self.path}: {message}")
+
+    def _read(self, lines) -> None:
+        path, seen, bad_lines = self.path, set(), []
+        options = name = key = None     # the section being read, and its last key
+        columns = {}                    # the client columns, in a client section
+        indent_level = blank_lines = 0
+        for lineno, line in enumerate(lines, start=1):
+            value = line.strip()
+            if not value:
+                blank_lines += 1
+                continue
+            first = value[0]
+            if first in "#;":
+                continue
+            if first == line[0]:
+                indent_level = 0
+            else:       # indented deeper than the last option's line, it continues that value
+                indent = len(line) - len(line.lstrip())
+                if key and indent > indent_level:
+                    options[key] += "\n" * (blank_lines + 1) + value
+                    if key in columns:
+                        columns[key][-1] = _number_or_text(options[key])
+                    blank_lines = 0
+                    continue
+                indent_level = indent
+            header = first == "[" and _SECTION.match(value)
+            if header:
+                name, key = header.group(1), None
+                options = self._start(name, seen, lineno)
+                columns = self.columns if options is self._client else {}
+            elif options is None:
+                self._fail(f"File contains no section headers.\nfile: {path!r}, "
+                           f"line: {lineno}\n{line!r}")
+            else:
+                option, delimiter, text = value.partition("=")
+                if not delimiter or ":" in option:
+                    option, delimiter, text = value.partition(":")
+                if not delimiter:
+                    bad_lines.append((lineno, line))
+                    continue
+                key = option.rstrip()
+                if not key:
+                    bad_lines.append((lineno, line))
+                if key in options:
+                    self._fail(f"While reading from {path!r} [line {lineno:2d}]: option {key!r} "
+                               f"in section {name!r} already exists")
+                options[key] = text = text.strip()
+                if key in columns:
+                    columns[key][-1] = _number_or_text(text)
+            blank_lines = 0
+        if bad_lines:
+            self._fail(f"Source contains parsing errors: {path!r}" + "".join(
+                f"\n\t[line {lineno:2d}]: {line!r}" for lineno, line in bad_lines))
+
+    def _start(self, name: str, seen: set, lineno: int) -> dict:
+        """The dict that takes the options of section ``name``, whose header
+        is at ``lineno``; ``seen`` holds the sections read before it. A client
+        section gets a None in every column, for its values to replace."""
+        if name == "DEFAULT":
+            return self.defaults
+        client = _CLIENT_SECTION.match(name)
+        index = int(client.group(1)) if client else None
+        tag = index if client and name == f"client {index}" else name
+        if tag in seen:
+            self._fail(f"While reading from {self.path!r} [line {lineno:2d}]: section {name!r} "
+                       f"already exists")
+        seen.add(tag)
+        if client:
+            if tag == name:
+                self.names[len(self.indices)] = name
+            self.indices.append(index)
+            for column in self.columns.values():
+                column.append(None)
+            self._client.clear()
+            return self._client
+        if name == "meta":
+            self.meta = {}
+            return self.meta
+        if self.unexpected is None:
+            self.unexpected = (len(self.indices), name)
+        return {}
+
+    def meta_values(self) -> dict:
+        """[meta]'s values and then [DEFAULT]'s, as floats; {} without [meta]."""
+        if self.meta is None:
+            return {}
+        texts = dict(self.meta)
+        for key, text in self.defaults.items():
+            texts.setdefault(key, text)
+        values = {key: _number_or_text(text) for key, text in texts.items()}
+        for key, value in values.items():
+            if isinstance(value, str):
+                self._fail(f"[meta] {key}: expected a number, got {value!r}")
+        return values
+
+    def client_columns(self) -> dict:
+        """The client columns in client order, keyed as ``_CLIENT_KEYS``, with
+        [DEFAULT]'s values where a section sets none and q_max 1.0 where
+        neither does. Raises at the first section, in file order, that is not
+        a client or [meta], or that lacks a required key or has a value that
+        is not a number, and if the clients are not numbered 0 to N-1."""
+        columns = self.columns
+        for key, text in self.defaults.items():
+            if key in columns:
+                value = _number_or_text(text)
+                columns[key] = [value if x is None else x for x in columns[key]]
+        first = len(self.indices)
+        for key, column in columns.items():
+            if str in set(map(type, column)) or (key in _REQUIRED and None in column):
+                first = min(first, next(n for n, x in enumerate(column) if _problem(key, x)))
+        if self.unexpected and self.unexpected[0] <= first:
+            self._fail(f"unexpected section [{self.unexpected[1]}]")
+        if first < len(self.indices):
+            name = self.names.get(first, f"client {self.indices[first]}")
+            self._fail(f"[{name}] " + next(filter(None, (
+                _problem(key, columns[key][first]) for key in _CLIENT_KEYS))))
+        clients = list(range(len(self.indices)))
+        if self.indices != clients:
+            order = sorted(clients, key=self.indices.__getitem__)
+            if [self.indices[n] for n in order] != clients:
+                self._fail("client indices must be contiguous from 0")
+            columns = {key: [column[n] for n in order] for key, column in columns.items()}
+        if None in columns["q_max"]:
+            columns["q_max"] = [1.0 if q is None else q for q in columns["q_max"]]
+        return columns
 
 
 def read_population(path: str):
-    """Returns (population, f_locals or None, meta dict)."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+    """Returns (population, f_locals or None, meta dict): f_locals when every
+    client has F_local.
+
+    The file is parsed line by line (``_Sections``), and every error is a
+    ValueError naming the file: ``configparser``'s message for a file it
+    does not read, and the section and key for a missing value or one that
+    is not a number.
+    """
     with open(path) as f:
         try:
-            cp.read_file(f)
-        except (configparser.Error, UnicodeDecodeError) as exc:
+            sections = _Sections(path, f)
+        except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    meta = {k: _number(path, cp["meta"], k) for k in cp["meta"]} if cp.has_section("meta") else {}
-    rows = []
-    for name in cp.sections():
-        m = _CLIENT_SECTION.match(name)
-        if not m:
-            if name != "meta":
-                raise ValueError(f"{path}: unexpected section [{name}]")
-            continue
-        sec = cp[name]
-        rows.append((
-            int(m.group(1)),
-            _number(path, sec, "d"),
-            _number(path, sec, "G"),
-            _number(path, sec, "c"),
-            _number(path, sec, "v"),
-            _number(path, sec, "q_max") if "q_max" in sec else 1.0,
-            _number(path, sec, "F_local") if "F_local" in sec else None,
-        ))
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: client indices must be contiguous from 0")
+    meta = sections.meta_values()
+    columns = sections.client_columns()
     try:
         population = make_population(
-            datasizes=[r[1] for r in rows],
-            grad_bounds=[r[2] for r in rows],
-            cost_coeffs=[r[3] for r in rows],
-            intrinsic_prefs=[r[4] for r in rows],
-            q_maxes=[r[5] for r in rows],
+            datasizes=columns["d"],
+            grad_bounds=columns["G"],
+            cost_coeffs=columns["c"],
+            intrinsic_prefs=columns["v"],
+            q_maxes=columns["q_max"],
         )
     except PopulationError as exc:
         raise PopulationError(f"{path}: {exc}") from None
-    f_locals = [r[6] for r in rows]
-    if any(v is None for v in f_locals):
-        f_locals = None
-    return population, f_locals, meta
+    f_locals = columns["F_local"]
+    return population, None if None in f_locals else f_locals, meta
 
 
 # A manifest's scalars, each the result's field of that name.

@@ -21,8 +21,8 @@ the optimum of all shards pooled, a reference no single-shard optimum can
 beat on the global loss. ``max_flow_value`` is scipy's maximum flow value of
 a capacity matrix.
 ``population_rows`` is the row-by-row population construction the columnar
-``make_population`` replaced, ``write_population`` the ``configparser``
-writer of the population file, ``write_equilibrium_manifest`` the
+``make_population`` replaced, ``write_population`` and ``read_population``
+the ``configparser`` writer and reader of the population file, ``write_equilibrium_manifest`` the
 ``json.dumps`` writer of the manifest, and ``verify_equilibrium`` the per-client
 loop over profile rows that the column version replaced.
 ``price_closed_form`` is the equilibrium price of an interior client
@@ -38,6 +38,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -51,6 +52,7 @@ from fedpricing.core import (
     FederatedDataset,
     GameConstants,
     PopulationError,
+    make_population,
 )
 from fedpricing.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, power_law_sizes
 from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
@@ -651,6 +653,66 @@ def write_population(path, population, f_locals=None, meta=None):
         cp[f"client {n}"] = section
     with open(path, "w") as f:
         cp.write(f)
+
+
+_CLIENT_SECTION = re.compile(r"^client (\d+)$")
+
+
+def _number(path: str, section, key: str) -> float:
+    """The value of ``key`` in a population file section, as a float."""
+    raw = section.get(key)
+    if raw is None:
+        raise ValueError(f"{path}: [{section.name}] has no {key}")
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{path}: [{section.name}] {key}: expected a number, got {raw!r}") from None
+
+
+def read_population(path: str):
+    """Returns (population, f_locals or None, meta dict)."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    with open(path) as f:
+        try:
+            cp.read_file(f)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    meta = {k: _number(path, cp["meta"], k) for k in cp["meta"]} if cp.has_section("meta") else {}
+    rows = []
+    for name in cp.sections():
+        m = _CLIENT_SECTION.match(name)
+        if not m:
+            if name != "meta":
+                raise ValueError(f"{path}: unexpected section [{name}]")
+            continue
+        sec = cp[name]
+        rows.append((
+            int(m.group(1)),
+            _number(path, sec, "d"),
+            _number(path, sec, "G"),
+            _number(path, sec, "c"),
+            _number(path, sec, "v"),
+            _number(path, sec, "q_max") if "q_max" in sec else 1.0,
+            _number(path, sec, "F_local") if "F_local" in sec else None,
+        ))
+    rows.sort()
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: client indices must be contiguous from 0")
+    try:
+        population = make_population(
+            datasizes=[r[1] for r in rows],
+            grad_bounds=[r[2] for r in rows],
+            cost_coeffs=[r[3] for r in rows],
+            intrinsic_prefs=[r[4] for r in rows],
+            q_maxes=[r[5] for r in rows],
+        )
+    except PopulationError as exc:
+        raise PopulationError(f"{path}: {exc}") from None
+    f_locals = [r[6] for r in rows]
+    if any(v is None for v in f_locals):
+        f_locals = None
+    return population, f_locals, meta
 
 
 def write_equilibrium_manifest(path, result, scheme, budget):

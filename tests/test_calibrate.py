@@ -191,6 +191,32 @@ def test_generating_training_and_solving_load_no_yaml():
     assert done.stdout == "\n"
 
 
+# `fedpricing solve` from a population file, without --config, as the CLI
+# runs it: reading the population file loads no configparser, and the CLI's
+# error handler names no PyYAML class, so neither module may load.
+SOLVE_WITHOUT_YAML = """
+import contextlib, io, os, sys, tempfile
+from fedpricing import cli, core, formats
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "population.ini")
+    population = core.make_population([4, 2], [1.0, 2.0], [2.0, 1.0], [0.1, 0.0], [1.0, 1.0])
+    formats.write_population(path, population, meta={"alpha": 1.0, "beta": 0.0, "rounds": 10.0,
+                                                     "local_steps": 2.0, "q_floor": 0.01})
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["solve", "--population", path, "--out", os.path.join(tmp, "solve")])
+    assert code == 0, code
+print(*sorted(name for name in sys.modules
+              if name.partition(".")[0] in ("yaml", "configparser")))
+"""
+
+
+def test_solving_from_a_population_file_loads_neither_yaml_nor_configparser():
+    done = subprocess.run([sys.executable, "-c", SOLVE_WITHOUT_YAML], check=True,
+                          env=package_env(), capture_output=True, text=True)
+    assert done.stdout == "\n"
+
+
 # A whole run_experiment on a tiny config, with the local optima fitted in a
 # forked helper or in process as argv[1] says. The fit prints where it ran and
 # the scipy modules loaded there; the run prints those loaded at its end.

@@ -630,6 +630,8 @@ BAD_POPULATION_FILES = {
                   "[meta] alpha must be a finite number, got inf"),
     "beta-inf": (population_text_with_meta("beta", "inf"),
                  "[meta] beta must be a finite number, got inf"),
+    "percent": (lambda text: text.replace("G = 2.0", "G = 2%"),
+                "[client 1] G: expected a number, got '2%'"),
 }
 
 

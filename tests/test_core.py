@@ -96,17 +96,44 @@ def test_non_integer_datasize_rejected_not_truncated():
     assert make_population([1.0, 3.0], [1, 1], [1, 1], [0, 0], [1, 1])[1].datasize == 3
 
 
-def test_population_columns_are_read_only_and_rows_built_once():
+def test_population_columns_are_read_only_and_rows_built_on_demand():
     d = np.array([3, 1])
     population = make_population(d, [1.0, 2.0], [1, 1], [0, 0], [1, 1])
     d[0] = 7                      # the population keeps its own copy
     assert population.d.tolist() == [3.0, 1.0]
     with pytest.raises(ValueError, match="read-only"):
         population.a[0] = 0.5
-    assert population[0] is population[0]
+    assert population[0] == population[0]
     assert population[1]._asdict() == dict(index=1, datasize=1, weight=0.25, grad_bound=2.0,
                                            cost_coeff=1.0, intrinsic_pref=0.0, q_max=1.0)
     assert [p.index for p in population] == [0, 1] and len(population) == 2
+
+
+def test_rows_are_not_stored_on_the_population():
+    population = make_population([3, 1, 2], [1.0, 2.0, 0.5], [1, 1, 4], [0, 0.5, 0], [1, 0.5, 1])
+    before = dict(vars(population))
+    rows = list(population)
+    assert population[0] == rows[0] and population[-1:] == (rows[-1],)
+    assert vars(population).keys() == before.keys()
+    assert all(vars(population)[name] is value for name, value in before.items())
+
+
+def test_population_indexing_is_the_indexing_of_a_tuple_of_its_rows():
+    population = make_population([3, 1, 2, 5], [1.0, 2.0, 0.5, 3.0], [1, 1, 4, 2], [0, 0.5, 0, 1],
+                                 [1, 0.5, 1, 0.75])
+    rows = tuple(population)
+    assert all(type(row) is type(population[0]) for row in rows)
+    for n in range(-4, 4):
+        assert population[n] == rows[n]
+    assert population[np.int64(2)] == rows[2]
+    for part in (slice(None), slice(1, 3), slice(-3, None), slice(None, None, -1),
+                 slice(3, 0, -2), slice(5, 9), slice(-9, 2)):
+        assert population[part] == rows[part]
+    for n in (4, -5, 100):
+        with pytest.raises(IndexError):
+            population[n]
+        with pytest.raises(IndexError):
+            rows[n]
 
 
 def test_population_checks_its_columns():

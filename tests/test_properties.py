@@ -5,7 +5,8 @@ scalar reference in ``oracles.py`` bit for bit, on single clients and on
 mixed populations: v = 0 next to v > 0, prices of either sign and zero,
 values far above the price, and caps below 1. ``make_population`` must
 accept and reject what the row-by-row construction does, with the same
-message, and a population must survive its file format bit for bit. A
+message, and a population must survive its file format bit for bit; the
+file reader must read a hand-edited file as ``configparser`` does. A
 sum's certified sign must decide every comparison as ``math.fsum`` does.
 The inverse-probability update must be unbiased over every participant set.
 The local-optimum fit must meet its gradient tolerance and match scipy's
@@ -249,6 +250,98 @@ def test_population_file_is_the_configparser_file_byte_for_byte(rows, with_f_loc
         oracles.write_population(want, population, f_locals, meta)
         with open(got, "rb") as f1, open(want, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+# Lines a hand edit of a population file may add: comments, blank lines,
+# [DEFAULT], sections and keys that may be set twice, values that are not
+# numbers, either delimiter with any spacing, continuation lines, and lines
+# without a delimiter. None holds a "%", which configparser interpolates.
+EDIT_LINES = ["# a comment", "; a note", ";d = 1", "# x: 2", "  # an indented comment", "", "   ",
+              " \t", "[DEFAULT]", "[meta]", "[client 0]", "[client 1]", "[client 7]", "[extra]",
+              "[ client 0 ]", "[client 1] trailing", "[]", "d = 5", "d = 2.5", "d =", "G: 2.5",
+              "G=3", "G =   4  ", "G: 1 = 2", "c = 1: 2", "c = two", "c : 1e300", "v = nan",
+              "v = -1", "q_max = 0.5", "q_max = 2", "F_local = 1", "F_local: x", "alpha = 1.0",
+              "rounds: 3", "x = 1", "junk", "= 3", "   continued", "  7", "\t8.5",
+              "\u3000x = 2\u3000", "v\xa0=\xa01"]
+WHITESPACE = [" ", "  ", "\t", "\x0c", "\u3000", "\xa0"]
+# One hand edit: (what, where, a line to insert, whitespace to add).
+HAND_EDIT = st.tuples(st.sampled_from(["insert", "copy", "delimiter", "indent", "delete", "pad"]),
+                      st.integers(0, 10**6), st.sampled_from(EDIT_LINES),
+                      st.sampled_from(WHITESPACE))
+
+
+def edit_lines(lines: list, edit) -> None:
+    """Apply one ``HAND_EDIT`` to a file's lines, in place."""
+    what, where, new_line, space = edit
+    n = where % (len(lines) + 1)
+    if what == "insert":
+        lines.insert(n, new_line)
+    elif what == "copy":
+        lines.insert(n, lines[where % len(lines)])
+    elif n == len(lines):
+        return
+    elif what == "delimiter":
+        lines[n] = lines[n].replace(" = ", {" ": ": ", "  ": ":", "\t": " :\t"}.get(space, "="), 1)
+    elif what == "indent":
+        lines[n] = space + lines[n]
+    elif what == "delete":
+        del lines[n]
+    else:
+        lines[n] += space
+
+
+def read_outcome(reader, path: str):
+    """What ``reader`` makes of the file: the bits of its columns, f_locals
+    and meta values, or the type and text of the error it raises."""
+    try:
+        population, f_locals, meta = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([bits(column).tolist() for column in population.columns],
+            None if f_locals is None else bits(f_locals).tolist(),
+            list(meta), bits(list(meta.values())).tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=20), with_f_locals=st.booleans(),
+       with_meta=st.booleans(), edits=st.lists(HAND_EDIT, max_size=6))
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)] * 2, with_f_locals=False, with_meta=True,
+         edits=[("insert", 0, "[DEFAULT]", " "), ("insert", 1, "q_max = 0.5", " "),
+                ("delete", 9, "", " "), ("insert", 20, "  continued", " ")])
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=True, with_meta=False,
+         edits=[("insert", 2, "", " "), ("insert", 3, "   continued", " ")])
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=False, with_meta=False,
+         edits=[("insert", 3, "G: 1 = 2", " ")])                         # the first delimiter
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=False, with_meta=True,
+         edits=[("insert", 0, "[DEFAULT]", " "), ("insert", 1, "alpha = 1.0", " "),
+                ("insert", 2, "beta = 0.5", " ")])                       # [meta] over [DEFAULT]
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)] * 2, with_f_locals=False, with_meta=False,
+         edits=[("insert", 15, "[extra]", " ")])                         # an unknown section
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)] * 2, with_f_locals=False, with_meta=False,
+         edits=[("insert", 15, "[extra]", " "), ("delete", 1, "", " ")])  # a client before it
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=False, with_meta=False,
+         edits=[("insert", 3, "junk", " "), ("insert", 5, "= 3", " ")])  # lines it cannot parse
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=False, with_meta=False,
+         edits=[("delete", 1, "", " "), ("insert", 1, "d = 2.5", " ")])  # a bad population
+@example(rows=[(3, 1.0, 2.0, 0.0, 1.0)], with_f_locals=False, with_meta=False,
+         edits=[("insert", 0, "[DEFAULT]", " "), ("insert", 1, "d = 5", " "),
+                ("insert", 2, "G: 2.5", " "), ("insert", 3, "c : 1e300", " "),
+                ("insert", 4, "v = -1", " "), ("insert", 10**6, "[client 7]", " ")])  # a gap
+def test_the_population_reader_reads_a_hand_edited_file_as_configparser_does(
+        rows, with_f_locals, with_meta, edits):
+    population = build(rows)
+    f_locals = [float(n) / 3.0 for n in range(len(rows))] if with_f_locals else None
+    meta = {"alpha": 1.5, "rounds": 10.0} if with_meta else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "population.ini")
+        write_population(path, population, f_locals, meta)
+        with open(path) as f:
+            lines = f.read().split("\n")
+        for edit in edits:
+            edit_lines(lines, edit)
+        with open(path, "w") as f:
+            f.write("\n".join(lines))
+        assert read_outcome(read_population, path) == read_outcome(oracles.read_population, path)
 
 
 @settings(max_examples=200, deadline=None)
