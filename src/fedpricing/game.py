@@ -208,6 +208,37 @@ def _within(total: _Total, target: float, tol: float) -> bool:
     return total.test(lambda s: s - target <= tol)
 
 
+def _bracket_and_bisect(spend, budget, lo, start, steps, *, rising, width=0.0, tol=None):
+    """Where ``spend(x)``, a total monotone in x, crosses the budget, and the
+    bisection steps taken; the last trial and None if no trial brackets it.
+
+    ``lo`` lies below the crossing, where the spend is below the budget if
+    ``rising`` and above it if not. The bracket doubles from ``start`` to
+    the first of ``_OPTS.max_iter`` trials past the crossing; bisection halves
+    it, for at most ``steps`` steps, while it is wider than ``width`` times its
+    high end, and returns its midpoint, or the first midpoint whose spend is
+    within ``tol`` of the budget. Every decision is ``_Total.test``'s.
+    """
+    below = (lambda s: s < budget) if rising else (lambda s: s > budget)
+    past = (lambda s: s >= budget) if rising else (lambda s: s <= budget)
+    hi = start
+    for _ in range(_OPTS.max_iter):
+        hi *= 2.0
+        if spend(hi).test(past):
+            break
+    else:
+        return hi, None
+    taken = 0
+    while taken < steps and hi - lo > width * hi:
+        mid = 0.5 * (lo + hi)
+        total = spend(mid)
+        if tol is not None and _within(total, budget, tol):
+            return mid, taken
+        lo, hi = (mid, hi) if total.test(below) else (lo, mid)
+        taken += 1
+    return 0.5 * (lo + hi), taken
+
+
 # ---------------------------------------------------------------- stage I
 
 
@@ -338,27 +369,12 @@ def server_solve(population: Population, constants: GameConstants, budget: float
         diagnostics = {"caps_binding": True, "iterations": 0,
                        "budget_residual": max(0.0, cap_spend - budget)}
     else:
-        lam_lo = lam_cap                       # spend(lam_lo) = cap_spend > budget
-        lam_hi = lam_cap
-        for _ in range(_OPTS.max_iter):
-            lam_hi *= 2.0
-            if spend_at(lam_hi).test(lambda s: s <= budget):
-                break
-        else:
-            raise BracketError(
-                f"could not bracket the budget dual: spend({lam_hi}) = "
-                f"{spend_at(lam_hi).exact()} > {budget}"
-            )
-
-        iterations = 0
-        while (lam_hi - lam_lo) > _OPTS.lambda_tol * lam_hi and iterations < _OPTS.max_iter:
-            mid = 0.5 * (lam_lo + lam_hi)
-            if spend_at(mid).test(lambda s: s > budget):
-                lam_lo = mid
-            else:
-                lam_hi = mid
-            iterations += 1
-        lam = 0.5 * (lam_lo + lam_hi)
+        # spend(lam_cap) = cap_spend > budget: lam_cap is below the root.
+        lam, iterations = _bracket_and_bisect(spend_at, budget, lam_cap, lam_cap, _OPTS.max_iter,
+                                              rising=False, width=_OPTS.lambda_tol)
+        if iterations is None:
+            raise BracketError(f"could not bracket the budget dual: spend({lam}) = "
+                               f"{spend_at(lam).exact()} > {budget}")
         q = _kkt_levels(lam, cl)
         diagnostics = {"caps_binding": False, "iterations": iterations,
                        "budget_residual": abs(_spend(q, cl) - budget)}
@@ -371,42 +387,6 @@ def server_solve(population: Population, constants: GameConstants, budget: float
 # ---------------------------------------------------------------- baselines
 
 
-def _bisect_budget_scale(unit_prices: np.ndarray, cl: _Clients, budget: float) -> float:
-    """A nonnegative scale s, bisected so the best responses to the prices
-    s * unit_prices exhaust the budget."""
-    if budget < 0.0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-
-    def spend(scale: float) -> _Total:
-        prices = scale * unit_prices
-        return _Total(prices * _best_responses(prices, cl))
-
-    tol = _OPTS.budget_tol * max(1.0, budget)
-    if budget == 0.0 or spend(0.0).test(lambda s: s >= budget - tol):
-        return 0.0
-    hi = 1.0
-    for _ in range(_OPTS.max_iter):
-        if spend(hi).test(lambda s: s >= budget):
-            break
-        hi *= 2.0
-    else:
-        raise BracketError(
-            f"baseline pricing cannot exhaust budget {budget}: spend({hi}) = {spend(hi).exact()}"
-        )
-    lo = 0.0
-    for _ in range(4 * _OPTS.max_iter):
-        mid = 0.5 * (lo + hi)
-        s = spend(mid)
-        if _within(s, budget, tol):
-            lo = hi = mid
-            break
-        if s.test(lambda x: x < budget):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _scaled_baseline(
     unit_prices: np.ndarray, population: Population, constants: GameConstants, budget: float
 ) -> EquilibriumResult:
@@ -416,7 +396,22 @@ def _scaled_baseline(
     threshold are NaN, and the diagnostics name the solver.
     """
     cl = _Clients.read(population, constants)
-    prices = _bisect_budget_scale(unit_prices, cl, budget) * unit_prices
+    if budget < 0.0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+    def spend(scale: float) -> _Total:
+        prices = scale * unit_prices
+        return _Total(prices * _best_responses(prices, cl))
+
+    tol = _OPTS.budget_tol * max(1.0, budget)
+    scale = 0.0
+    if budget != 0.0 and not spend(0.0).test(lambda s: s >= budget - tol):
+        scale, steps = _bracket_and_bisect(spend, budget, 0.0, 0.5, 4 * _OPTS.max_iter,
+                                           rising=True, tol=tol)
+        if steps is None:
+            raise BracketError(f"baseline pricing cannot exhaust budget {budget}: "
+                               f"spend({2.0 * scale}) = {spend(2.0 * scale).exact()}")
+    prices = scale * unit_prices
     return _result(prices, _best_responses(prices, cl), population, constants,
                    lambda_star=math.nan, v_threshold=math.nan,
                    interior=np.zeros(len(population), dtype=bool),

@@ -9,9 +9,13 @@ always. ``inverse_price_of`` and ``penalty_of`` are the inverse price and
 the bound's participation penalty, one client at a time.
 ``server_solve_m_search`` is an independent Stage-I solver: a grid search
 over the total cost mass M = sum c_n q_n^2 with a convex subproblem at each
-grid point. ``client_utility`` is a client's profit with the bound's other
-summands held fixed. ``train`` is the per-participant training loop the
-stacked kernel in ``fedpricing.fltrain`` replaced, kept as written: one
+grid point. ``server_solve_reference`` and ``scaled_baseline_reference``
+are the bracket-and-bisect loops of ``server_solve`` and of the baselines
+as each was first written, on the public Stage-II and KKT functions, with
+every decision taken on the ``math.fsum`` total. ``client_utility`` is a
+client's profit with the bound's other summands held fixed. ``train`` is
+the per-participant training loop the stacked kernel in
+``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
 summed shard by shard. ``sgd_step`` is the stacked step as it was first
 written, before its arrays were reused across steps.
@@ -46,7 +50,7 @@ from scipy.optimize import brentq, minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from fedpricing.bound import convergence_gap_bound, participation_penalty
+from fedpricing.bound import convergence_gap_bound, participation_penalty, power
 from fedpricing.core import (
     EquilibriumResult,
     FederatedDataset,
@@ -62,9 +66,11 @@ from fedpricing.game import (
     InfeasibleBudgetError,
     SolverOptions,
     inverse_price,
+    kkt_participation,
     payment_threshold,
     total_spend,
 )
+from fedpricing.game import client_best_response as best_responses
 
 _INTERIOR_EPS = 1e-9
 _OPTS = SolverOptions()
@@ -400,6 +406,87 @@ def server_solve_m_search(
         {"solver": "m_search", "best_m": best_m,
          "budget_residual": abs(total_spend(best_q, profiles, constants) - budget)},
     )
+
+
+def server_solve_reference(population, constants: GameConstants, budget: float) -> tuple:
+    """``server_solve``'s dual bracket and bisection: (lambda_star,
+    v_threshold, q_star, p_star, spend, iterations)."""
+    _check_floor(population, constants)
+    min_budget = total_spend([constants.q_floor] * len(population), population, constants)
+    tol = _OPTS.budget_tol * max(1.0, abs(budget))
+    if budget < min_budget - tol:
+        raise InfeasibleBudgetError(budget, min_budget)
+    caps = population.q_max
+    cap_spend = total_spend(caps, population, constants)
+    a, G = population.a, population.G
+    lam_cap = 1.0 / float(np.max(4.0 * constants.rounds * population.c * power(caps, 3)
+                                 / (constants.alpha * (a * a) * (G * G)) + population.v))
+
+    def spend_at(lam: float) -> float:
+        return total_spend(kkt_participation(lam, population, constants), population, constants)
+
+    if cap_spend <= budget + tol:
+        lam, q, iterations = lam_cap, caps, 0
+    else:
+        lam_lo = lam_hi = lam_cap
+        for _ in range(_OPTS.max_iter):
+            lam_hi *= 2.0
+            if spend_at(lam_hi) <= budget:
+                break
+        else:
+            raise BracketError(f"could not bracket the budget dual: spend({lam_hi}) = "
+                               f"{spend_at(lam_hi)} > {budget}")
+        iterations = 0
+        while lam_hi - lam_lo > _OPTS.lambda_tol * lam_hi and iterations < _OPTS.max_iter:
+            mid = 0.5 * (lam_lo + lam_hi)
+            if spend_at(mid) > budget:
+                lam_lo = mid
+            else:
+                lam_hi = mid
+            iterations += 1
+        lam = 0.5 * (lam_lo + lam_hi)
+        q = kkt_participation(lam, population, constants)
+    prices = inverse_price(q, population, constants)
+    return lam, payment_threshold(lam), q, prices, math.fsum(prices * q), iterations
+
+
+def scaled_baseline_reference(unit_prices, population, constants: GameConstants,
+                              budget: float) -> tuple:
+    """A baseline's price scale, doubled from 1 and bisected until the spend
+    is within the budget tolerance: (p_star, q_star)."""
+    if budget < 0.0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+    def spend(scale: float) -> float:
+        prices = scale * unit_prices
+        return math.fsum(prices * best_responses(prices, population, constants))
+
+    tol = _OPTS.budget_tol * max(1.0, budget)
+    if budget == 0.0 or spend(0.0) >= budget - tol:
+        scale = 0.0
+    else:
+        hi = 1.0
+        for _ in range(_OPTS.max_iter):
+            if spend(hi) >= budget:
+                break
+            hi *= 2.0
+        else:
+            raise BracketError(
+                f"baseline pricing cannot exhaust budget {budget}: spend({hi}) = {spend(hi)}")
+        lo = 0.0
+        for _ in range(4 * _OPTS.max_iter):
+            mid = 0.5 * (lo + hi)
+            s = spend(mid)
+            if abs(s - budget) <= tol:
+                lo = hi = mid
+                break
+            if s < budget:
+                lo = mid
+            else:
+                hi = mid
+        scale = 0.5 * (lo + hi)
+    prices = scale * unit_prices
+    return prices, best_responses(prices, population, constants)
 
 
 # ---------------------------------------------------------------- training loop

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpricing import experiment as exp
+from fedpricing import game
 from fedpricing.cli import main
 from fedpricing.core import GameConstants, make_population
 from fedpricing.formats import read_population, write_population
@@ -388,6 +389,34 @@ def test_a_bracket_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "solve").exists()
 
 
+# Doubled from 1 for 200 trials, the price scale's last trial, 2^199, still
+# spends far less than the budget on the small population; the line names the
+# next doubling, 2^200, and the spend there.
+@pytest.mark.parametrize("scheme,spend", [("uniform", "3.2138760885179806e+60"),
+                                          ("weighted", "9.641628265553942e+60")])
+def test_a_budget_no_baseline_price_can_exhaust_is_one_error_line(tmp_path, capsys, scheme,
+                                                                  spend):
+    code, _, stderr = run_cli(["solve", "--scheme", scheme, "--budget", "1e300",
+                               "--population", small_population_file(tmp_path),
+                               "--out", str(tmp_path / "solve")], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == ("error: baseline pricing cannot exhaust budget 1e+300: "
+                                      f"spend(1.6069380442589903e+60) = {spend}")
+    assert not (tmp_path / "solve").exists()
+
+
+def test_a_dual_the_doubling_cannot_bracket_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """Two doublings of the cap dual, 0.00555..., leave the spend above the budget."""
+    monkeypatch.setattr(game, "_OPTS", game.SolverOptions(max_iter=2))
+    code, _, stderr = run_cli(["solve", "--scheme", "optimal", "--budget", "1",
+                               "--population", small_population_file(tmp_path),
+                               "--out", str(tmp_path / "solve")], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == ("error: could not bracket the budget dual: "
+                                      "spend(0.02220988339811216) = 2.8389653871879985 > 1.0")
+    assert not (tmp_path / "solve").exists()
+
+
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),
                                             ("datasize", "client 1 has d = ")])
 def test_train_rejects_a_population_that_does_not_match_the_dataset(tmp_path, capsys,
@@ -610,6 +639,12 @@ def population_text_with_meta(key: str, value: str):
     return lambda text: re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text, count=1)
 
 
+def population_text_with_client_value(client: int, key: str, value: str):
+    """An edit of a population file's text that sets ``[client n]`` ``key`` to ``value``."""
+    return lambda text: re.sub(rf"(?m)^(\[client {client}\]\n(?:[^\[\n].*\n)*?){key} = .*$",
+                               rf"\g<1>{key} = {value}", text, count=1)
+
+
 # Population files the INI parser or the game constants reject, each with
 # what its error line says after the file's name.
 BAD_POPULATION_FILES = {
@@ -630,7 +665,7 @@ BAD_POPULATION_FILES = {
                   "[meta] alpha must be a finite number, got inf"),
     "beta-inf": (population_text_with_meta("beta", "inf"),
                  "[meta] beta must be a finite number, got inf"),
-    "percent": (lambda text: text.replace("G = 2.0", "G = 2%"),
+    "percent": (population_text_with_client_value(1, "G", "2%"),
                 "[client 1] G: expected a number, got '2%'"),
 }
 
@@ -731,5 +766,7 @@ def test_a_bad_population_file_in_a_run_directory_is_one_error_line_or_none(fast
                                                                             edit):
     run_dir = shutil.copytree(fast_run, tmp_path / "run")
     path = run_dir / "population.ini"
-    path.write_text(edit(path.read_text()))
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
     check_subcommands_on(run_dir, tmp_path / "out", path)

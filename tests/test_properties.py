@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedpricing.bound import convergence_gap_bound
 from fedpricing.calibrate import LOCAL_OPTIMUM_TOL, _minimize_logistic
 from fedpricing.core import (
     FederatedDataset,
@@ -36,6 +37,7 @@ from fedpricing.data import _max_flow, _route_residual
 from fedpricing.fltrain import _aggregate, loss_and_grad
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
+    SolverOptions,
     _best_responses,
     _Clients,
     _Total,
@@ -507,3 +509,98 @@ def test_the_update_is_unbiased_over_every_participant_set(levels, data):
     full = w_prev + np.tensordot(a, models - w_prev, axes=1)
     scale = np.abs(w_prev) + np.tensordot(a / q, np.abs(models - w_prev), axes=1)
     assert np.all(np.abs(mean - full) <= UNBIASED_RTOL * scale)
+
+
+# ---------------------------------------------------------------- Stage I's budget crossing
+
+
+def outcome(solve, *args):
+    """solve(*args), or the type and text of what it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want) -> None:
+    """The same values bit for bit, or the same error with the same text. The
+    public functions check their arguments, a dual that is 0 or NaN say, where
+    the solver's kernels do not: a plain ValueError on one side may meet any
+    error on the other."""
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert isinstance(want[0], type) and isinstance(got[0], type), (got, want)
+        if ValueError not in (got[0], want[0]):
+            assert got == want
+        return
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(bits(g), bits(w))
+
+
+# Budgets from the floor spend to past the cap spend; the baselines also get 0.
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=8), constants=CONSTANTS,
+       floor_share=st.floats(1e-3, 0.9),
+       share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.5)))
+@example(rows=[(4, 1.0, 2.0, 0.1, 1.0), (2, 2.0, 1.0, 0.0, 1.0)], constants=UNIT,
+         floor_share=0.01, share=0.5)
+def test_the_solvers_are_their_first_bisection_loops_bit_for_bit(rows, constants, floor_share,
+                                                                 share):
+    """``server_solve`` and the baselines bracket and bisect in one routine;
+    the loops each was first written with, in ``oracles.py``, decide every
+    step on the ``math.fsum`` total. Extreme scales overflow, so numpy's
+    floating-point warnings are off, as outside the test suite's settings."""
+    population = build(rows)
+    n = len(population)
+    constants = dataclasses.replace(constants,
+                                    q_floor=floor_share * float(np.min(population.q_max)))
+    with np.errstate(all="ignore"):
+        floor = outcome(total_spend, np.full(n, constants.q_floor), population, constants)
+        caps = outcome(total_spend, population.q_max, population, constants)
+        if isinstance(floor, tuple) or isinstance(caps, tuple):
+            return
+        budget = floor + share * (caps - floor)
+
+        got = outcome(server_solve, population, constants, budget)
+        if not isinstance(got, tuple):
+            got = (got.lambda_star, got.v_threshold, got.q_star, got.p_star, got.spend,
+                   got.diagnostics["iterations"])
+        assert_same_outcome(got, outcome(oracles.server_solve_reference,
+                                         population, constants, budget))
+
+        for solve, unit in ((baseline_uniform, np.ones(n)), (baseline_weighted, population.d)):
+            for b in (budget, 0.0):
+                got = outcome(solve, population, constants, b)
+                if not isinstance(got, tuple):
+                    got = (got.p_star, got.q_star)
+                assert_same_outcome(got, outcome(oracles.scaled_baseline_reference,
+                                                 unit, population, constants, b))
+
+
+# The solver's dual is the midpoint of a last bracket no wider than lambda_tol
+# times its high end, and two budgets may bracket on different doubling grids.
+# So the dual at the larger budget may lie above the smaller budget's by up to
+# about 1.5 lambda_tol, relative: the test allows 2 lambda_tol, and compares
+# the bound and the levels with their values at the smaller budget's dual
+# raised by as much.
+LAMBDA_RTOL = 2.0 * SolverOptions().lambda_tol
+SHARE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, shares=st.tuples(SHARE, SHARE))
+def test_a_larger_budget_lowers_the_bound_and_the_dual_and_raises_interior_levels(
+        rows, constants, shares):
+    population = build(rows)
+    n = len(population)
+    if constants.q_floor >= float(np.min(population.q_max)):
+        return
+    floor = total_spend(np.full(n, constants.q_floor), population, constants)
+    caps = total_spend(population.q_max, population, constants)
+    small, large = (server_solve(population, constants, floor + s * (caps - floor))
+                    for s in sorted(shares))
+    lam = small.lambda_star * (1.0 + LAMBDA_RTOL)
+    q = kkt_participation(lam, population, constants)
+    assert large.lambda_star <= lam
+    assert large.bound_value <= convergence_gap_bound(q, population, constants)
+    both = np.flatnonzero(small.interior & large.interior)
+    assert np.all(large.q_star[both] >= q[both])
