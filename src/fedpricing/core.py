@@ -268,11 +268,11 @@ class FederatedDataset(_FieldwiseEq):
             if np.shape(x) != (len(y), dim):
                 raise ValueError(f"client {n}: features of shape {np.shape(x)} for {len(y)} "
                                  f"labels, expected ({len(y)}, {dim})")
-        return cls(features=_with_bias([x for x, _ in shards], dim),
-                   labels=_int_labels([y for _, y in shards]),
-                   sizes=np.array([len(y) for _, y in shards], dtype=np.int64),
-                   test_rows=_with_bias([test_features], dim),
-                   test_labels=_int_labels([test_labels]), n_classes=n_classes)
+        pooled = _Pooled(sum(len(y) for _, y in shards), dim)
+        for x, y in shards:
+            pooled.add(x, y)
+        return cls(*pooled.done(), np.array([len(y) for _, y in shards], dtype=np.int64),
+                   *_Pooled.block(test_features, test_labels, dim), n_classes)
 
     @property
     def dim(self) -> int:
@@ -314,20 +314,38 @@ class FederatedDataset(_FieldwiseEq):
         return self.test_rows[:, :-1]
 
 
-def _with_bias(blocks: list, dim: int) -> np.ndarray:
-    """The rows of the (rows, dim) blocks one after another, each followed by a 1.0."""
-    rows = np.empty((sum(len(block) for block in blocks), dim + 1))
-    start = 0
-    for block in blocks:
-        rows[start:start + len(block), :-1] = block
-        start += len(block)
-    rows[:, -1] = 1.0
-    return rows
+class _Pooled:
+    """Rows in a dataset's pooled layout, copied in block by block, in order.
 
+    It allocates the float64 ``features`` of shape (rows, dim + 1) and the
+    int64 ``labels`` once; ``done`` sets the bias column of ones and returns
+    both. Labels that are not integers raise ``TypeError``.
+    """
 
-def _int_labels(blocks: list) -> np.ndarray:
-    """The label blocks one after another as int64; labels that are not integers raise."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *blocks], dtype=np.int64)
+    def __init__(self, rows: int, dim: int):
+        self.features = np.empty((rows, dim + 1))
+        self.labels = np.empty(rows, dtype=np.int64)
+        self.end = 0
+
+    def add(self, x, y) -> None:
+        """Copy the next ``len(y)`` rows: features ``x``, labels ``y``."""
+        rows = slice(self.end, self.end + len(y))
+        self.features[rows, :-1] = x
+        np.copyto(self.labels[rows], y, casting="same_kind")
+        self.end = rows.stop
+
+    def done(self) -> tuple:
+        self.features[:, -1] = 1.0
+        return self.features, self.labels
+
+    @classmethod
+    def block(cls, x, y, dim: int, what: str = "test") -> tuple:
+        """The (features, labels) of one block of rows, such as a test set."""
+        if len(x) != len(y):
+            raise ValueError(f"{what} features/labels length mismatch")
+        pooled = cls(len(y), dim)
+        pooled.add(x, y)
+        return pooled.done()
 
 
 @dataclass(frozen=True, eq=False)

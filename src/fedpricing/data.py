@@ -8,13 +8,14 @@ fixed seed.
 from __future__ import annotations
 
 import collections
+import math
 import os
 import struct
 
 import numpy as np
 
 from . import _blas
-from .core import FederatedDataset, _int_labels, _with_bias
+from .core import FederatedDataset, _Pooled
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -42,7 +43,7 @@ def power_law_sizes(
     sizes[order[:remainder]] += 1
     sizes += 1
     perm = rng.permutation(n_clients)
-    return [int(sizes[perm[i]]) for i in range(n_clients)]
+    return sizes[perm].tolist()
 
 
 def gen_synthetic(
@@ -88,11 +89,7 @@ def gen_synthetic(
     shared_mean = rng.normal(0.0, 1.0, size=dim) if beta == 0 else None
 
     n_tests = [max(1, int(round(0.1 * size))) for size in sizes]
-    features = np.empty((total_samples, dim + 1))
-    labels = np.empty(total_samples, dtype=np.int64)
-    test_rows = np.empty((sum(n_tests), dim + 1))
-    test_labels = np.empty(len(test_rows), dtype=np.int64)
-    start = test_start = 0
+    train, test = _Pooled(total_samples, dim), _Pooled(sum(n_tests), dim)
     with _blas.one_thread():
         for size, n_test in zip(sizes, n_tests):
             if alpha > 0:
@@ -116,46 +113,46 @@ def gen_synthetic(
             probs /= probs.sum(axis=1, keepdims=True)
             cdf = np.cumsum(probs, axis=1)
             y = (rng.random((count, 1)) < cdf).argmax(axis=1)
-            features[start:start + size, :-1] = x[:size]
-            labels[start:start + size] = y[:size]
-            test_rows[test_start:test_start + n_test, :-1] = x[size:]
-            test_labels[test_start:test_start + n_test] = y[size:]
-            start += size
-            test_start += n_test
-    features[:, -1] = 1.0
-    test_rows[:, -1] = 1.0
-    return FederatedDataset(features=features, labels=labels,
-                            sizes=np.array(sizes, dtype=np.int64), test_rows=test_rows,
-                            test_labels=test_labels, n_classes=n_classes)
+            train.add(x[:size], y[:size])
+            test.add(x[size:], y[size:])
+    return FederatedDataset(*train.done(), np.array(sizes, dtype=np.int64), *test.done(),
+                            n_classes)
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise IdxFormatError(f"truncated IDX file: expected {count} bytes for {what}, got {len(buf)}")
-    return buf
+def _read_exact(f, count: int, what: str, file_size: int, error=ValueError) -> bytes:
+    """The next ``count`` bytes of ``f``, a file of ``file_size`` bytes. A file
+    too short to hold them raises ``error`` before anything is read."""
+    left = file_size - f.tell()
+    if left < count:
+        raise error(f"truncated {what}: expected {count} bytes, got {left}")
+    return f.read(count)
+
+
+def _read_idx(path: str, magic: int, kind: str, dims: int) -> np.ndarray:
+    """The uint8 payload of the IDX file at ``path``, one row per item."""
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        header = _read_exact(f, 4 * (1 + dims), f"{kind} header in {path}", file_size,
+                             IdxFormatError)
+        found, *shape = struct.unpack(f">{1 + dims}I", header)
+        if found != magic:
+            raise IdxFormatError(f"bad {kind} magic 0x{found:08x} in {path}")
+        raw = _read_exact(f, math.prod(shape), f"{kind} data in {path}", file_size,
+                          IdxFormatError)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(shape[0], math.prod(shape[1:]))
 
 
 def load_idx(images_path: str, labels_path: str):
     """Parse a big-endian IDX image/label pair; pixels scaled to [0, 1].
 
     Returns (samples: float64 array of shape (count, rows*cols), labels:
-    int64 array). Image and label counts must match.
+    int64 array). Image and label counts must match. Each file's length is
+    checked against its header before its payload is read.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"bad image magic 0x{magic:08x} in {images_path}")
-        raw = _read_exact(f, count * rows * cols, "pixel data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"bad label magic 0x{magic:08x} in {labels_path}")
-        raw = _read_exact(f, label_count, "label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if count != label_count:
-        raise IdxFormatError(f"count mismatch: {count} images but {label_count} labels")
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)[:, 0].astype(np.int64)
+    if len(images) != len(labels):
+        raise IdxFormatError(f"count mismatch: {len(images)} images but {len(labels)} labels")
     return images.astype(np.float64) / 255.0, labels
 
 
@@ -171,10 +168,8 @@ def subsample(samples: np.ndarray, labels: np.ndarray, n: int, seed: int = 0):
 def filter_labels(samples: np.ndarray, labels: np.ndarray, keep: list):
     """Keep only samples whose label is in ``keep``, remapping labels to 0..k-1."""
     keep = sorted(set(keep))
-    remap = {lbl: i for i, lbl in enumerate(keep)}
     mask = np.isin(labels, keep)
-    new_labels = np.array([remap[int(l)] for l in labels[mask]], dtype=np.int64)
-    return samples[mask], new_labels
+    return samples[mask], np.searchsorted(keep, labels[mask])
 
 
 def _max_flow(capacity: np.ndarray, src: int, sink: int) -> np.ndarray:
@@ -218,24 +213,20 @@ def _route_residual(
     class when the pools cannot cover the shard sizes.
     """
     total_need = int(residual_need.sum())
-    demand = np.zeros((n_clients, n_classes), dtype=np.int64)
     if total_need == 0:
-        return demand
+        return np.zeros((n_clients, n_classes), dtype=np.int64)
 
     src = 0
     sink = 1 + n_clients + n_classes
     capacity = np.zeros((sink + 1, sink + 1), dtype=np.int64)
-    for n in range(n_clients):
-        capacity[src, 1 + n] = residual_need[n]
-        for c in assigned[n]:
-            capacity[1 + n, 1 + n_clients + c] = residual_need[n]
+    capacity[src, 1:1 + n_clients] = residual_need
+    for n, classes in enumerate(assigned):
+        capacity[1 + n, [1 + n_clients + c for c in classes]] = residual_need[n]
     capacity[1 + n_clients:sink, sink] = residual_supply
     flow = _max_flow(capacity, src, sink)
     if flow[src].sum() < total_need:
         # Name the tightest saturated class pool touched by an unmet client.
-        sent = flow[src, 1:1 + n_clients]
-        unmet = [n for n in range(n_clients) if sent[n] < residual_need[n]]
-        for n in unmet:
+        for n in np.flatnonzero(flow[src, 1:1 + n_clients] < residual_need).tolist():
             for c in assigned[n]:
                 if flow[1 + n_clients + c, sink] >= residual_supply[c]:
                     need = int(residual_need[n]) + len(assigned[n])
@@ -245,10 +236,7 @@ def _route_residual(
                         f"(client shard of {need} cannot be filled)"
                     )
         raise ValueError("partition infeasible: class pools cannot cover shard sizes")
-    for n in range(n_clients):
-        for c in assigned[n]:
-            demand[n, c] = flow[1 + n, 1 + n_clients + c]
-    return demand
+    return flow[1:1 + n_clients, 1 + n_clients:sink]     # a client's flow to each class
 
 
 def partition_label_limited(
@@ -282,8 +270,8 @@ def partition_label_limited(
     rng = np.random.default_rng(seed)
     sizes = power_law_sizes(n_clients, len(labels), power_exponent, rng)
 
-    pools = {c: list(rng.permutation(np.flatnonzero(labels == c))) for c in range(n_classes)}
-    supply = np.array([len(pools[c]) for c in range(n_classes)])
+    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in range(n_classes)]
+    supply = np.array([len(pool) for pool in pools])
     held = np.flatnonzero(supply)
 
     # Assign class sets, then split each shard's size across its classes by
@@ -298,15 +286,12 @@ def partition_label_limited(
         k = min(k, sizes[n], len(held))
         assigned.append([int(c) for c in rng.choice(held, size=k, replace=False)])
 
-    mandatory = np.zeros(n_classes, dtype=np.int64)
-    for classes in assigned:
-        mandatory[classes] += 1
-    for c in range(n_classes):
-        if mandatory[c] > supply[c]:
-            raise ValueError(
-                f"class {c}: partition needs {int(mandatory[c])} samples but only "
-                f"{int(supply[c])} available"
-            )
+    mandatory = np.bincount(np.concatenate(assigned), minlength=n_classes)
+    short = np.flatnonzero(mandatory > supply)
+    if short.size:
+        c = int(short[0])
+        raise ValueError(f"class {c}: partition needs {mandatory[c]} samples but only "
+                         f"{supply[c]} available")
 
     residual_need = np.array([sizes[n] - len(assigned[n]) for n in range(n_clients)])
     residual_supply = supply - mandatory
@@ -314,29 +299,20 @@ def partition_label_limited(
     for n, classes in enumerate(assigned):
         demand[n, classes] += 1
 
+    # Client n takes the demand[n, c] entries of class c's pool after those
+    # of clients 0 to n-1.
     dim = samples.shape[1]
-    features = np.empty((len(labels), dim + 1))
-    pooled_labels = np.empty(len(labels), dtype=np.int64)
-    start = 0
-    for n in range(n_clients):
-        idx = []
-        for c in assigned[n]:
-            count = int(demand[n, c])
-            idx.extend(pools[c][:count])
-            pools[c] = pools[c][count:]
-        idx = np.array(sorted(idx))
-        features[start:start + len(idx), :-1] = samples[idx]
-        pooled_labels[start:start + len(idx)] = labels[idx]
-        start += len(idx)
-    features[:, -1] = 1.0
+    ends = np.cumsum(demand, axis=0)
+    pooled = _Pooled(len(labels), dim)
+    for n, classes in enumerate(assigned):
+        idx = np.sort(np.concatenate([pools[c][ends[n, c] - demand[n, c]:ends[n, c]]
+                                      for c in classes]))
+        pooled.add(samples[idx], labels[idx])
 
     if test_features is None:
-        test_features = np.empty((0, dim))
-        test_labels = np.empty((0,), dtype=np.int64)
-    return FederatedDataset(features=features, labels=pooled_labels,
-                            sizes=np.array(sizes, dtype=np.int64),
-                            test_rows=_with_bias([test_features], dim),
-                            test_labels=_int_labels([test_labels]), n_classes=n_classes)
+        test_features, test_labels = np.empty((0, dim)), np.empty(0, dtype=np.int64)
+    return FederatedDataset(*pooled.done(), np.array(sizes, dtype=np.int64),
+                            *_Pooled.block(test_features, test_labels, dim), n_classes)
 
 
 # Binary dataset container: magic "FPDS", version, header, then little-endian
@@ -375,48 +351,30 @@ def load_dataset(path: str) -> FederatedDataset:
 
 
 def _read_container(f, file_size: int) -> FederatedDataset:
-    def read(count: int, what: str) -> bytes:
-        buf = f.read(count)
-        if len(buf) != count:
-            raise ValueError(f"truncated {what}: expected {count} bytes, got {len(buf)}")
-        return buf
-
     magic = f.read(4)
     if magic != _CONTAINER_MAGIC:
         raise ValueError(f"not a dataset container (magic {magic!r})")
     version, n_clients, dim, n_classes, n_test = _CONTAINER_HEADER.unpack(
-        read(_CONTAINER_HEADER.size, "header"))
+        _read_exact(f, _CONTAINER_HEADER.size, "header", file_size))
     if version != _CONTAINER_VERSION:
         raise ValueError(f"unsupported container version {version}")
     if n_clients == 0:
         raise ValueError("no client shards")
-    table_end = f.tell() + 8 * n_clients
-    if file_size < table_end:
-        raise ValueError(f"truncated shard sizes: expected {table_end} bytes, got {file_size}")
-    sizes = np.frombuffer(read(8 * n_clients, "shard sizes"), dtype="<u8")
+    sizes = np.frombuffer(_read_exact(f, 8 * n_clients, "shard sizes", file_size), dtype="<u8")
     if not np.all(sizes > 0):
         raise ValueError(f"client {int(np.argmin(sizes))}: empty shard")
     n_rows = sum(sizes.tolist())
-    expected = table_end + 8 * (dim + 1) * (n_rows + n_test)
+    expected = f.tell() + 8 * (dim + 1) * (n_rows + n_test)
     if file_size != expected:
         problem = "truncated" if file_size < expected else "overlong"
         raise ValueError(f"{problem} file: expected {expected} bytes, got {file_size}")
     sizes = sizes.astype(np.int64)      # each below the file's length now
 
-    features = np.empty((n_rows, dim + 1))
-    labels = np.empty(n_rows, dtype=np.int64)
-    start = 0
-    for n, size in enumerate(sizes.tolist()):
-        rows = slice(start, start + size)
-        features[rows, :-1] = np.frombuffer(read(8 * size * dim, f"client {n} features"),
-                                            dtype="<f8").reshape(size, dim)
-        labels[rows] = np.frombuffer(read(8 * size, f"client {n} labels"), dtype="<i8")
-        start += size
-    features[:, -1] = 1.0
-    test_rows = np.empty((n_test, dim + 1))
-    test_rows[:, :-1] = np.frombuffer(read(8 * n_test * dim, "test features"),
-                                      dtype="<f8").reshape(n_test, dim)
-    test_rows[:, -1] = 1.0
-    test_labels = np.frombuffer(read(8 * n_test, "test labels"), dtype="<i8").astype(np.int64)
-    return FederatedDataset(features=features, labels=labels, sizes=sizes, test_rows=test_rows,
-                            test_labels=test_labels, n_classes=n_classes)
+    # Each block is its features, then its labels: the clients in order, then the test set.
+    train, test = _Pooled(n_rows, dim), _Pooled(n_test, dim)
+    blocks = [(train, f"client {n}", size) for n, size in enumerate(sizes.tolist())]
+    for pooled, what, size in blocks + [(test, "test", n_test)]:
+        x = _read_exact(f, 8 * size * dim, f"{what} features", file_size)
+        y = _read_exact(f, 8 * size, f"{what} labels", file_size)
+        pooled.add(np.frombuffer(x, dtype="<f8").reshape(size, dim), np.frombuffer(y, dtype="<i8"))
+    return FederatedDataset(*train.done(), sizes, *test.done(), n_classes)

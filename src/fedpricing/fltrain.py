@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _blas, _fork
-from .core import (FederatedDataset, Population, _FieldwiseEq, _with_bias, check_rules,
+from .core import (FederatedDataset, Population, _FieldwiseEq, _Pooled, check_rules,
                    is_finite, is_integer, participation_levels)
 
 
@@ -97,7 +97,7 @@ class RoundMetrics:
 
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Regularized cross-entropy over (x, y) and its gradient in w."""
-    return _loss_and_grad(w, _with_bias([x], np.shape(x)[1]), y, l2)
+    return _loss_and_grad(w, *_Pooled.block(x, y, np.shape(x)[1], "shard"), l2)
 
 
 def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
@@ -308,7 +308,7 @@ def test_accuracy(w: np.ndarray, test_features: np.ndarray, test_labels: np.ndar
     """Fraction of correct argmax predictions on the test set."""
     if len(test_features) == 0:
         raise ValueError("empty test set")
-    return _accuracy(w, _with_bias([test_features], np.shape(test_features)[1]), test_labels)
+    return _accuracy(w, *_Pooled.block(test_features, test_labels, np.shape(test_features)[1]))
 
 
 def theoretical_lr(round_index: int, smoothness: float, mu: float, local_steps: int) -> float:

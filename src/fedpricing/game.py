@@ -350,8 +350,15 @@ def server_solve(population: Population, constants: GameConstants, budget: float
     dual is found by plain bisection; the budget constraint is tight at the
     optimum unless the budget already buys every client's cap.
     """
+    if math.isnan(budget):
+        raise ValueError(f"budget must be a number, got {budget}")
     cl = _Clients.read(population, constants)
     _check_floor(cl)
+    zero = np.flatnonzero(cl.kkt_num == 0.0)
+    if zero.size:
+        n = int(zero[0])
+        raise ValueError(f"client {n}: alpha a^2 G^2 underflows to 0 (a = {cl.pop.a[n]}, "
+                         f"G = {cl.pop.G[n]}), so the optimal scheme cannot price it")
     min_budget = _spend(np.full(len(population), cl.floor), cl)
     tol = _OPTS.budget_tol * max(1.0, abs(budget))
     if budget < min_budget - tol:
@@ -396,7 +403,7 @@ def _scaled_baseline(
     threshold are NaN, and the diagnostics name the solver.
     """
     cl = _Clients.read(population, constants)
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
 
     def spend(scale: float) -> _Total:

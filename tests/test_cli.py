@@ -417,6 +417,38 @@ def test_a_dual_the_doubling_cannot_bracket_is_one_error_line(tmp_path, capsys, 
     assert not (tmp_path / "solve").exists()
 
 
+@pytest.mark.parametrize("budget", ["1", "100"])
+def test_a_cap_dual_that_underflows_is_one_error_line(tmp_path, capsys, budget):
+    """alpha a^2 G^2 is 0 in floating point for G = 1e-300; at budget 100 the caps bind."""
+    path = str(tmp_path / "population.ini")
+    population = make_population([4, 2], [1.0, 1e-300], [2.0, 1.0], [0.1, 0.0], [1.0, 1.0])
+    write_population(path, population, meta={"alpha": 1.0, "beta": 0.0, "rounds": 10.0,
+                                             "local_steps": 2.0, "q_floor": 0.01})
+    out = tmp_path / "solve"
+    code, _, stderr = run_cli(["solve", "--scheme", "optimal", "--budget", budget,
+                               "--population", path, "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr).startswith("error: client 1: alpha a^2 G^2 underflows to 0")
+    assert not out.exists()
+    for scheme in ("uniform", "weighted"):
+        code, _, _ = run_cli(["solve", "--scheme", scheme, "--budget", budget,
+                              "--population", path, "--out", str(out)], capsys)
+        assert code == 0 and (out / f"equilibrium_{scheme}.json").exists()
+
+
+def test_an_idx_header_claiming_more_than_the_file_is_one_error_line(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 65535, 65535) + b"\x00" * 10)
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
+    cfg = tmp_path / "idx.yaml"
+    cfg.write_text(f"idx_images: {images}\nidx_labels: {labels}\n")
+    out = tmp_path / "run"
+    code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert "truncated image data" in one_error_line(stderr)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),
                                             ("datasize", "client 1 has d = ")])
 def test_train_rejects_a_population_that_does_not_match_the_dataset(tmp_path, capsys,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,24 @@ def test_idx_truncated(tmp_path):
         load_idx(str(p), str(lp))
 
 
+# Headers that claim far more bytes than their files hold.
+@pytest.mark.parametrize("kind,header,expected", [
+    ("image", (0x803, 0xFFFFFFFF, 65535, 65535), 0xFFFFFFFF * 65535 * 65535),
+    ("label", (0x801, 0xFFFFFFFF), 0xFFFFFFFF),
+])
+def test_an_idx_header_is_checked_against_the_file_length_before_reading(tmp_path, kind,
+                                                                          header, expected):
+    import struct
+    rng = np.random.default_rng(8)
+    paths = {"image": str(tmp_path / "im.idx"), "label": str(tmp_path / "lb.idx")}
+    write_idx(paths["image"], paths["label"], rng.random((4, 4)), rng.integers(0, 2, size=4), 2, 2)
+    with open(paths[kind], "r+b") as f:
+        f.write(struct.pack(f">{len(header)}I", *header))
+    with pytest.raises(IdxFormatError,
+                       match=rf"^truncated {kind} data in .*: expected {expected} bytes, got \d+$"):
+        load_idx(paths["image"], paths["label"])
+
+
 def test_idx_count_mismatch(tmp_path):
     rng = np.random.default_rng(8)
     ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
@@ -205,6 +225,16 @@ def test_a_class_only_in_the_test_set_is_one_of_the_classes():
         assert [sorted(set(labels.tolist())) for _, labels in ds.shards] == [[0, 1, 2]] * 4
 
 
+def test_a_seeded_partition_is_pinned_bit_for_bit():
+    rng = np.random.default_rng(21)
+    samples, labels = rng.normal(size=(400, 5)), rng.integers(0, 10, size=400)
+    ds = partition_label_limited(samples, labels, 12, 3, 7, power_exponent=0.5, seed=7)
+    digests = {name: hashlib.sha256(getattr(ds, name).tobytes()).hexdigest()[:16]
+               for name in ("features", "labels", "sizes")}
+    assert digests == {"features": "34caff306e3b917b", "labels": "15068d3c99446743",
+                       "sizes": "1d5ba8665dcd1031"}
+
+
 def test_partition_invalid_class_range():
     x = np.zeros((10, 2))
     y = np.zeros(10, dtype=np.int64)
@@ -254,6 +284,23 @@ def test_from_shards_round_trips_the_shards_bit_for_bit():
         assert same_bits(got_x.copy(), x) and same_bits(got_y.copy(), y)
     assert same_bits(ds.test_features.copy(), test_x) and same_bits(ds.test_labels, test_y)
     assert np.all(ds.features[:, -1] == 1.0) and np.all(ds.test_rows[:, -1] == 1.0)
+
+
+def test_from_shards_rejects_labels_that_are_not_integers():
+    shards = [(np.zeros((2, 3)), np.array([0.0, 1.0]))]
+    with pytest.raises(TypeError):
+        FederatedDataset.from_shards(shards, np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2, 3)
+    with pytest.raises(TypeError):
+        FederatedDataset.from_shards([(np.zeros((2, 3)), np.array([0, 1]))], np.zeros((1, 3)),
+                                     np.array([0.5]), 2, 3)
+
+
+@pytest.mark.parametrize("n_labels", [1, 3])
+def test_from_shards_names_test_sets_of_different_lengths(n_labels):
+    shards = [(np.zeros((2, 3)), np.array([0, 1]))]
+    with pytest.raises(ValueError, match="^test features/labels length mismatch$"):
+        FederatedDataset.from_shards(shards, np.zeros((2, 3)), np.zeros(n_labels, dtype=np.int64),
+                                     2, 3)
 
 
 def test_the_dataset_arrays_are_read_only():

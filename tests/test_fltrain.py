@@ -582,7 +582,7 @@ def _axis_max_loss_and_grad(w, xa, y, l2):
 
 
 def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
-    from fedpricing.core import _with_bias
+    from fedpricing.core import _Pooled
     from fedpricing.fltrain import _loss_and_grad
 
     rng = np.random.default_rng(1)
@@ -595,7 +595,7 @@ def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
             w[(u >= 0.03) & (u < 0.06)] = -np.inf
             w[(u >= 0.06) & (u < 0.08)] = np.inf
             w[(u >= 0.08) & (u < 0.12)] = -0.0
-            xa = _with_bias([rng.normal(size=(n, d))], d)
+            xa = _Pooled.block(rng.normal(size=(n, d)), np.zeros(n, dtype=np.int64), d)[0]
             y = rng.integers(0, c, size=n)
             l2 = float(rng.choice([0.0, 1e-4, 1.0]))
             for got, ref in zip(_loss_and_grad(w, xa, y, l2), _axis_max_loss_and_grad(w, xa, y, l2)):

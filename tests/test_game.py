@@ -189,6 +189,18 @@ def test_payment_threshold_rejects_a_nan_dual():
         payment_threshold(NAN)
 
 
+@pytest.mark.parametrize("solver", [server_solve, baseline_uniform, baseline_weighted])
+def test_a_nan_budget_is_named_before_any_trial(solver, monkeypatch):
+    import fedpricing.game as game
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a bracket trial ran")
+
+    monkeypatch.setattr(game, "_bracket_and_bisect", no_trial)
+    with pytest.raises(ValueError, match="^budget must be (a number|nonnegative), got nan$"):
+        solver(nan_population(), UNIT_CONSTANTS, NAN)
+
+
 def test_total_spend_manual():
     profiles = make_population([1, 1], [2.0, 2.0], [1.0, 1.0], [0.0, 1.0], [1, 1])
     constants = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
