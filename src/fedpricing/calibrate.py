@@ -14,7 +14,7 @@ import numpy as np
 from . import _blas, fltrain
 from .bound import participation_penalty
 from .core import FederatedDataset, Population
-from .fltrain import TrainConfig, _aggregate, _local_sgd, _loss_and_grad, learning_rate_schedule
+from .fltrain import TrainConfig, _aggregate, _local_sgd, _Step, learning_rate_schedule
 
 GRAD_BOUND_FLOOR = 1e-6
 LOCAL_OPTIMUM_TOL = 1e-7          # max |gradient| at a shard's optimum
@@ -131,7 +131,8 @@ def _minimize_logistic(xa: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -
     raises if it is still above ten times that.
     """
     w = np.zeros(shape)
-    f, g = _loss_and_grad(w, xa, y, l2)
+    step = _Step(w[None], len(y))
+    f, g = step.loss_and_grad(w, xa, y, l2)
     pairs = collections.deque(maxlen=_PAIRS)
     for _ in range(LOCAL_OPTIMUM_MAX_ITER):
         g_max = np.max(np.abs(g))
@@ -145,7 +146,7 @@ def _minimize_logistic(xa: np.ndarray, y: np.ndarray, shape: tuple, l2: float) -
         t = 1.0 if pairs else 1.0 / max(1.0, math.sqrt(-slope))
         for _ in range(_MAX_BACKTRACKS):
             w_new = w + t * d
-            f_new, g_new = _loss_and_grad(w_new, xa, y, l2)
+            f_new, g_new = step.loss_and_grad(w_new, xa, y, l2)
             g_max_new = np.max(np.abs(g_new))
             if (f_new <= f + _ARMIJO * t * slope or g_max_new <= LOCAL_OPTIMUM_TOL
                     or f_new <= f and g_max_new < g_max):

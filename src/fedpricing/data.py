@@ -16,6 +16,7 @@ import numpy as np
 
 from . import _blas
 from .core import FederatedDataset, _Pooled
+from .fltrain import _softmax_head
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -107,10 +108,9 @@ def gen_synthetic(
             x = rng.normal(0.0, 1.0, size=(count, dim))
             x *= scale
             x += mean_n         # mean_n + normal * scale, bit for bit, in one array
-            logits = x @ w_n.T + b_n
-            logits -= logits.max(axis=1, keepdims=True)
-            probs = np.exp(logits)
-            probs /= probs.sum(axis=1, keepdims=True)
+            probs = x @ w_n.T + b_n
+            sums = _softmax_head(probs, np.empty(count))
+            probs /= sums[:, None]
             cdf = np.cumsum(probs, axis=1)
             y = (rng.random((count, 1)) < cdf).argmax(axis=1)
             train.add(x[:size], y[:size])

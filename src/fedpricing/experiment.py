@@ -175,10 +175,11 @@ def _check_kinds(cfg: dict) -> None:
 
 
 def _check_ranges(cfg: dict) -> None:
-    """The counts, seeds and data keys must be in range, the
-    training keys must make a ``TrainConfig`` and the game keys a
-    ``GameConstants``, each of which checks its ranges, and the economics keys
-    must describe a population the game can solve. Each error names its key."""
+    """The counts, seeds and data keys must be in range, each IDX path must
+    come with its partner, the training keys must make a ``TrainConfig`` and
+    the game keys a ``GameConstants``, each of which checks its ranges, and the
+    economics keys must describe a population the game can solve. Each error
+    names its key."""
     check_rules(cfg, (
         *((key, cfg[key] >= 1, ">= 1")
           for key in ("n_clients", "dim", "repeats", "pilot_rounds", "alpha_pilot_seeds")),
@@ -186,6 +187,9 @@ def _check_ranges(cfg: dict) -> None:
         ("classes", cfg["classes"] >= 2, ">= 2"),
         *((key, cfg[key] >= 0.0, "nonnegative") for key in ("synth_alpha", "synth_beta")),
         ("alpha_floor", cfg["alpha_floor"] > 0.0, "positive"),
+        *((key, cfg[key] or not cfg[partner], f"set with {partner}") for key, partner in (
+            ("idx_labels", "idx_images"), ("idx_images", "idx_labels"),
+            ("idx_test_labels", "idx_test_images"), ("idx_test_images", "idx_test_labels"))),
     ))
     train_config(cfg, seed=cfg["seed"])
     game_constants(cfg, {})

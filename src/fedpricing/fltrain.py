@@ -9,8 +9,7 @@ simulated, not measured.
 Independent runs that share everything but their seed and participation
 vector step together (``train_runs``): each round, every participant of
 every run takes its local steps in one stacked gradient step (``_Step``),
-which per model performs the same operations as a lone ``loss_and_grad``
-step.
+the package's one loss gradient and, with the scores, its one softmax.
 
 The evaluated rounds' models are evaluated in batches (``_Evaluator``).
 When a run's evaluations fill more than one batch and a second CPU is free,
@@ -97,22 +96,8 @@ class RoundMetrics:
 
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Regularized cross-entropy over (x, y) and its gradient in w."""
-    return _loss_and_grad(w, *_Pooled.block(x, y, np.shape(x)[1], "shard"), l2)
-
-
-def _loss_and_grad(w: np.ndarray, xa: np.ndarray, y: np.ndarray, l2: float):
-    """loss_and_grad on rows that already carry the bias column."""
-    probs = xa @ w.T
-    probs -= _row_max(probs, np.empty(len(probs)))[:, None]
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    n = len(y)
-    ll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
-    reg = 0.5 * l2 * float(np.sum(w * w))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    grad = delta.T @ xa / n + l2 * w
-    return ll + reg, grad
+    xa, y = _Pooled.block(x, y, np.shape(x)[1], "shard")
+    return _Step(w[None], len(y)).loss_and_grad(w, xa, y, l2)
 
 
 def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -125,15 +110,17 @@ def _row_max(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row cross-entropy of the logits z against y, formed as in loss_and_grad.
+def _softmax_head(z: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """z <- exp(z - row max) in place; returns its row sums, in ``sums``."""
+    z -= _row_max(z, sums)[..., None]
+    np.exp(z, out=z)
+    return np.add.reduce(z, axis=-1, out=sums)
 
-    Overwrites z.
-    """
-    m = _row_max(z, np.empty(len(z)))
-    z -= m[:, None]
-    e = np.exp(z, out=z)
-    p = e[np.arange(len(y)), y] / e.sum(axis=1)
+
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of the logits z against y. Overwrites z."""
+    sums = _softmax_head(z, np.empty(len(z)))
+    p = z[np.arange(len(y)), y] / sums
     return -np.log(np.maximum(p, 1e-300))
 
 
@@ -154,29 +141,36 @@ class _Step:
         self._grad = np.empty_like(models)
         self._tmp = np.empty_like(models)
 
-    def __call__(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float):
-        """Step w in place; returns the gradients, which the next call overwrites.
-
-        w is (S, C, D+1), x is (S, B, D+1) with the bias column, y is (S, B).
-        Each slice goes through the operations of loss_and_grad's gradient, so
-        each model moves bit for bit as a lone step would move it. The loss
-        is never formed.
-        """
+    def gradient(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float, loss=None):
+        """The gradients at w, which the next call overwrites. w is (S, C, D+1),
+        x is (S, B, D+1) with the bias column, y is (S, B); ``loss``, an array
+        of S if given, receives each model's mean cross-entropy."""
         z, m, grad, tmp = self._z, self._row, self._grad, self._tmp
         np.matmul(x, w.transpose(0, 2, 1), out=z)
-        z -= _row_max(z, m)[:, :, None]
-        np.exp(z, out=z)
-        np.add.reduce(z, axis=-1, out=m)
+        _softmax_head(z, m)
         z /= m[:, :, None]
         np.add(self._first, y, out=self._labels)
+        if loss is not None:
+            np.mean(-np.log(np.maximum(z.reshape(-1)[self._labels], 1e-300)), axis=-1, out=loss)
         z.reshape(-1)[self._labels] -= 1.0
         np.matmul(z.transpose(0, 2, 1), x, out=grad)
         grad /= y.shape[1]
         np.multiply(l2, w, out=tmp)
         grad += tmp
-        np.multiply(lr, grad, out=tmp)
-        w -= tmp
         return grad
+
+    def __call__(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, lr: float, l2: float):
+        """Step w in place by -lr times the gradients, and return them."""
+        grad = self.gradient(w, x, y, l2)
+        np.multiply(lr, grad, out=self._tmp)
+        w -= self._tmp
+        return grad
+
+    def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
+        """One model's regularized loss and a copy of its gradient, on x (B, D+1) and y (B,)."""
+        loss = np.empty(1)
+        grad = self.gradient(w[None], x[None], y[None], l2, loss)[0].copy()
+        return loss[0] + 0.5 * l2 * float(np.sum(w * w)), grad
 
 
 def _local_sgd(dataset: FederatedDataset, models, clients, rngs, local_steps, batch, lr, l2,

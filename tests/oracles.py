@@ -17,7 +17,9 @@ client's profit with the bound's other summands held fixed. ``train`` is
 the per-participant training loop the stacked kernel in
 ``fedpricing.fltrain`` replaced, kept as written: one
 ``loss_and_grad`` call per local step, one model at a time, and a loss
-summed shard by shard. ``sgd_step`` is the stacked step as it was first
+summed shard by shard. ``loss_and_grad`` is the package's loss and gradient
+as first written, with its own softmax, so that no reference here runs the
+kernel it checks. ``sgd_step`` is the stacked step as it was first
 written, before its arrays were reused across steps.
 ``minimize_logistic`` is scipy's L-BFGS-B fit of one shard, which the
 library's own L-BFGS replaced, and ``pooled_optimum_loss`` the global loss at
@@ -59,7 +61,7 @@ from fedpricing.core import (
     make_population,
 )
 from fedpricing.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, power_law_sizes
-from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, loss_and_grad, test_accuracy
+from fedpricing.fltrain import RoundMetrics, learning_rate_schedule, test_accuracy
 from fedpricing.game import (
     BracketError,
     EquilibriumReport,
@@ -490,6 +492,23 @@ def scaled_baseline_reference(unit_prices, population, constants: GameConstants,
 
 
 # ---------------------------------------------------------------- training loop
+
+
+def loss_and_grad(w, x, y, l2):
+    """``fltrain.loss_and_grad`` as first written, with its own softmax in new
+    arrays: the reference the package's one gradient kernel is held to."""
+    xa = np.hstack([x, np.ones((len(x), 1))])
+    z = xa @ w.T
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = len(y)
+    ll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
+    reg = 0.5 * l2 * float(np.sum(w * w))
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    grad = delta.T @ xa / n + l2 * w
+    return ll + reg, grad
 
 
 def local_sgd(w, shard, local_steps, batch, lr, l2, rng):

@@ -1,6 +1,5 @@
 """The one-thread BLAS context: pinned inside, restored after, inert without OpenBLAS."""
 
-import numpy as np
 import pytest
 import scipy.optimize  # noqa: F401  (loads scipy's OpenBLAS beside numpy's)
 
@@ -74,16 +73,14 @@ def test_train_leaves_the_counts_as_it_found_them(pools_at_two):
 
 def test_gen_synthetic_builds_every_client_on_one_thread(pools_at_two, monkeypatch):
     seen = []
+    head = data._softmax_head
 
-    class Numpy:
-        """numpy, noting the thread counts each time a client's softmax takes ``exp``."""
+    def noting(z, sums):
+        """The softmax head, noting the thread counts each time a client's softmax runs."""
+        seen.append(counts(pools_at_two))
+        return head(z, sums)
 
-        def __getattr__(self, name):
-            if name == "exp":
-                seen.append(counts(pools_at_two))
-            return getattr(np, name)
-
-    monkeypatch.setattr(data, "np", Numpy())
+    monkeypatch.setattr(data, "_softmax_head", noting)
     gen_synthetic(n_clients=3, dim=4, n_classes=2, total_samples=30, seed=0)
     assert seen == [[1] * len(pools_at_two)] * 3
     assert counts(pools_at_two) == [2] * len(pools_at_two)

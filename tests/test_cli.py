@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from fedpricing.cli import main
 from fedpricing.core import GameConstants, make_population
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import BracketError
+from oracles import write_idx
 
 
 def run_cli(args, capsys):
@@ -446,6 +448,26 @@ def test_an_idx_header_claiming_more_than_the_file_is_one_error_line(tmp_path, c
     code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 1
     assert "truncated image data" in one_error_line(stderr)
+    assert not out.exists()
+
+
+IDX_PARTNERS = {"idx_images": "idx_labels", "idx_labels": "idx_images",
+                "idx_test_images": "idx_test_labels", "idx_test_labels": "idx_test_images"}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "experiment"])
+@pytest.mark.parametrize("key", sorted(IDX_PARTNERS))
+def test_an_idx_path_without_its_partner_is_one_error_line_naming_it(tmp_path, capsys,
+                                                                    command, key):
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    rng = np.random.default_rng(0)
+    write_idx(str(paths["images"]), str(paths["labels"]), rng.random((60, 16)),
+              rng.integers(0, 3, size=60), 4, 4)
+    cfg = fast_config_with(tmp_path, f"{key}: {paths[key.rsplit('_', 1)[1]]}")
+    out = tmp_path / "run"
+    code, _, stderr = run_cli([command, "--config", cfg, "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: {IDX_PARTNERS[key]} must be set with {key}, got None"
     assert not out.exists()
 
 

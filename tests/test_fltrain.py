@@ -567,7 +567,7 @@ def same_bits(a, b):
 
 
 def _axis_max_loss_and_grad(w, xa, y, l2):
-    """_loss_and_grad with its softmax formed as before: z.max(axis=1), in new arrays."""
+    """The loss and gradient with the softmax formed as before: z.max(axis=1), in new arrays."""
     z = xa @ w.T
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -583,7 +583,7 @@ def _axis_max_loss_and_grad(w, xa, y, l2):
 
 def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
     from fedpricing.core import _Pooled
-    from fedpricing.fltrain import _loss_and_grad
+    from fedpricing.fltrain import _Step
 
     rng = np.random.default_rng(1)
     with np.errstate(all="ignore"):
@@ -598,8 +598,31 @@ def test_loss_and_grad_equals_the_axis_max_softmax_bit_for_bit():
             xa = _Pooled.block(rng.normal(size=(n, d)), np.zeros(n, dtype=np.int64), d)[0]
             y = rng.integers(0, c, size=n)
             l2 = float(rng.choice([0.0, 1e-4, 1.0]))
-            for got, ref in zip(_loss_and_grad(w, xa, y, l2), _axis_max_loss_and_grad(w, xa, y, l2)):
+            for got, ref in zip(_Step(w[None], n).loss_and_grad(w, xa, y, l2),
+                                _axis_max_loss_and_grad(w, xa, y, l2)):
                 assert same_bits(got, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 60), classes=st.integers(2, 12), width=st.integers(1, 8),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 800.0]), l2=st.sampled_from([0.0, 1e-4, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_one_model_kernel_is_the_reference_loss_and_gradient_bit_for_bit(
+    rows, classes, width, scale, l2, seed
+):
+    """At scale 800 some p_y underflow to 0, so the loss meets its 1e-300 clamp."""
+    from fedpricing.core import _Pooled
+
+    rng = np.random.default_rng(seed)
+    w = scale * rng.normal(size=(classes, width + 1))
+    x = rng.normal(size=(rows, width))
+    y = rng.integers(0, classes, size=rows)
+    xa = _Pooled.block(x, y, width)[0]
+    want = oracles.loss_and_grad(w, x, y, l2)
+    for loss, grad in (fltrain._Step(w[None], rows).loss_and_grad(w, xa, y, l2),
+                       loss_and_grad(w, x, y, l2)):
+        assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+        assert grad.tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,9 @@ The inverse-probability update must be unbiased over every participant set.
 The local-optimum fit must meet its gradient tolerance and match scipy's
 objective within what that tolerance allows, and the max-flow that splits
 shards across classes must find scipy's flow value and a feasible split.
+The optimum must keep the paper's structure over random games: the
+threshold sign of every interior price, the price orderings, and a bound no
+larger than that of any baseline feasible for Stage I.
 """
 
 import dataclasses
@@ -604,3 +607,68 @@ def test_a_larger_budget_lowers_the_bound_and_the_dual_and_raises_interior_level
     assert large.bound_value <= convergence_gap_bound(q, population, constants)
     both = np.flatnonzero(small.interior & large.interior)
     assert np.all(large.q_star[both] >= q[both])
+
+
+# perfbench's margin: a client this close to the threshold, relative to it,
+# may price on either side of zero.
+THRESHOLD_RTOL = 1e-9
+# The optimum's bound may exceed a feasible baseline's by this much, relative:
+# its dual is bisected to a relative width of lambda_tol, not solved exactly.
+OPTIMALITY_RTOL = 1e-9
+
+
+def solve_between_floor_and_caps(rows, constants, share):
+    """The population of ``rows``, the budget ``share`` of the way from its
+    floor spend to its cap spend, and the optimum there; None where q_floor
+    is not below every cap."""
+    population = build(rows)
+    if constants.q_floor >= float(np.min(population.q_max)):
+        return None
+    floor = total_spend(np.full(len(population), constants.q_floor), population, constants)
+    caps = total_spend(population.q_max, population, constants)
+    budget = floor + share * (caps - floor)
+    return population, budget, server_solve(population, constants, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, share=SHARE)
+def test_an_interior_client_pays_the_server_exactly_above_the_threshold(rows, constants, share):
+    solved = solve_between_floor_and_caps(rows, constants, share)
+    if solved is None:
+        return
+    population, _, result = solved
+    threshold = 1.0 / (3.0 * result.lambda_star)
+    interior = np.flatnonzero(result.interior)
+    v, price = population.v[interior], result.p_star[interior]
+    clear = np.abs(v - threshold) > THRESHOLD_RTOL * threshold
+    assert np.array_equal((price < 0.0)[clear], (v > threshold)[clear])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, share=SHARE)
+def test_the_optimum_passes_its_ordering_and_threshold_checks(rows, constants, share):
+    solved = solve_between_floor_and_caps(rows, constants, share)
+    if solved is None:
+        return
+    population, budget, result = solved
+    report = verify_equilibrium(result, population, constants, budget)
+    assert report.ordering_ok and report.threshold_sign_ok, report.violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, share=SHARE)
+# A budget below 1, where a baseline's stopping rule allows an absolute
+# overspend of budget_tol: the weighted baseline spends 2.84e-8 of a 2e-8
+# budget and beats the optimum's bound, so it is not feasible here.
+@example(rows=[(200, 0.01, 0.01, 0.0, 1.0)], share=0.0,
+         constants=GameConstants(alpha=0.01, beta=0.0, rounds=1, local_steps=1, q_floor=0.001))
+def test_no_feasible_baseline_has_a_lower_bound_than_the_optimum(rows, constants, share):
+    solved = solve_between_floor_and_caps(rows, constants, share)
+    if solved is None or solved[1] < 0.0:      # the baselines' prices admit no budget below 0
+        return
+    population, budget, result = solved
+    for baseline in (baseline_uniform, baseline_weighted):
+        other = baseline(population, constants, budget)
+        q = other.q_star
+        if np.all(q >= constants.q_floor) and total_spend(q, population, constants) <= budget:
+            assert result.bound_value <= other.bound_value * (1.0 + OPTIMALITY_RTOL)
