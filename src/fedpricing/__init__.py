@@ -24,16 +24,7 @@ from .game import (
     total_spend,
     verify_equilibrium,
 )
-from .fltrain import (
-    TrainConfig,
-    aggregate,
-    global_loss,
-    local_sgd,
-    sample_participants,
-    test_accuracy,
-    train,
-    train_runs,
-)
+from .fltrain import TrainConfig, global_loss, train, train_runs
 from .data import gen_synthetic, load_idx, partition_label_limited, subsample
 
 __all__ = [
@@ -45,7 +36,6 @@ __all__ = [
     "Population",
     "PopulationError",
     "TrainConfig",
-    "aggregate",
     "baseline_uniform",
     "baseline_weighted",
     "bound_gradient",
@@ -56,14 +46,11 @@ __all__ = [
     "inverse_price",
     "kkt_participation",
     "load_idx",
-    "local_sgd",
     "make_population",
     "partition_label_limited",
     "payment_threshold",
-    "sample_participants",
     "server_solve",
     "subsample",
-    "test_accuracy",
     "total_spend",
     "train",
     "train_runs",

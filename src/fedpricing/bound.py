@@ -39,17 +39,6 @@ def positive_levels(q, population: Population) -> np.ndarray:
     return levels
 
 
-def penalty_of(levels: np.ndarray, population: Population) -> float:
-    """sum_n (1 - q_n) a_n^2 G_n^2 / q_n over positive levels."""
-    a, G = population.a, population.G
-    return math.fsum((1.0 - levels) * (a * a) * (G * G) / levels)
-
-
-def gap_bound_of(levels: np.ndarray, population: Population, constants: GameConstants) -> float:
-    """(1/R) (alpha * penalty + beta) over positive levels."""
-    return (constants.alpha * penalty_of(levels, population) + constants.beta) / constants.rounds
-
-
 def bound_terms(population: Population, constants: GameConstants) -> np.ndarray:
     """(alpha/R) a_n^2 G_n^2 per client: each one's coefficient in the gap bound."""
     a, G = population.a, population.G
@@ -58,7 +47,9 @@ def bound_terms(population: Population, constants: GameConstants) -> np.ndarray:
 
 def participation_penalty(q, population: Population) -> float:
     """sum_n (1 - q_n) a_n^2 G_n^2 / q_n, the data-weighted participation deficit."""
-    return penalty_of(positive_levels(q, population), population)
+    levels = positive_levels(q, population)
+    a, G = population.a, population.G
+    return math.fsum((1.0 - levels) * (a * a) * (G * G) / levels)
 
 
 def convergence_gap_bound(q, population: Population, constants: GameConstants) -> float:
@@ -66,7 +57,8 @@ def convergence_gap_bound(q, population: Population, constants: GameConstants) -
 
     Returns (1/R) * (alpha * sum_n (1 - q_n) a_n^2 G_n^2 / q_n + beta).
     """
-    return gap_bound_of(positive_levels(q, population), population, constants)
+    penalty = participation_penalty(q, population)
+    return (constants.alpha * penalty + constants.beta) / constants.rounds
 
 
 def bound_gradient(q, population: Population, constants: GameConstants) -> np.ndarray:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -105,9 +104,6 @@ class GameConstants:
             ("local_steps", self.local_steps >= 1, ">= 1"),
             ("q_floor", 0.0 < self.q_floor < 1.0, "in (0, 1)"),
         ))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def per_client(values, name: str, clients: int | None = None, dtype=float) -> np.ndarray:
@@ -349,16 +345,16 @@ class _Pooled:
 
 
 @dataclass(frozen=True, eq=False)
-class Population(_FieldwiseEq, Sequence):
+class Population(_FieldwiseEq):
     """A client population as columns: one read-only float array per
     client field, in client order.
 
     The game, the bound and training compute on the columns, and every
     function of the game takes a whole population. The columns are checked
-    once, as a whole, at construction. For iteration only, a population is
-    also a read-only sequence of named-tuple rows ``(index, datasize, weight,
-    grad_bound, cost_coeff, intrinsic_pref, q_max)``, numbered from 0; each
-    row is built from the columns when it is asked for, and none is stored.
+    once, as a whole, at construction. Its rows, for iteration only, are
+    named tuples ``(index, datasize, weight, grad_bound, cost_coeff,
+    intrinsic_pref, q_max)``, numbered from 0 and built from the columns as
+    the iteration reaches them; a population is not indexed or sliced.
     """
 
     d: np.ndarray        # datasize
@@ -389,18 +385,9 @@ class Population(_FieldwiseEq, Sequence):
     def __len__(self) -> int:
         return len(self.d)
 
-    def __getitem__(self, n):
-        """Row ``n``, or a tuple of rows for a slice, indexed as a tuple of
-        all rows would be."""
-        picked = range(len(self))[n]
-        return tuple(map(self._row, picked)) if isinstance(picked, range) else self._row(picked)
-
     def __iter__(self):
         fields = (map(float, col) for col in self.columns[1:])
         return map(_Row._make, zip(range(len(self)), map(int, self.d), *fields))
-
-    def _row(self, n: int) -> _Row:
-        return _Row(n, int(self.d[n]), *(float(col[n]) for col in self.columns[1:]))
 
 
 def make_population(

@@ -176,7 +176,8 @@ def _check_kinds(cfg: dict) -> None:
 
 def _check_ranges(cfg: dict) -> None:
     """The counts, seeds and data keys must be in range, each IDX path must
-    come with its partner, the training keys must make a ``TrainConfig`` and
+    come with its partner, ``idx_images`` must be set with each key read
+    only for IDX data, the training keys must make a ``TrainConfig`` and
     the game keys a ``GameConstants``, each of which checks its ranges, and the
     economics keys must describe a population the game can solve. Each error
     names its key."""
@@ -189,7 +190,9 @@ def _check_ranges(cfg: dict) -> None:
         ("alpha_floor", cfg["alpha_floor"] > 0.0, "positive"),
         *((key, cfg[key] or not cfg[partner], f"set with {partner}") for key, partner in (
             ("idx_labels", "idx_images"), ("idx_images", "idx_labels"),
-            ("idx_test_labels", "idx_test_images"), ("idx_test_images", "idx_test_labels"))),
+            ("idx_test_labels", "idx_test_images"), ("idx_test_images", "idx_test_labels"),
+            *(("idx_images", key) for key in ("idx_test_images", "idx_test_labels",
+                                              "subsample", "label_filter")))),
     ))
     train_config(cfg, seed=cfg["seed"])
     game_constants(cfg, {})
@@ -370,7 +373,7 @@ def write_calibration(dataset: FederatedDataset, cfg: dict, out_dir: str):
     returns (path, population, constants)."""
     population, constants, f_locals = calibrate_population(dataset, cfg)
     path = _run_file(out_dir, "population.ini")
-    write_population(path, population, f_locals, meta=constants.to_dict())
+    write_population(path, population, f_locals, meta=dataclasses.asdict(constants))
     return path, population, constants
 
 

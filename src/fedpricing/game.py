@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import bound_terms, gap_bound_of, power
+from .bound import bound_terms, convergence_gap_bound, power
 from .core import EquilibriumResult, GameConstants, Population, participation_levels, per_client
 
 _INTERIOR_EPS = 1e-9
@@ -58,7 +58,7 @@ class SolverOptions:
 
     lambda_tol: float = 1e-10     # relative width of the dual bisection interval
     max_iter: int = 200
-    budget_tol: float = 1e-8      # |spend - B| <= budget_tol * max(1, B)
+    budget_tol: float = 1e-8      # |spend - B| <= budget_tol * |B|
 
 
 _OPTS = SolverOptions()
@@ -336,7 +336,7 @@ def _result(prices: np.ndarray, levels: np.ndarray, population: Population,
     infinite when some client's q is 0. The solver gives its own dual value,
     threshold, interior mask and diagnostics."""
     payments = prices * levels
-    bound = gap_bound_of(levels, population, constants) if np.all(levels > 0.0) else math.inf
+    bound = convergence_gap_bound(levels, population, constants) if np.all(levels > 0.0) else math.inf
     return EquilibriumResult(
         q_star=levels, p_star=prices, lambda_star=lambda_star,
         v_threshold=v_threshold, spend=math.fsum(payments), bound_value=bound,
@@ -360,7 +360,7 @@ def server_solve(population: Population, constants: GameConstants, budget: float
         raise ValueError(f"client {n}: alpha a^2 G^2 underflows to 0 (a = {cl.pop.a[n]}, "
                          f"G = {cl.pop.G[n]}), so the optimal scheme cannot price it")
     min_budget = _spend(np.full(len(population), cl.floor), cl)
-    tol = _OPTS.budget_tol * max(1.0, abs(budget))
+    tol = _OPTS.budget_tol * abs(budget)
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
 
@@ -410,9 +410,10 @@ def _scaled_baseline(
         prices = scale * unit_prices
         return _Total(prices * _best_responses(prices, cl))
 
-    tol = _OPTS.budget_tol * max(1.0, budget)
+    # Every payment at scale 0 is 0, so only a positive budget needs a search.
+    tol = _OPTS.budget_tol * budget
     scale = 0.0
-    if budget != 0.0 and not spend(0.0).test(lambda s: s >= budget - tol):
+    if budget > 0.0:
         scale, steps = _bracket_and_bisect(spend, budget, 0.0, 0.5, 4 * _OPTS.max_iter,
                                            rising=True, tol=tol)
         if steps is None:

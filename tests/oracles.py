@@ -415,7 +415,7 @@ def server_solve_reference(population, constants: GameConstants, budget: float) 
     v_threshold, q_star, p_star, spend, iterations)."""
     _check_floor(population, constants)
     min_budget = total_spend([constants.q_floor] * len(population), population, constants)
-    tol = _OPTS.budget_tol * max(1.0, abs(budget))
+    tol = _OPTS.budget_tol * abs(budget)
     if budget < min_budget - tol:
         raise InfeasibleBudgetError(budget, min_budget)
     caps = population.q_max
@@ -463,7 +463,7 @@ def scaled_baseline_reference(unit_prices, population, constants: GameConstants,
         prices = scale * unit_prices
         return math.fsum(prices * best_responses(prices, population, constants))
 
-    tol = _OPTS.budget_tol * max(1.0, budget)
+    tol = _OPTS.budget_tol * budget
     if budget == 0.0 or spend(0.0) >= budget - tol:
         scale = 0.0
     else:
@@ -841,10 +841,11 @@ def verify_equilibrium(result, profiles, constants, budget):
     """Check the equalities and sign/ordering structure an equilibrium must satisfy."""
     violations = []
     interior_idx = [n for n, flag in enumerate(result.interior) if flag]
+    rows = tuple(profiles)
 
     thetas = []
     for n in interior_idx:
-        p = profiles[n]
+        p = rows[n]
         qn = result.q_star[n]
         thetas.append(
             4.0 * constants.rounds * p.cost_coeff * qn**3
@@ -862,7 +863,7 @@ def verify_equilibrium(result, profiles, constants, budget):
     vt = result.v_threshold
     sign_ok = True
     for n in interior_idx:
-        v = profiles[n].intrinsic_pref
+        v = rows[n].intrinsic_pref
         price = result.p_star[n]
         margin = 1e-9 * max(1.0, abs(vt))
         if v < vt - margin and price <= 0.0:
@@ -877,7 +878,7 @@ def verify_equilibrium(result, profiles, constants, budget):
         for j in interior_idx:
             if i == j:
                 continue
-            pi, pj = profiles[i], profiles[j]
+            pi, pj = rows[i], rows[j]
             strength_i = pi.cost_coeff * pi.weight * pi.grad_bound
             strength_j = pj.cost_coeff * pj.weight * pj.grad_bound
             if strength_i <= strength_j:

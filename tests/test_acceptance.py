@@ -91,7 +91,7 @@ def test_01_unbiased_aggregation():
     q = [0.2, 0.4, 0.5, 0.8, 1.0]
     w_prev = rng.normal(size=dim)
     updates = {m: rng.normal(size=dim) for m in range(n)}
-    full_avg = w_prev + sum(profiles[m].weight * (updates[m] - w_prev) for m in range(n))
+    full_avg = w_prev + sum(profiles.a[m] * (updates[m] - w_prev) for m in range(n))
 
     trials = 100_000
     acc = np.zeros(dim)
@@ -125,7 +125,7 @@ def test_02_best_response_grid_oracle():
             [float(rng.uniform(0.0, 1.0)) if rng.random() < 0.7 else 0.0],
             [1.0],
         )
-        p = profiles[0]
+        p = tuple(profiles)[0]
         constants = GameConstants(
             alpha=float(rng.uniform(0.5, 4.0)), beta=0.0,
             rounds=int(rng.integers(5, 40)), local_steps=5, q_floor=0.01,
@@ -242,7 +242,7 @@ def test_06_price_identity_and_threshold():
             [float(rng.uniform(0.0, 2.0))],
             [1.0],
         )
-        p = profiles[0]
+        p = tuple(profiles)[0]
         constants = GameConstants(
             alpha=float(rng.uniform(0.5, 4.0)), beta=0.0,
             rounds=int(rng.integers(5, 40)), local_steps=5, q_floor=0.01,
@@ -330,8 +330,8 @@ def test_09_price_orderings():
         result = server_solve(profiles, constants, budget)
         vt = result.v_threshold
         P = result.p_star
-        hyp_positive = profiles[0].intrinsic_pref < profiles[1].intrinsic_pref < vt
-        hyp_negative = profiles[2].intrinsic_pref > profiles[3].intrinsic_pref > vt
+        hyp_positive = profiles.v[0] < profiles.v[1] < vt
+        hyp_negative = profiles.v[2] > profiles.v[3] > vt
         if not (all(result.interior) and hyp_positive and hyp_negative):
             ok = False  # construction must actually satisfy the hypotheses
         if not (P[0] > P[1] > 0.0):

@@ -471,6 +471,31 @@ def test_an_idx_path_without_its_partner_is_one_error_line_naming_it(tmp_path, c
     assert not out.exists()
 
 
+# Keys read only with idx_images, each set without it; the test paths come as
+# a pair, since one alone is named by its partner rule first.
+IDX_ONLY_KEYS = {"test-pair": ("idx_test_images", "idx_test_labels"),
+                 "subsample": ("subsample",), "label_filter": ("label_filter",)}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "experiment"])
+@pytest.mark.parametrize("case", sorted(IDX_ONLY_KEYS))
+def test_an_idx_only_key_without_idx_images_is_one_error_line_naming_it(tmp_path, capsys,
+                                                                       command, case):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    rng = np.random.default_rng(0)
+    write_idx(str(images), str(labels), rng.random((60, 16)), rng.integers(0, 3, size=60), 4, 4)
+    values = {"idx_test_images": images, "idx_test_labels": labels, "subsample": 7,
+              "label_filter": [0, 1]}
+    keys = IDX_ONLY_KEYS[case]
+    cfg = pathlib.Path(write_fast_config(tmp_path))
+    cfg.write_text(cfg.read_text() + "".join(f"{key}: {values[key]}\n" for key in keys))
+    out = tmp_path / "run"
+    code, _, stderr = run_cli([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == f"error: idx_images must be set with {keys[0]}, got None"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change,message", [("count", "has 2 clients, but"),
                                             ("datasize", "client 1 has d = ")])
 def test_train_rejects_a_population_that_does_not_match_the_dataset(tmp_path, capsys,

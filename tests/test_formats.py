@@ -77,7 +77,7 @@ def test_population_default_q_max_is_one(tmp_path):
     path = tmp_path / "population.ini"
     path.write_text("[client 0]\nd = 4\nG = 1.0\nc = 2.0\nv = 0.5\n")
     profiles, _, _ = read_population(str(path))
-    assert profiles[0].q_max == 1.0
+    assert profiles.q_max[0] == 1.0
 
 
 def test_equilibrium_manifest_round_trip(tmp_path):

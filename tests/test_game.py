@@ -6,6 +6,7 @@ import pytest
 from fedpricing.core import GameConstants, make_population
 from fedpricing.game import (
     InfeasibleBudgetError,
+    SolverOptions,
     baseline_uniform,
     baseline_weighted,
     client_best_response,
@@ -26,7 +27,7 @@ def unit_population(v=0.0, c=1.0, q_max=1.0):
 
 
 def unit_client(v=0.0, c=1.0, q_max=1.0):
-    return unit_population(v, c, q_max)[0]
+    return tuple(unit_population(v, c, q_max))[0]
 
 
 def random_population(rng, n):
@@ -90,7 +91,7 @@ def test_best_response_matches_grid_oracle():
     grid = np.linspace(1e-5, 1.0, 100_001)
     for _ in range(60):
         profiles = random_population(rng, 1)
-        profile = profiles[0]
+        profile = tuple(profiles)[0]
         constants = random_constants(rng)
         price = float(rng.uniform(-2.0, 6.0))
         solved = client_best_response([price], profiles, constants)[0]
@@ -152,7 +153,7 @@ def test_kkt_participation_regimes():
     # 1/lam <= v pins to the floor.
     assert kkt_participation(4.0, population, constants)[0] == constants.q_floor
     # Large 1/lam clips at the cap.
-    assert kkt_participation(1e-6, population, constants)[0] == population[0].q_max
+    assert kkt_participation(1e-6, population, constants)[0] == population.q_max[0]
     # Interior: q^3 = alpha a^2 G^2 (1/lam - v) / (4 R c).
     lam = 0.5
     expected = ((2.0 - 0.5) / 4.0) ** (1.0 / 3.0)
@@ -241,7 +242,7 @@ def test_price_closed_form_matches_composition():
     checked = 0
     while checked < 200:
         population = random_population(rng, 1)
-        profile = population[0]
+        profile = tuple(population)[0]
         constants = random_constants(rng)
         lam = float(rng.uniform(0.05, 5.0))
         if 1.0 / lam <= profile.intrinsic_pref:
@@ -380,7 +381,7 @@ def test_weighted_baseline_prices_proportional_to_datasize():
     budget = 0.3 * sum(2.0 * p.cost_coeff for p in profiles)
     result = baseline_weighted(profiles, constants, budget)
     prices, q = result.p_star, result.q_star
-    ratios = {prices[n] / profiles[n].datasize for n in range(5)}
+    ratios = {prices[n] / profiles.d[n] for n in range(5)}
     assert max(ratios) - min(ratios) <= 1e-9 * max(1.0, max(ratios))
     spend = sum(pn * qn for pn, qn in zip(prices, q))
     assert spend == pytest.approx(budget, rel=1e-6) or spend <= budget
@@ -392,3 +393,26 @@ def test_baseline_zero_budget_means_zero_prices():
     assert result.p_star.tolist() == [0.0, 0.0]
     assert result.q_star.tolist() == [0.0, 0.0]
     assert result.bound_value == math.inf
+
+
+def test_a_budget_below_one_is_spent_within_a_relative_tolerance():
+    """One client whose floor spend is 2e-8. The baselines stop within
+    budget_tol times a budget below 1, not within budget_tol itself, so
+    neither overspends the floor budget by 42% and beats the optimum's
+    bound, and neither stops at price 0 below it."""
+    population = make_population([200], [0.01], [0.01], [0.0], [1.0])
+    constants = GameConstants(alpha=0.01, beta=0.0, rounds=1, local_steps=1, q_floor=1e-3)
+    budget_tol = SolverOptions().budget_tol
+    for budget in (2e-8, 5e-9):
+        for baseline in (baseline_uniform, baseline_weighted):
+            spend = baseline(population, constants, budget).spend
+            assert abs(spend - budget) <= budget_tol * budget
+    optimum = server_solve(population, constants, 2e-8)
+    for baseline in (baseline_uniform, baseline_weighted):
+        other = baseline(population, constants, 2e-8)
+        # Spend grows as q^2 and the bound falls as 1/q, so an overspend of
+        # budget_tol, relative, buys at most about budget_tol / 2 of the bound.
+        rtol = 1e-9 if other.spend <= 2e-8 else budget_tol
+        assert optimum.bound_value <= other.bound_value * (1.0 + rtol)
+    with pytest.raises(InfeasibleBudgetError):
+        server_solve(population, constants, 5e-9)

@@ -228,6 +228,17 @@ CLIENT_ANY_SCALE = st.tuples(GOOD[0], GOOD[1], GOOD[2], GOOD[3], GOOD[4])
 
 
 @settings(max_examples=100, deadline=None)
+@given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=20))
+def test_a_populations_rows_are_its_columns_in_client_order(rows):
+    """Iteration and ``len``, the view of a population that perfbench reads."""
+    population = build(rows)
+    d, a, G, c, v, q_max = population.columns
+    assert len(population) == len(rows)
+    assert tuple(population) == tuple((n, int(d[n]), a[n], G[n], c[n], v[n], q_max[n])
+                                      for n in range(len(rows)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(rows=st.lists(CLIENT_ANY_SCALE, min_size=1, max_size=20),
        with_f_locals=st.booleans())
 def test_population_file_round_trip_is_bit_exact(rows, with_f_locals):
@@ -657,9 +668,8 @@ def test_the_optimum_passes_its_ordering_and_threshold_checks(rows, constants, s
 
 @settings(max_examples=150, deadline=None)
 @given(rows=POPULATION, constants=CONSTANTS, share=SHARE)
-# A budget below 1, where a baseline's stopping rule allows an absolute
-# overspend of budget_tol: the weighted baseline spends 2.84e-8 of a 2e-8
-# budget and beats the optimum's bound, so it is not feasible here.
+# A budget below 1. A baseline held to budget_tol, not budget_tol times the
+# budget, spends 2.84e-8 of this 2e-8 budget and beats the optimum's bound.
 @example(rows=[(200, 0.01, 0.01, 0.0, 1.0)], share=0.0,
          constants=GameConstants(alpha=0.01, beta=0.0, rounds=1, local_steps=1, q_floor=0.001))
 def test_no_feasible_baseline_has_a_lower_bound_than_the_optimum(rows, constants, share):
@@ -672,3 +682,13 @@ def test_no_feasible_baseline_has_a_lower_bound_than_the_optimum(rows, constants
         q = other.q_star
         if np.all(q >= constants.q_floor) and total_spend(q, population, constants) <= budget:
             assert result.bound_value <= other.bound_value * (1.0 + OPTIMALITY_RTOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=POPULATION, constants=CONSTANTS, log_budget=st.floats(-12.0, 3.0))
+def test_a_baseline_spends_its_budget_within_a_relative_tolerance(rows, constants, log_budget):
+    population = build(rows)
+    budget = 10.0**log_budget
+    for baseline in (baseline_uniform, baseline_weighted):
+        spend = baseline(population, constants, budget).spend
+        assert abs(spend - budget) <= SolverOptions().budget_tol * budget

@@ -3,6 +3,7 @@ import os
 import re
 import shlex
 
+import fedpricing
 from fedpricing.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -41,3 +42,11 @@ def test_the_step_by_step_cli_block_writes_what_the_cli_table_names(tmp_path, ca
         assert named[argv[1]], argv[1]
         for pattern in named[argv[1]]:
             assert fnmatch.filter(written, pattern), (line, pattern, sorted(written))
+
+
+def test_the_library_section_lists_the_package_roots_names():
+    with open(README) as f:
+        text = f.read()
+    listed = text[text.index("The package root exports"):text.index("The one-shard training")]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(fedpricing.__all__)
+    assert f"exports {len(fedpricing.__all__)} names" in listed

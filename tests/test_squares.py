@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from fedpricing.bound import bound_terms, penalty_of
+from fedpricing.bound import bound_terms, participation_penalty
 from fedpricing.core import GameConstants, make_population
 from fedpricing.game import _best_responses, _Clients, _inverse_prices
 
@@ -74,7 +74,7 @@ def test_bound_terms_are_the_product_reference_bit_for_bit():
 
 def test_penalty_is_the_product_reference_bit_for_bit():
     population, levels, _ = market()
-    assert penalty_of(levels, population) == oracles.penalty_of(levels.tolist(), population)
+    assert participation_penalty(levels, population) == oracles.penalty_of(levels.tolist(), population)
 
 
 def test_inverse_prices_are_the_product_reference_bit_for_bit():
