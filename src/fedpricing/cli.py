@@ -52,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=_EnvDefault("config", str),
                         help="YAML config file")
     parser.add_argument("--preset", default=_EnvDefault("preset", str),
-                        choices=["setup1", "setup2", "setup3", "desk"],
+                        choices=list(exp.PRESETS),
                         help="named parameter preset")
     parser.add_argument("--out", default=_EnvDefault("out", str, "runs/latest"),
                         help="output directory")

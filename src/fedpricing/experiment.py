@@ -45,54 +45,93 @@ from .formats import (
 )
 from .game import baseline_uniform, baseline_weighted, server_solve
 
-DEFAULT_CONFIG = {
-    "setup": "custom",
-    # data
-    "n_clients": 10,
-    "dim": 60,
-    "classes": 10,
-    "total_samples": 2000,
-    "power_exponent": 1.5,
-    "synth_alpha": 1.0,
-    "synth_beta": 1.0,
-    "data_seed": 1,
-    "idx_images": None,
-    "idx_labels": None,
-    "idx_test_images": None,
-    "idx_test_labels": None,
-    "subsample": None,
-    "classes_min": 1,
-    "classes_max": 6,
-    "label_filter": None,
-    # economics
-    "budget": 200.0,
-    "mean_cost": 50.0,
-    "mean_value": 4000.0,
-    "economics_seed": 2,
-    "q_max": 1.0,
-    "q_floor": 0.01,
-    # training
-    "rounds": 200,
-    "local_steps": 10,
-    "batch": 24,
-    "l2": 1e-4,
-    "lr_schedule": "exponential",
-    "eta0": 0.1,
-    "decay": 0.996,
-    "eval_stride": 1,
-    "sim_t_base": 1.0,
-    "sim_t_comp": 0.001,
-    # calibration
-    "pilot_rounds": 5,
-    "alpha_pilot_seeds": 3,
-    "alpha_pilot_q": 0.3,
-    "alpha_floor": 1e-6,
-    "beta": 0.0,
-    # experiment
-    "repeats": 5,
-    "seed": 100,
-    "target_loss": None,
+# What a config key must be. A kind or a rule is a (test, text) pair, and a
+# value that fails it stops with "<key> must be <text>, got <value>". A rule's
+# test also reads the config, whose every key is checked for its kind first.
+_KINDS = {int: (is_integer, "an integer"), float: (is_finite, "a finite number"),
+          str: ((lambda v: True), "")}
+_PATH = (lambda v: isinstance(v, str)), "a path"
+_POSITIVE = (lambda v, cfg: v > 0.0), "positive"
+_NONNEGATIVE = (lambda v, cfg: v >= 0.0), "nonnegative"
+_UNIT = (lambda v, cfg: 0.0 < v <= 1.0), "in (0, 1]"
+
+
+def _at_least(bound: int):
+    return (lambda v, cfg: v >= bound), f">= {bound}"
+
+
+def _set_with(*partners: str):
+    """Needed once every one of ``partners`` is set."""
+    return (lambda v, cfg: v or not all(cfg[p] for p in partners)), f"set with {partners[0]}"
+
+
+_Key = collections.namedtuple("_Key", "group default kind rules")
+
+
+def _key(group: str, default, *rules, kind=None) -> _Key:
+    """A key's row. Its kind is that of its default unless given: an integer
+    (not a bool) for an int, a finite real (not a bool) for a float. A key
+    whose default is None takes null or a value of its given kind."""
+    if default is None:
+        is_kind, text = kind
+        kind = (lambda v: v is None or is_kind(v)), f"{text} or null"
+    return _Key(group, default, kind or _KINDS[type(default)], rules)
+
+
+# Every config key, by group. Each pass of ``_check_config`` goes down the
+# table, so q_floor's row comes before that of q_max, whose rule reads it.
+CONFIG_KEYS = {
+    "n_clients": _key("data", 10, _at_least(1)),
+    "dim": _key("data", 60, _at_least(1)),
+    "classes": _key("data", 10, _at_least(2)),
+    "total_samples": _key("data", 2000),
+    "power_exponent": _key("data", 1.5),
+    "synth_alpha": _key("data", 1.0, _NONNEGATIVE),
+    "synth_beta": _key("data", 1.0, _NONNEGATIVE),
+    "data_seed": _key("data", 1, _at_least(0)),
+    # Once both test paths are set: one alone is named by its partner rule.
+    "idx_images": _key("data", None, _set_with("idx_labels"),
+                       _set_with("idx_test_images", "idx_test_labels"),
+                       _set_with("subsample"), _set_with("label_filter"), kind=_PATH),
+    "idx_labels": _key("data", None, _set_with("idx_images"), kind=_PATH),
+    "idx_test_images": _key("data", None, _set_with("idx_test_labels"), kind=_PATH),
+    "idx_test_labels": _key("data", None, _set_with("idx_test_images"), kind=_PATH),
+    "subsample": _key("data", None, kind=((lambda v: is_integer(v) and v >= 1),
+                                          "a positive integer")),
+    "classes_min": _key("data", 1),
+    "classes_max": _key("data", 6),
+    "label_filter": _key("data", None, kind=(
+        (lambda v: isinstance(v, list) and all(map(is_integer, v))), "a list of integers")),
+    "budget": _key("economics", 200.0),
+    "mean_cost": _key("economics", 50.0, _POSITIVE),
+    "mean_value": _key("economics", 4000.0, _NONNEGATIVE),
+    "economics_seed": _key("economics", 2, _at_least(0)),
+    "q_floor": _key("economics", 0.01, ((lambda v, cfg: 0.0 < v < 1.0), "in (0, 1)")),
+    "q_max": _key("economics", 1.0, _UNIT,
+                  ((lambda v, cfg: v > cfg["q_floor"]), "above q_floor {q_floor}")),
+    "rounds": _key("training", 200, _at_least(1)),
+    # -1 is named ">= 0" and 0 ">= 1", as TrainConfig and GameConstants name them
+    "local_steps": _key("training", 10, _at_least(0), _at_least(1)),
+    "batch": _key("training", 24, ((lambda v, cfg: v is None or v >= 1), ">= 1"),
+                  kind=((lambda v: v is None or is_integer(v)), "an integer")),
+    "l2": _key("training", 1e-4, _NONNEGATIVE),
+    "lr_schedule": _key("training", "exponential"),     # TrainConfig names an unknown one
+    "eta0": _key("training", 0.1, _POSITIVE),
+    "decay": _key("training", 0.996, _POSITIVE),
+    "eval_stride": _key("training", 1, _at_least(1)),
+    "sim_t_base": _key("training", 1.0, _NONNEGATIVE),
+    "sim_t_comp": _key("training", 0.001, _NONNEGATIVE),
+    "pilot_rounds": _key("calibration", 5, _at_least(1)),
+    "alpha_pilot_seeds": _key("calibration", 3, _at_least(1)),
+    "alpha_pilot_q": _key("calibration", 0.3, _UNIT),
+    "alpha_floor": _key("calibration", 1e-6, _POSITIVE),
+    "beta": _key("calibration", 0.0, _NONNEGATIVE),
+    "repeats": _key("experiment", 5, _at_least(1)),
+    "seed": _key("experiment", 100, _at_least(0)),
+    "target_loss": _key("experiment", None, kind=(is_finite, "a finite number")),
+    "setup": _key("experiment", "custom"),      # a label that nothing reads
 }
+DEFAULT_CONFIG = {key: row.default for key, row in CONFIG_KEYS.items()}
 
 PRESETS = {
     # setup1-3 are full-scale benchmark configurations; "desk" is the tuned
@@ -145,64 +184,16 @@ def _unique_key_loader():
     return _UniqueKeyLoader
 
 
-# Keys whose default is None: a test of a set value, and what it must be.
-_OPTIONAL_KINDS = {
-    "target_loss": (is_finite, "a finite number"),
-    "subsample": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "label_filter": (lambda v: isinstance(v, list) and all(map(is_integer, v)),
-                     "a list of integers"),
-    **{key: (lambda v: isinstance(v, str), "a path")
-       for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")},
-}
-
-
-def _check_kinds(cfg: dict) -> None:
-    """Each numeric key must be of its default's kind: an integer (not a bool)
-    where the default is an int, a finite real (not a bool) where it is a float.
-    A key whose default is None must be null or of its ``_OPTIONAL_KINDS`` kind."""
-    for key, default in DEFAULT_CONFIG.items():
-        value = cfg[key]
-        if isinstance(default, int) and not (key == "batch" and value is None):
-            if not is_integer(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        elif isinstance(default, float):
-            if not is_finite(value):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-        elif default is None and value is not None:
-            is_kind, kind = _OPTIONAL_KINDS[key]
-            if not is_kind(value):
-                raise ValueError(f"{key} must be {kind} or null, got {value!r}")
-
-
-def _check_ranges(cfg: dict) -> None:
-    """The counts, seeds and data keys must be in range, each IDX path must
-    come with its partner, ``idx_images`` must be set with each key read
-    only for IDX data, the training keys must make a ``TrainConfig`` and
-    the game keys a ``GameConstants``, each of which checks its ranges, and the
-    economics keys must describe a population the game can solve. Each error
-    names its key."""
-    check_rules(cfg, (
-        *((key, cfg[key] >= 1, ">= 1")
-          for key in ("n_clients", "dim", "repeats", "pilot_rounds", "alpha_pilot_seeds")),
-        *((key, cfg[key] >= 0, ">= 0") for key in ("seed", "data_seed", "economics_seed")),
-        ("classes", cfg["classes"] >= 2, ">= 2"),
-        *((key, cfg[key] >= 0.0, "nonnegative") for key in ("synth_alpha", "synth_beta")),
-        ("alpha_floor", cfg["alpha_floor"] > 0.0, "positive"),
-        *((key, cfg[key] or not cfg[partner], f"set with {partner}") for key, partner in (
-            ("idx_labels", "idx_images"), ("idx_images", "idx_labels"),
-            ("idx_test_labels", "idx_test_images"), ("idx_test_images", "idx_test_labels"),
-            *(("idx_images", key) for key in ("idx_test_images", "idx_test_labels",
-                                              "subsample", "label_filter")))),
-    ))
-    train_config(cfg, seed=cfg["seed"])
-    game_constants(cfg, {})
-    check_rules(cfg, (
-        ("alpha_pilot_q", 0.0 < cfg["alpha_pilot_q"] <= 1.0, "in (0, 1]"),
-        ("q_max", 0.0 < cfg["q_max"] <= 1.0, "in (0, 1]"),
-        ("q_max", cfg["q_max"] > cfg["q_floor"], f"above q_floor {cfg['q_floor']}"),
-        ("mean_cost", cfg["mean_cost"] > 0.0, "positive"),
-        ("mean_value", cfg["mean_value"] >= 0.0, "nonnegative"),
-    ))
+def _check_config(cfg: dict, keys=CONFIG_KEYS) -> None:
+    """Check each of ``keys`` that ``cfg`` sets against its row of
+    ``CONFIG_KEYS``: every kind, then every rule, each pass in the order of
+    ``keys``. The first failure is a ValueError naming its key."""
+    rows = [(key, CONFIG_KEYS[key]) for key in keys if key in cfg]
+    for key, (_group, _default, (is_kind, kind), _rules) in rows:
+        if not is_kind(cfg[key]):
+            raise ValueError(f"{key} must be {kind}, got {cfg[key]!r}")
+    check_rules(cfg, ((key, holds(cfg[key], cfg), rule.format_map(cfg))
+                      for key, row in rows for holds, rule in row.rules))
 
 
 def _read_yaml(path: str, unique_keys: bool = False):
@@ -245,8 +236,8 @@ def build_config(preset: str | None = None, config_path: str | None = None,
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    _check_kinds(cfg)
-    _check_ranges(cfg)
+    _check_config(cfg)
+    train_config(cfg, seed=cfg["seed"])     # names an unknown lr_schedule
     return cfg
 
 
@@ -463,6 +454,10 @@ def build_report(run_dir: str, write: bool = False) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"{cfg_path}: expected a mapping of config keys, "
                          f"got {type(cfg).__name__}")
+    try:
+        _check_config(cfg, ("target_loss", "sim_t_base", "sim_t_comp"))
+    except ValueError as exc:
+        raise ValueError(f"{cfg_path}: {exc}") from None
 
     population = f_locals = None
     pop_path = os.path.join(run_dir, "population.ini")

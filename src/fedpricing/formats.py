@@ -369,7 +369,8 @@ _METRICS_KINDS = ((str, "text"), (int, "an integer"), (int, "an integer"), (floa
 
 def read_metrics_csv(path: str) -> list:
     """Rows as dicts with numeric fields parsed. A row with the wrong number
-    of fields, or a field that does not parse, is named by its line."""
+    of fields, or a field that does not parse, is named by its line; a file
+    with no rows is an error too."""
     with open(path, newline="") as f:
         try:
             return _metrics_rows(path, csv.reader(f))
@@ -397,4 +398,6 @@ def _metrics_rows(path: str, reader) -> list:
             except ValueError:
                 raise ValueError(f"{where}: {name}: expected {kind}, got {raw!r}") from None
         rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no metrics rows")
     return rows

@@ -327,6 +327,31 @@ def test_report_names_a_config_that_is_not_a_mapping(fast_run, tmp_path, capsys)
         f"error: {path}: expected a mapping of config keys, got list")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("target_loss: abc", "target_loss must be a finite number or null, got 'abc'"),
+    ("target_loss: .nan", "target_loss must be a finite number or null, got nan"),
+    ("sim_t_base: [1]", "sim_t_base must be a finite number, got [1]"),
+], ids=["target_loss-abc", "target_loss-nan", "sim_t_base-list"])
+def test_report_names_a_bad_config_value(fast_run, tmp_path, capsys, line, message):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "config.yaml"
+    key = line.split(":")[0]
+    path.write_text(re.sub(rf"(?m)^{key}: .*$", line, path.read_text()))
+    assert report_error(run_dir, capsys) == f"error: {path}: {message}"
+
+
+def test_report_leaves_a_config_key_the_file_does_not_set_unset(fast_run, tmp_path, capsys):
+    run_dir = shutil.copytree(fast_run, tmp_path / "run")
+    path = run_dir / "config.yaml"
+    path.write_text(re.sub(r"(?m)^(target_loss|sim_t_base|sim_t_comp): .*\n", "",
+                           path.read_text()))
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["sim_time_constants"] == {"t_base": None, "t_comp": None}
+    assert summary["target_loss"] == max(summary["mean_final_loss"].values())
+
+
 def small_population_file(tmp_path) -> str:
     path = str(tmp_path / "population.ini")
     population = make_population([4, 2], [1.0, 2.0], [2.0, 1.0], [0.1, 0.0], [1.0, 1.0])
@@ -629,6 +654,32 @@ def test_a_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, 
     assert not out.exists()
 
 
+# One rule of each config key that no other test names, with its error text;
+# ``batch: null`` is accepted.
+@pytest.mark.parametrize("line,message", [
+    ("dim: 0", "dim must be >= 1, got 0"),
+    ("n_clients: 0", "n_clients must be >= 1, got 0"),
+    ("local_steps: 0", "local_steps must be >= 1, got 0"),
+    ("batch: 0", "batch must be >= 1, got 0"),
+    ("eval_stride: 0", "eval_stride must be >= 1, got 0"),
+    ("rounds: 0", "rounds must be >= 1, got 0"),
+    ("l2: -1.0", "l2 must be nonnegative, got -1.0"),
+    ("decay: 0.0", "decay must be positive, got 0.0"),
+    ("sim_t_comp: -1.0", "sim_t_comp must be nonnegative, got -1.0"),
+    ("q_floor: 0.0", "q_floor must be in (0, 1), got 0.0"),
+    ("batch: null", None),
+])
+def test_a_config_rule_names_its_key(tmp_path, line, message):
+    path = fast_config_with(tmp_path, line)
+    if message is None:
+        ((key, value),) = yaml.safe_load(line).items()
+        assert exp.build_config(config_path=path)[key] == value
+    else:
+        with pytest.raises(ValueError) as info:
+            exp.build_config(config_path=path)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("line,message", [
     ("lr_schedule: 5", "error: unknown lr_schedule 5"),
     ("lr_schedule: cosine", "error: unknown lr_schedule 'cosine'"),
@@ -769,6 +820,7 @@ RUN_FILE_DAMAGE = {
     "half": lambda data: data[:len(data) // 2],
     "one-byte": lambda data: data[:1],
     "first-line-dropped": lambda data: data.split(b"\n", 1)[-1],
+    "first-line-only": lambda data: data.split(b"\n", 1)[0] + b"\n",
     "garbage": lambda data: bytes(range(255, -1, -7)) * 3,
 }
 RUN_FILES = ["config.yaml", "dataset.bin", "population.ini", "equilibrium_optimal.json",

@@ -227,3 +227,11 @@ def test_metrics_csv_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_metrics_csv(str(path))
+
+
+def test_metrics_csv_without_rows_is_named(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text(",".join(METRICS_HEADER) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_metrics_csv(str(path))
+    assert str(info.value) == f"{path}: no metrics rows"

@@ -5,6 +5,7 @@ import shlex
 
 import fedpricing
 from fedpricing.cli import main
+from fedpricing.experiment import CONFIG_KEYS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -50,3 +51,18 @@ def test_the_library_section_lists_the_package_roots_names():
     listed = text[text.index("The package root exports"):text.index("The one-shard training")]
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(fedpricing.__all__)
     assert f"exports {len(fedpricing.__all__)} names" in listed
+
+
+def test_the_configuration_table_is_the_config_table():
+    with open(README) as f:
+        text = f.read()
+    section = text[text.index("### Configuration"):text.index("### Library")]
+    rows = re.findall(r"^\| (`\w+` \|.*) \|$", section, re.MULTILINE)
+    expected = []
+    for key, row in CONFIG_KEYS.items():
+        default = "null" if row.default is None else row.default
+        # A rule's text names the values it reads, which the README leaves out.
+        must = [row.kind[1]] + [re.sub(r" \{\w+\}", "", rule) for _, rule in row.rules]
+        expected.append(f"`{key}` | {row.group} | `{default}` | "
+                        + ("; ".join(filter(None, must)) or "—"))
+    assert rows == expected
