@@ -166,9 +166,15 @@ def subsample(samples: np.ndarray, labels: np.ndarray, n: int, seed: int = 0):
 
 
 def filter_labels(samples: np.ndarray, labels: np.ndarray, keep: list):
-    """Keep only samples whose label is in ``keep``, remapping labels to 0..k-1."""
+    """Keep only samples whose label is in ``keep``, remapping labels to 0..k-1.
+
+    Raises when no sample has a label in ``keep``.
+    """
     keep = sorted(set(keep))
     mask = np.isin(labels, keep)
+    if not mask.any():
+        raise ValueError(f"label_filter {keep} names no label in the data "
+                         f"(its labels: {np.unique(labels).tolist()})")
     return samples[mask], np.searchsorted(keep, labels[mask])
 
 

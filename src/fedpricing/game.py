@@ -32,7 +32,8 @@ from .bound import bound_terms, convergence_gap_bound, power
 from .core import EquilibriumResult, GameConstants, Population, participation_levels, per_client
 
 _INTERIOR_EPS = 1e-9
-_RESPONSE_WIDTH = 1e-12     # each client's Stage-II bisection stops at this interval width
+_NEWTON_REL = 1e-15     # a Stage-II Newton iteration stops at a step below this fraction of q,
+_NEWTON_STEPS = 50      # or after this many steps
 
 
 class InfeasibleBudgetError(ValueError):
@@ -103,13 +104,20 @@ def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
     with k = (alpha/R) a^2 G^2.
 
     With v = 0 the first-order condition P = 2 c q is solved in closed form.
-    Otherwise the residual P + v k / q^2 - 2 c q falls in q: a client whose
-    residual is still nonnegative at the cap takes the cap; one whose
+    Otherwise the residual f(q) = P + v k / q^2 - 2 c q falls in q: a client
+    whose residual is still nonnegative at the cap takes the cap; one whose
     residual is already nonpositive at q_floor * 1e-3 takes that point, the
-    best admissible one since the objective diverges at zero; the rest
-    bisect the residual on [q_floor * 1e-3, q_max]. Each client stops when
-    its own interval is 1e-12 wide, so its answer does not depend on who else
-    is in the population.
+    best admissible one since the objective diverges at zero. The rest take
+    Newton steps on f from a start left of its root; f is convex, so every
+    iterate stays left of the root and they climb to it without
+    overshooting. For P >= 0 the start is max(P / 2c, (v k / 2c)^(1/3)),
+    since 2 c q exceeds both P and v k / q^2 at the root; for P < 0 it is
+    min(sqrt(v k / 2|P|), (v k / 4c)^(1/3)), where v k / q^2 is at least
+    |P| + 2 c q. The start is raised to q_floor * 1e-3 and every iterate is
+    capped at q_max. Each client stops when its step is no longer a positive
+    fraction _NEWTON_REL of its level, so its answer does not depend on who
+    else is in the population; one still open after _NEWTON_STEPS steps
+    keeps its last iterate.
     """
     c, v, cap = cl.pop.c, cl.pop.v, cl.pop.q_max
     q = np.empty(len(c))
@@ -120,34 +128,44 @@ def _best_responses(prices: np.ndarray, cl: _Clients) -> np.ndarray:
     idx = np.flatnonzero(~free)
     p, vk, c2, hi = prices[idx], cl.vk[idx], 2.0 * c[idx], cap[idx]
     q_lo = cl.floor * 1e-3
-    lo = np.full(idx.size, q_lo)
     at_cap = _foc(hi, p, vk, c2) >= 0.0
-    at_low = ~at_cap & (_foc(lo, p, vk, c2) <= 0.0)
+    at_low = ~at_cap & (_foc(q_lo, p, vk, c2) <= 0.0)
     q[idx[at_cap]] = hi[at_cap]
     q[idx[at_low]] = q_lo
     open_ = ~(at_cap | at_low)
-    idx, p, vk, c2, lo, hi = (x[open_] for x in (idx, p, vk, c2, lo, hi))
-    while True:
-        done = ~(hi - lo > _RESPONSE_WIDTH)
-        if done.any():
-            q[idx[done]] = 0.5 * (lo[done] + hi[done])
-            open_ = ~done
-            idx, p, vk, c2, lo, hi = (x[open_] for x in (idx, p, vk, c2, lo, hi))
+    idx, p, vk, c2, hi = (x[open_] for x in (idx, p, vk, c2, hi))
+
+    x = np.empty(idx.size)
+    neg = p < 0.0
+    pos = ~neg
+    with np.errstate(over="ignore"):    # an overflowing bound is inf: min passes it over
+        x[pos] = np.maximum(p[pos] / c2[pos], power(vk[pos] / c2[pos], 1.0 / 3.0))
+        x[neg] = np.minimum(np.sqrt(vk[neg] / (-2.0 * p[neg])),
+                            power(vk[neg] / (2.0 * c2[neg]), 1.0 / 3.0))
+    x = np.minimum(np.maximum(x, q_lo), hi)
+    for _ in range(_NEWTON_STEPS):
         if not idx.size:
-            return q
-        mid = 0.5 * (lo + hi)
-        up = _foc(mid, p, vk, c2) > 0.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+            break
+        x2 = x * x
+        # f(x) / -f'(x), with f'(x) = -2 v k / x^3 - 2 c.
+        step = (p + vk / x2 - c2 * x) / (2.0 * vk / (x2 * x) + c2)
+        done = ~(step > _NEWTON_REL * x)
+        q[idx[done]] = x[done]
+        open_ = ~done
+        idx, p, vk, c2, hi, x, step = (a[open_] for a in (idx, p, vk, c2, hi, x, step))
+        x = np.minimum(x + step, hi)
+    q[idx] = x
+    return q
 
 
 def client_best_response(prices, population: Population, constants: GameConstants) -> np.ndarray:
     """Each client's unique maximizer of its concave objective on [0, q_max],
     given its own price: one entry per client.
 
-    Interior stationary points are found by monotone bisection on the
-    first-order-condition residual (the closed-form cubic root is avoided for
-    numerical robustness). Monotone non-decreasing in each price.
+    Interior stationary points are found by Newton steps on the
+    first-order-condition residual from a start left of its root, which
+    climb to the root without overshooting. Monotone non-decreasing in each
+    price.
     """
     prices = per_client(prices, "prices", len(population))
     bad = np.flatnonzero(~np.isfinite(prices))

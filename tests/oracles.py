@@ -2,7 +2,10 @@
 
 None of this is library code. ``client_best_response`` is the per-client
 scalar bisection the array kernel in ``fedpricing.game`` replaced, kept as
-written, so the kernel can be held to it bit for bit. Every square here is
+written as the accuracy oracle: the kernel's Newton iteration must land
+within its 1e-12 interval width. ``client_best_response_newton`` is that
+Newton iteration one client at a time, which the kernel equals bit for bit;
+``_newton_response`` gives its steps too. Every square here is
 a product, ``x * x``, as in the package: a product is correctly rounded,
 while the C library's ``pow(x, 2)``, which Python's ``**`` calls, is not
 always. ``inverse_price_of`` and ``penalty_of`` are the inverse price and
@@ -142,6 +145,48 @@ def client_best_response(p_n: float, profile: tuple, constants: GameConstants) -
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _newton_response(p_n: float, profile: tuple, constants: GameConstants) -> tuple:
+    """(level, Newton steps taken): the client's best response by Newton steps
+    on the first-order-condition residual, from a start left of its root.
+    The steps are None for a level that needs no iteration: v = 0, or a
+    client at the cap or at the floor."""
+    c = profile.cost_coeff
+    v = profile.intrinsic_pref
+    q_max = profile.q_max
+    if v == 0.0:
+        root = p_n / (2.0 * c)
+        return (0.0 if root <= 0.0 else min(root, q_max)), None
+    q_lo = constants.q_floor * 1e-3
+    if _foc_residual(q_max, p_n, profile, constants) >= 0.0:
+        return q_max, None
+    if _foc_residual(q_lo, p_n, profile, constants) <= 0.0:
+        return q_lo, None
+    vk = v * _bound_term(profile, constants)
+    c2 = 2.0 * c
+    if p_n < 0.0:
+        # v k / q^2 >= 2|P| and v k / q^2 >= 4 c q: the residual is still >= 0.
+        q = min(math.sqrt(vk / (-2.0 * p_n)), (vk / (2.0 * c2)) ** (1.0 / 3.0))
+    else:
+        # At the root 2 c q = P + v k / q^2, so q >= P / 2c and q^3 >= v k / 2c.
+        q = max(p_n / c2, (vk / c2) ** (1.0 / 3.0))
+    q = min(max(q, q_lo), q_max)
+    for steps in range(1000):
+        q2 = q * q
+        step = (p_n + vk / q2 - c2 * q) / (2.0 * vk / (q2 * q) + c2)
+        if not step > 1e-15 * q:
+            return q, steps
+        q = min(q + step, q_max)
+    raise AssertionError(f"no Newton convergence at price {p_n}, profile {profile}")
+
+
+def client_best_response_newton(p_n: float, profile: tuple, constants: GameConstants) -> float:
+    """``client_best_response`` by Newton steps from a start left of the root
+    instead of bisection, one client at a time: the array kernel's iteration
+    in Python floats, with squares as products and cube roots through
+    ``pow``, as ``bound.power`` takes them."""
+    return _newton_response(p_n, profile, constants)[0]
 
 
 def price_closed_form(lambda_star: float, profile: tuple, constants: GameConstants) -> float:

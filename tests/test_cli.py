@@ -476,6 +476,19 @@ def test_an_idx_header_claiming_more_than_the_file_is_one_error_line(tmp_path, c
     assert not out.exists()
 
 
+def test_a_label_filter_naming_no_label_is_one_error_line(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx(str(images), str(labels), np.zeros((60, 16)), np.arange(60) % 3, 4, 4)
+    cfg = tmp_path / "idx.yaml"
+    cfg.write_text(f"idx_images: {images}\nidx_labels: {labels}\nlabel_filter: [7]\n")
+    out = tmp_path / "run"
+    code, _, stderr = run_cli(["gen-data", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(stderr) == ("error: label_filter [7] names no label in the data "
+                                      "(its labels: [0, 1, 2])")
+    assert not out.exists()
+
+
 IDX_PARTNERS = {"idx_images": "idx_labels", "idx_labels": "idx_images",
                 "idx_test_images": "idx_test_labels", "idx_test_labels": "idx_test_images"}
 

@@ -3,8 +3,10 @@
 The array kernels in ``fedpricing.game`` must reproduce the per-client
 scalar reference in ``oracles.py`` bit for bit, on single clients and on
 mixed populations: v = 0 next to v > 0, prices of either sign and zero,
-values far above the price, and caps below 1. ``make_population`` must
-accept and reject what the row-by-row construction does, with the same
+values far above the price, and caps below 1. The Newton best responses
+must also lie within 1e-12 of the first-written bisection, equal it where
+no iteration is needed, and stop before their step cap. ``make_population``
+must accept and reject what the row-by-row construction does, with the same
 message, and a population must survive its file format bit for bit; the
 file reader must read a hand-edited file as ``configparser`` does. A
 sum's certified sign must decide every comparison as ``math.fsum`` does.
@@ -40,6 +42,7 @@ from fedpricing.data import _max_flow, _route_residual
 from fedpricing.fltrain import _aggregate, loss_and_grad
 from fedpricing.formats import read_population, write_population
 from fedpricing.game import (
+    _NEWTON_STEPS,
     SolverOptions,
     _best_responses,
     _Clients,
@@ -72,8 +75,11 @@ CONSTANTS = st.builds(
     q_floor=st.floats(1e-3, 0.04),
 )
 PRICE = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3))
+PRICED = POPULATION.flatmap(lambda rows: st.tuples(
+    st.just(rows), st.lists(PRICE, min_size=len(rows), max_size=len(rows))))
 
 UNIT = GameConstants(alpha=1.0, beta=0.0, rounds=1, local_steps=1)
+VK_1E10 = GameConstants(alpha=100.0, beta=0.0, rounds=1, local_steps=1)
 
 
 def build(rows):
@@ -97,8 +103,33 @@ def test_array_best_response_is_the_scalar_reference_bit_for_bit(rows, constants
     else:
         prices = data.draw(st.lists(PRICE, min_size=len(profiles), max_size=len(profiles)))
     got = _best_responses(np.array(prices), _Clients.read(profiles, constants))
-    want = [oracles.client_best_response(p, prof, constants) for p, prof in zip(prices, profiles)]
+    want = [oracles.client_best_response_newton(p, prof, constants)
+            for p, prof in zip(prices, profiles)]
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=PRICED, constants=CONSTANTS)
+@example(game=([(1, 100.0, 1e10, 9e4, 1.0)] * 3, [0.0, -1e9, 1e9]),
+         constants=VK_1E10)                                                  # v k near 1e10
+@example(game=([(1, 3e-13, 1e-6, 1e-4, 1.0)] * 2 + [(1, 3e-13, 1e-18, 1e-4, 1.0)],
+               [1e-7, 3e-11, -1e-21]),
+         constants=UNIT)                                                     # v k near 1e-30
+@example(game=([(1, 1.0, 1.0, 1.0, 1.0)], [-5e-324]),
+         constants=UNIT)                                                     # sqrt(v k / 2|P|) overflows
+def test_newton_best_response_is_the_bisection_within_its_width(game, constants):
+    rows, prices = game
+    profiles = build(rows)
+    got = _best_responses(np.array(prices), _Clients.read(profiles, constants))
+    for qn, pn, prof in zip(got.tolist(), prices, profiles):
+        want = oracles.client_best_response(pn, prof, constants)
+        # The kernel is the Newton reference bit for bit, so these are its steps.
+        _, steps = oracles._newton_response(pn, prof, constants)
+        if steps is None:       # v = 0, at the cap or at the floor
+            assert bits(qn) == bits(want)
+        else:
+            assert abs(qn - want) <= 1e-12
+            assert steps < _NEWTON_STEPS
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,12 +163,13 @@ def test_baseline_levels_are_the_reference_best_responses(rows, constants, share
     budget = share * sum(p.cost_coeff * p.q_max**2 for p in profiles)
     result = baseline_uniform(profiles, constants, budget)
     price, q = result.p_star[0], result.q_star
-    want = [oracles.client_best_response(price, p, constants) for p in profiles]
+    want = [oracles.client_best_response_newton(price, p, constants) for p in profiles]
     np.testing.assert_array_equal(bits(q), bits(want))
 
     result = baseline_weighted(profiles, constants, budget)
     prices, q = result.p_star, result.q_star
-    want = [oracles.client_best_response(pn, p, constants) for pn, p in zip(prices, profiles)]
+    want = [oracles.client_best_response_newton(pn, p, constants)
+            for pn, p in zip(prices, profiles)]
     np.testing.assert_array_equal(bits(q), bits(want))
 
 

@@ -88,6 +88,6 @@ def test_inverse_prices_are_the_product_reference_bit_for_bit():
 def test_best_responses_are_the_product_reference_bit_for_bit():
     population, _, prices = market()
     got = _best_responses(prices, _Clients.read(population, CONSTANTS))
-    want = [oracles.client_best_response(pn, p, CONSTANTS)
+    want = [oracles.client_best_response_newton(pn, p, CONSTANTS)
             for pn, p in zip(prices.tolist(), population)]
     np.testing.assert_array_equal(bits(got), bits(want))
